@@ -31,7 +31,6 @@ def _config_from_args(args) -> SolverConfig:
         learn_depth_k=-1 if getattr(args, "no_learn", False) else args.learn_k,
         var_order=args.order,
         default_polarity=args.polarity,
-        seed=args.seed,
         max_conflicts=args.max_conflicts,
         max_seconds=args.max_seconds,
     )
@@ -161,7 +160,7 @@ def _cmd_selftest(args) -> int:
             clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
         cut = rng.randint(0, min(2, len(clauses)))
         prob = EcnfProblem.make(xs, ys, clauses[:cut], clauses[cut:])
-        res = solve_pqe(prob, SolverConfig(seed=1))
+        res = solve_pqe(prob, SolverConfig())
         if not oracle.verify_pqe_solution(prob.f1, prob.f2, prob.x_vars, res.f1_star, prob.y_vars):
             ok = False
             break
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-learn", action="store_true", dest="no_learn")
         p.add_argument("--order", choices=("static", "activity"), default="static")
         p.add_argument("--polarity", type=int, choices=(0, 1), default=0)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-conflicts", type=int, default=None, dest="max_conflicts")
         p.add_argument("--max-seconds", type=float, default=None, dest="max_seconds")
 

@@ -7,7 +7,7 @@ A partial assignment is a plain ``dict`` mapping var -> 0/1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 Assignment = Dict[int, int]
@@ -178,6 +178,19 @@ class ClauseDb:
     Clauses are never physically removed: D-sequent structure constraints
     keep referring to ids of clauses proved redundant, and those clauses
     may return to the formula when a target level is popped.
+
+    The store also keeps the search's propagation state. ``values`` is the
+    current partial assignment, changed only through ``assign`` and
+    ``unassign``. Per stored clause, live or not, the store counts the
+    literals that assignment makes true and the literals it leaves
+    non-false. From the counts it keeps two sets of *active* ids:
+    ``falsified`` (every literal false) and ``units`` (no literal true,
+    exactly one unassigned). An assignment or unassignment touches only the
+    two occurrence lists of its variable; ``add``, ``deactivate`` and
+    ``reactivate`` move a clause into or out of the sets. The sets hold
+    exactly the active clauses for which ``clause_falsified`` and
+    ``unit_literal`` would answer, so the lowest id in a set is the one a
+    scan of ``active_ids()`` in id order would find first.
     """
 
     def __init__(self) -> None:
@@ -185,8 +198,13 @@ class ClauseDb:
         self._active: Dict[int, bool] = {}
         self._dedup: Dict[Lits, int] = {}  # canonical lits -> active id
         self._any: Dict[Lits, int] = {}  # canonical lits -> last id ever
-        self._occ: Dict[int, set] = {}  # literal -> ids containing it
+        self._occ: Dict[int, List[int]] = {}  # literal -> ids containing it, ascending
         self._next_id = 1
+        self.values: Assignment = {}
+        self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
+        self._open: List[int] = [0]  # by id: literals not false under values
+        self.falsified: Set[int] = set()
+        self.units: Set[int] = set()
 
     def add(self, lits: Iterable[int], origin: str) -> Clause:
         """Insert a clause; a duplicate of an active clause returns the existing one."""
@@ -201,9 +219,27 @@ class ClauseDb:
         self._active[cid] = True
         self._dedup[key] = cid
         self._any[key] = cid
+        true = open_ = 0
         for l in key:
-            self._occ.setdefault(l, set()).add(cid)
+            self._occ.setdefault(l, []).append(cid)
+            t = lit_truth(l, self.values)
+            if t is None:
+                open_ += 1
+            elif t:
+                open_ += 1
+                true += 1
+        self._true.append(true)
+        self._open.append(open_)
+        self._track(cid)
         return clause
+
+    def _track(self, cid: int) -> None:
+        """Put an active clause into the set its counts call for."""
+        if not self._true[cid]:
+            if self._open[cid] == 0:
+                self.falsified.add(cid)
+            elif self._open[cid] == 1:
+                self.units.add(cid)
 
     def clause(self, cid: int) -> Clause:
         return self._clauses[cid]
@@ -227,6 +263,8 @@ class ClauseDb:
         key = self._clauses[cid].lits
         if self._dedup.get(key) == cid:
             del self._dedup[key]
+        self.falsified.discard(cid)
+        self.units.discard(cid)
 
     def reactivate(self, cid: int) -> None:
         if self._active[cid]:
@@ -236,6 +274,7 @@ class ClauseDb:
             raise ValueError(f"an active duplicate of clause {cid} exists")
         self._active[cid] = True
         self._dedup[key] = cid
+        self._track(cid)
 
     def active_ids(self) -> Tuple[int, ...]:
         return tuple(cid for cid in sorted(self._clauses) if self._active[cid])
@@ -245,7 +284,61 @@ class ClauseDb:
 
     def occurrences(self, lit: int) -> Tuple[int, ...]:
         """Ids of all clauses (any liveness) containing exactly this literal."""
-        return tuple(sorted(self._occ.get(lit, ())))
+        return tuple(self._occ.get(lit, ()))
+
+    # -- propagation state ---------------------------------------------
+
+    def assign(self, var: int, val: int) -> None:
+        """Set an unassigned variable and update the counts it touches."""
+        self.values[var] = val
+        lit = var if val else -var
+        true, open_, active, units = self._true, self._open, self._active, self.units
+        for cid in self._occ.get(lit, ()):
+            true[cid] += 1
+            if true[cid] == 1 and open_[cid] == 1:
+                units.discard(cid)
+        for cid in self._occ.get(-lit, ()):
+            n = open_[cid] - 1
+            open_[cid] = n
+            if n <= 1 and not true[cid] and active[cid]:
+                if n:
+                    units.add(cid)
+                else:
+                    units.discard(cid)
+                    self.falsified.add(cid)
+
+    def unassign(self, var: int) -> None:
+        """Undo ``assign`` for one variable."""
+        lit = var if self.values.pop(var) else -var
+        true, open_, active, units = self._true, self._open, self._active, self.units
+        for cid in self._occ.get(lit, ()):
+            true[cid] -= 1
+            if not true[cid] and open_[cid] == 1 and active[cid]:
+                units.add(cid)
+        for cid in self._occ.get(-lit, ()):
+            n = open_[cid] + 1
+            open_[cid] = n
+            if n <= 2 and not true[cid] and active[cid]:
+                if n == 1:
+                    self.falsified.discard(cid)
+                    units.add(cid)
+                else:
+                    units.discard(cid)
+
+    def is_satisfied(self, cid: int) -> bool:
+        """Some literal of the clause is true under ``values``."""
+        return self._true[cid] > 0
+
+    def is_falsified(self, cid: int) -> bool:
+        """Every literal of the clause is false under ``values``."""
+        return self._open[cid] == 0
+
+    def free_literal(self, cid: int) -> int:
+        """The unassigned literal of a clause in ``units``."""
+        for l in self._clauses[cid].lits:
+            if abs(l) not in self.values:
+                return l
+        raise ValueError(f"clause {cid} has no unassigned literal")
 
     def __len__(self) -> int:
         return len(self._clauses)

@@ -45,15 +45,19 @@ def _content_lines(text: str):
         yield ln, raw, stripped
 
 
-def _parse_int(tok: str, ln: int, col: int) -> int:
+def _parse_int(tok: str, ln: int, raw: str, idx: int) -> int:
+    """The idx-th token of line ``raw`` as an int."""
     try:
         return int(tok)
     except ValueError:
-        raise PqeSyntaxError(ln, col, f"expected an integer, got {tok!r}") from None
+        raise PqeSyntaxError(ln, _token_col(raw, idx), f"expected an integer, got {tok!r}") from None
 
 
 def _token_col(raw: str, idx: int) -> int:
-    """1-based column of the idx-th whitespace-separated token."""
+    """1-based column of the idx-th whitespace-separated token.
+
+    Linear in the line length: call it only to position an error.
+    """
     pos = 0
     for k, tok in enumerate(raw.split()):
         pos = raw.index(tok, pos)
@@ -69,7 +73,7 @@ def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
         raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
     lits: List[int] = []
     for i, tok in enumerate(toks[:-1]):
-        lit = _parse_int(tok, ln, _token_col(raw, i))
+        lit = _parse_int(tok, ln, raw, i)
         if lit == 0:
             raise PqeSyntaxError(ln, _token_col(raw, i), "literal 0 inside a clause line")
         if abs(lit) > max_var:
@@ -90,9 +94,9 @@ def parse_pqe(text: str) -> EcnfProblem:
     toks = stripped.split()
     if len(toks) != 5 or toks[0] != "p" or toks[1] != "pqe":
         raise PqeSyntaxError(ln, 1, "expected header 'p pqe <max_var> <n_f1> <n_f2>'")
-    max_var = _parse_int(toks[2], ln, _token_col(raw, 2))
-    n_f1 = _parse_int(toks[3], ln, _token_col(raw, 3))
-    n_f2 = _parse_int(toks[4], ln, _token_col(raw, 4))
+    max_var = _parse_int(toks[2], ln, raw, 2)
+    n_f1 = _parse_int(toks[3], ln, raw, 3)
+    n_f2 = _parse_int(toks[4], ln, raw, 4)
     if max_var < 0 or n_f1 < 0 or n_f2 < 0:
         raise PqeSemanticError(ln, 1, "header counts must be non-negative")
 
@@ -105,15 +109,17 @@ def parse_pqe(text: str) -> EcnfProblem:
     if toks[-1] != "0":
         raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "quantifier line must end with 0")
     x_vars: List[int] = []
+    x_set = set()
     for i, tok in enumerate(toks[1:-1], start=1):
-        v = _parse_int(tok, ln, _token_col(raw, i))
+        v = _parse_int(tok, ln, raw, i)
         if v <= 0:
             raise PqeSyntaxError(ln, _token_col(raw, i), "quantified variables are positive ints")
         if v > max_var:
             raise PqeSemanticError(ln, _token_col(raw, i), f"variable {v} out of range")
-        if v in x_vars:
+        if v in x_set:
             raise PqeSemanticError(ln, _token_col(raw, i), f"duplicate quantifier for {v}")
         x_vars.append(v)
+        x_set.add(v)
 
     body = lines[2:]
     if len(body) != n_f1 + n_f2:
@@ -123,7 +129,7 @@ def parse_pqe(text: str) -> EcnfProblem:
             f"expected {n_f1 + n_f2} clause lines, found {len(body)}",
         )
     clauses = [_parse_clause_line(raw, stripped, l, max_var) for l, raw, stripped in body]
-    y_vars = [v for v in range(1, max_var + 1) if v not in set(x_vars)]
+    y_vars = [v for v in range(1, max_var + 1) if v not in x_set]
     return EcnfProblem.make(x_vars, y_vars, clauses[:n_f1], clauses[n_f1:])
 
 
@@ -158,7 +164,7 @@ def parse_solution(text: str) -> Tuple[Lits, ...]:
     toks = stripped.split()
     if len(toks) != 3 or toks[0] != "s" or toks[1] != "pqe":
         raise PqeSyntaxError(ln, 1, "expected header 's pqe <n_clauses>'")
-    n = _parse_int(toks[2], ln, _token_col(raw, 2))
+    n = _parse_int(toks[2], ln, raw, 2)
     body = lines[1:]
     if len(body) != n:
         raise PqeSyntaxError(ln, 1, f"expected {n} clause lines, found {len(body)}")

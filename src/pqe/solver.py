@@ -16,6 +16,18 @@ assignment (clause-only propagation). A target level records its key clause
 and key variable; its pending targets are the live clauses resolvable with
 the key on that variable. Clauses proved redundant at a live level are
 soft-deleted and restored when the level is popped.
+
+Propagation state
+-----------------
+The engine never scans the formula to find falsified or unit clauses. Every
+assignment and unassignment goes through ``_apply`` and ``_pop_suffix`` to
+the clause store, which keeps per clause a count of true literals and a
+count of non-false ones, and from them the sets of active falsified and
+active unit clause ids (see ``ClauseDb``). A round of BCP reads the target's
+counts, takes the lowest falsified id and enqueues the units in ascending
+id order, which is the order a scan of the formula in id order would find
+them in. ``SolverConfig.check_invariants`` re-derives the sets by such a
+scan at every round and asserts that they agree.
 """
 
 from __future__ import annotations
@@ -52,7 +64,6 @@ class SolverConfig:
     learn_depth_k: int = 0  # -1: learn nothing; 0: bottom-level targets only
     var_order: str = "static"  # or "activity"
     default_polarity: int = 0
-    seed: int = 0
     max_conflicts: Optional[int] = None
     max_seconds: Optional[float] = None
     sat_max_conflicts: Optional[int] = None
@@ -176,8 +187,8 @@ class Engine:
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
         self.activity: Dict[int, float] = {v: 0.0 for v in problem.all_vars()}
         self._act_inc = 1.0
-        # search state, reset per proof
-        self.assign: Assignment = {}
+        # search state, reset per proof; the store owns the assignment
+        self.assign: Assignment = self.db.values
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
         self.level_start: List[int] = [0]
@@ -230,8 +241,9 @@ class Engine:
         self._reset_search()
         self.primary = primary
         self.target = primary
-        empty = self._live_empty_clause()
-        if empty is not None:
+        if self.db.falsified:
+            # nothing is assigned, so only a live empty clause is falsified
+            empty = self.db.clause(min(self.db.falsified))
             self.stats["dseq_final"] += 1
             return self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), empty))
         pending: List[Union[LrnOutcome, PoppedKey]] = []
@@ -286,18 +298,9 @@ class Engine:
                 self.db.reactivate(cid)
         self.tlevels.clear()
         self.done_global.clear()
-        self.assign.clear()
-        self.trail.clear()
-        self.pos.clear()
-        self.level_start = [0]
+        self._pop_suffix(0)
         self.queue.clear()
         self.queued.clear()
-
-    def _live_empty_clause(self) -> Optional[Clause]:
-        for cid in self.db.active_ids():
-            if not self.db.clause(cid).lits:
-                return self.db.clause(cid)
-        return None
 
     def _check_budget(self) -> None:
         mc = self.config.max_conflicts
@@ -316,15 +319,19 @@ class Engine:
         entry = TrailEntry(var, val, reason, len(self.level_start) - 1, level_start)
         self.pos[var] = len(self.trail)
         self.trail.append(entry)
-        self.assign[var] = val
+        self.db.assign(var, val)
+        if self.config.check_invariants:
+            self._audit_trail()
 
     def _pop_suffix(self, new_len: int) -> None:
         while len(self.trail) > new_len:
             e = self.trail.pop()
-            del self.assign[e.var]
+            self.db.unassign(e.var)
             del self.pos[e.var]
         while len(self.level_start) > 1 and self.level_start[-1] >= len(self.trail):
             self.level_start.pop()
+        if self.config.check_invariants:
+            self._audit_trail()
 
     def _backtrack_to_level(self, level: int) -> None:
         if level >= len(self.level_start) - 1:
@@ -415,21 +422,54 @@ class Engine:
                 self._apply(var, val, reason, level_start=False)
 
     def _round_condition(self) -> Optional[BacktrackCondition]:
-        tgt = self.db.clause(self.target)
-        if clause_satisfied(tgt.lits, self.assign):
-            var, val = self._satisfying_entry(tgt.lits)
+        if self.config.check_invariants:
+            # a stable point between propagation steps
+            self._audit_trail()
+            self._audit_stack()
+        db = self.db
+        if db.is_satisfied(self.target):
+            var, val = self._satisfying_entry(db.clause(self.target).lits)
             return SatTrg(var, val)
-        if clause_falsified(tgt.lits, self.assign):
-            return FalsifiedClause(tgt.id)
-        active = self.db.active_ids()
-        for cid in active:
-            if clause_falsified(self.db.clause(cid).lits, self.assign):
-                return FalsifiedClause(cid)
-        for cid in active:
-            ul = unit_literal(self.db.clause(cid).lits, self.assign)
-            if ul is not None:
-                self._enqueue(abs(ul), satisfying_value(ul), cid)
+        if db.is_falsified(self.target):
+            return FalsifiedClause(self.target)
+        if db.falsified:
+            return FalsifiedClause(min(db.falsified))
+        for cid in sorted(db.units):
+            ul = db.free_literal(cid)
+            self._enqueue(abs(ul), satisfying_value(ul), cid)
         return None
+
+    def _audit_trail(self) -> None:
+        """Trail, assignment and propagation state agree (check_invariants)."""
+        assert len(self.trail) == len(self.assign) == len(self.pos)
+        assert self.level_start[0] == 0
+        # level 0 may be empty (implications only); others may not
+        assert all(a < b for a, b in zip(self.level_start[1:], self.level_start[2:]))
+        for i, e in enumerate(self.trail):
+            assert self.pos[e.var] == i
+            assert self.assign[e.var] == e.val
+        db = self.db
+        for cid in db.all_ids():
+            lits = db.clause(cid).lits
+            assert db.is_satisfied(cid) == clause_satisfied(lits, self.assign), cid
+            assert db.is_falsified(cid) == clause_falsified(lits, self.assign), cid
+        active = db.active_ids()
+        assert db.falsified == {
+            cid for cid in active if clause_falsified(db.clause(cid).lits, self.assign)
+        }
+        assert db.units == {
+            cid for cid in active if unit_literal(db.clause(cid).lits, self.assign) is not None
+        }
+
+    def _audit_stack(self) -> None:
+        """Target levels match the trail and the soft-deleted clauses."""
+        for lv in self.tlevels:
+            assert lv.key_pos < len(self.trail)
+            assert self.trail[lv.key_pos].var == lv.key_var
+            assert lv.key_var in self.x_vars
+            for cid in lv.done:
+                assert not self.db.is_active(cid)
+        assert set(self.done_global) == {cid for lv in self.tlevels for cid in lv.done}
 
     def _stored_record_check(self) -> Optional[BacktrackCondition]:
         """Active and unit learned records for the current target.
@@ -439,19 +479,16 @@ class Engine:
         variables would reshape the search tree, and on bad days cost more
         than the record saves.
         """
-        live = None
+        db = self.db
         pick = self._pick_branch_var()
         for stored in self.store.records_for(self.target):
-            if live is None:
-                live = set(self.db.active_ids())
-            if not stored.policy.constraint <= live:
+            if not all(db.is_active(cid) for cid in stored.policy.constraint):
                 continue
             # sound reuse needs every as-derived support clause back in the
             # formula or satisfied here; usually guaranteed, but the target
             # may be serving as a secondary target inside its own proof
             if not all(
-                cid in live or clause_satisfied(self.db.clause(cid).lits, self.assign)
-                for cid in stored.full.constraint
+                db.is_active(cid) or db.is_satisfied(cid) for cid in stored.full.constraint
             ):
                 continue
             q = stored.policy.cond()
@@ -476,13 +513,16 @@ class Engine:
         return None
 
     def _satisfying_entry(self, lits: Sequence[int], exclude_var: Optional[int] = None) -> Tuple[int, int]:
-        for e in self.trail:
-            if e.var == exclude_var:
-                continue
-            for l in lits:
-                if abs(l) == e.var and satisfying_value(l) == e.val:
-                    return e.var, e.val
-        raise AssertionError("clause is not satisfied by the trail")
+        """The earliest trail entry that satisfies one of the literals."""
+        hits = [
+            self.pos[abs(l)]
+            for l in lits
+            if abs(l) != exclude_var and self.assign.get(abs(l)) == satisfying_value(l)
+        ]
+        if not hits:
+            raise AssertionError("clause is not satisfied by the trail")
+        e = self.trail[min(hits)]
+        return e.var, e.val
 
     def _bcp_star(self, seed_var: int, seed_val: int, seed_reason: int):
         """Clause-only propagation of a target-derived assignment.
@@ -492,24 +532,17 @@ class Engine:
         """
         self._apply(seed_var, seed_val, seed_reason, level_start=True)
         self._push_tlevel(seed_reason, seed_var)
-        while True:
-            progressed = False
-            for cid in self.db.active_ids():
-                lits = self.db.clause(cid).lits
-                if clause_falsified(lits, self.assign):
-                    return ConflictInBcpStar(cid)
-            for cid in self.db.active_ids():
-                ul = unit_literal(self.db.clause(cid).lits, self.assign)
-                if ul is not None:
-                    self._apply(abs(ul), satisfying_value(ul), cid, level_start=False)
-                    if abs(ul) in self.x_vars:
-                        # redundancy branches only on quantified variables;
-                        # free-variable units are plain implications
-                        self._push_tlevel(cid, abs(ul))
-                    progressed = True
-                    break
-            if not progressed:
-                break
+        db = self.db
+        while db.units or db.falsified:
+            if db.falsified:
+                return ConflictInBcpStar(min(db.falsified))
+            cid = min(db.units)
+            ul = db.free_literal(cid)
+            self._apply(abs(ul), satisfying_value(ul), cid, level_start=False)
+            if abs(ul) in self.x_vars:
+                # redundancy branches only on quantified variables;
+                # free-variable units are plain implications
+                self._push_tlevel(cid, abs(ul))
         return self._advance_target()
 
     def _push_tlevel(self, key_cid: int, key_var: int) -> None:
@@ -547,7 +580,7 @@ class Engine:
             if (
                 self.db.is_active(cid)
                 and cid not in top.done
-                and not clause_satisfied(self.db.clause(cid).lits, self.assign)
+                and not self.db.is_satisfied(cid)
             ):
                 self.target = cid
                 return NextTarget(cid)

@@ -428,7 +428,7 @@ def test_full_suite_determinism():
     def run():
         blobs, stats = [], []
         for problem in batch:
-            res = solve_pqe(problem, SolverConfig(seed=42))
+            res = solve_pqe(problem, SolverConfig())
             blobs.append(write_solution(res.f1_star).encode())
             stats.append({k: v for k, v in sorted(res.stats.items()) if k != "wall_time_s"})
         return blobs, stats

@@ -25,8 +25,8 @@ class TestSolve:
         assert out == "s pqe 1\n3 0\n"
 
     def test_deterministic_output(self, capsys, golden_file):
-        _, out1, _ = run(capsys, "solve", golden_file, "--seed", "5")
-        _, out2, _ = run(capsys, "solve", golden_file, "--seed", "5")
+        _, out1, _ = run(capsys, "solve", golden_file)
+        _, out2, _ = run(capsys, "solve", golden_file)
         assert out1 == out2
 
     def test_stats_kv_stable(self, capsys, golden_file):

@@ -12,10 +12,12 @@ from pqe.formula import (
     TautologyError,
     assignments_resolvable,
     canonical_lits,
+    clause_falsified,
     clause_satisfied,
     cofactor_clause,
     is_blocked,
     resolve,
+    unit_literal,
 )
 
 
@@ -176,6 +178,61 @@ class TestClauseDb:
         db = ClauseDb()
         c = db.add((3, -1, 2), "f1-initial")
         assert c.lits == (-1, 2, 3)
+
+
+class TestPropagationState:
+    def test_counts_follow_assignments(self):
+        db = ClauseDb()
+        a = db.add((1, 2, 3), "f1-initial")
+        b = db.add((-1,), "f2-initial")
+        assert db.units == {b.id} and db.falsified == set()
+        db.assign(1, 1)
+        assert db.is_satisfied(a.id) and db.falsified == {b.id} and db.units == set()
+        db.unassign(1)
+        db.assign(1, 0)
+        db.assign(2, 0)
+        assert db.units == {a.id} and db.free_literal(a.id) == 3
+        db.deactivate(a.id)
+        assert db.units == set() and not db.is_satisfied(a.id)
+        db.assign(3, 0)
+        assert db.is_falsified(a.id) and db.falsified == set()
+        db.reactivate(a.id)
+        assert db.falsified == {a.id}
+        c = db.add((2, -3), "derived-f1")  # added under the current assignment
+        assert db.is_satisfied(c.id) and c.id not in db.units
+
+    def test_sets_match_a_full_scan(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            db = ClauseDb()
+            nv = rng.randint(1, 6)
+            order = []
+            for _ in range(rng.randint(40, 120)):
+                op = rng.randrange(5)
+                free = [v for v in range(1, nv + 1) if v not in db.values]
+                ids = db.all_ids()
+                if op == 0 or not ids:
+                    vs = rng.sample(range(1, nv + 1), rng.randint(0, min(3, nv)))
+                    db.add([v if rng.randrange(2) else -v for v in vs], "f1-initial")
+                elif op == 1 and free:
+                    v = rng.choice(free)
+                    db.assign(v, rng.randrange(2))
+                    order.append(v)
+                elif op == 2 and order:
+                    db.unassign(order.pop())
+                else:
+                    cid = rng.choice(ids)
+                    lits = db.clause(cid).lits
+                    if db.is_active(cid):
+                        db.deactivate(cid)
+                    elif db.find_active(lits) is None:
+                        db.reactivate(cid)
+                active = db.active_ids()
+                asg = db.values
+                assert db.falsified == {c for c in active if clause_falsified(db.clause(c).lits, asg)}
+                assert db.units == {c for c in active if unit_literal(db.clause(c).lits, asg) is not None}
+                for c in db.all_ids():
+                    assert db.is_satisfied(c) == clause_satisfied(db.clause(c).lits, asg)
 
 
 class TestEcnfProblem:

@@ -1,0 +1,54 @@
+"""Pinned answers and search counters on a fixed batch.
+
+The determinism tests compare two runs of the same code, so a change that
+moves a counter passes them. This test compares against values recorded
+once, through the command line as a user runs it: `pqe gen` builds each
+instance and `pqe solve FILE --stats=kv` solves it. A change that moves any
+answer or counter here must say why and re-record the file.
+
+Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
+`gen satred --vars 12 --clauses 51`, each with seeds 1-5.
+"""
+
+import json
+import os
+
+import pytest
+
+from pqe.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(os.path.dirname(HERE), "benchmarks", "golden_basic.pqe")
+
+with open(os.path.join(HERE, "data", "golden_counters.json"), encoding="utf-8") as fh:
+    PINNED = json.load(fh)
+
+GEN = {
+    "circuit": ["circuit", "--inputs", "7", "--gates", "45"],
+    "satred": ["satred", "--vars", "12", "--clauses", "51"],
+}
+
+
+def _instance(name, tmp_path, capsys):
+    if name == "golden":
+        return GOLDEN_PATH
+    kind, seed = name.split("-")
+    path = str(tmp_path / f"{name}.pqe")
+    assert main(["gen", *GEN[kind], "--seed", seed, "-o", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+def test_batch_is_complete():
+    names = {"golden"} | {f"{k}-{s}" for k in GEN for s in range(1, 6)}
+    assert set(PINNED) == names
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_answer_and_counters_pinned(name, tmp_path, capsys):
+    path = _instance(name, tmp_path, capsys)
+    assert main(["solve", path, "--stats=kv"]) == 0
+    captured = capsys.readouterr()
+    stats = {k: int(v) for k, v in (line.split("=", 1) for line in captured.err.splitlines())}
+    assert captured.out == PINNED[name]["solution"]
+    assert stats == PINNED[name]["stats"]

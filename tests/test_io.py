@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,19 @@ class TestParse:
         with pytest.raises(PqeSyntaxError) as e:
             parse_pqe("p pqe 2 1 0\ne 1 0\n1 x 0\n")
         assert (e.value.line, e.value.col) == (3, 3)
+
+    def test_duplicate_quantifier_column(self):
+        with pytest.raises(PqeSemanticError) as e:
+            parse_pqe("p pqe 30 0 0\ne  1 22  3 22 0\n")
+        assert (e.value.line, e.value.col) == (2, 12)
+
+    def test_long_quantifier_line_is_linear(self):
+        n = 20000
+        text = f"p pqe {n + 1} 1 0\ne " + " ".join(map(str, range(1, n + 1))) + f" 0\n1 {n + 1} 0\n"
+        t0 = time.perf_counter()
+        p = parse_pqe(text)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(p.x_vars) == n and p.y_vars == frozenset({n + 1})
 
 
 class TestRoundTrip:

@@ -403,8 +403,8 @@ class TestDeterminism:
 
         for _ in range(10):
             problem = rand_problem(rng)
-            r1 = solve_pqe(problem, SolverConfig(seed=3))
-            r2 = solve_pqe(problem, SolverConfig(seed=3))
+            r1 = solve_pqe(problem, SolverConfig())
+            r2 = solve_pqe(problem, SolverConfig())
             assert r1.f1_star == r2.f1_star
             s1 = {k: v for k, v in r1.stats.items() if k != "wall_time_s"}
             s2 = {k: v for k, v in r2.stats.items() if k != "wall_time_s"}

@@ -3,6 +3,9 @@
 import itertools
 import random
 
+import pytest
+
+from pqe import harness
 from pqe.formula import clause_satisfied
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, solve_pqe
@@ -93,54 +96,61 @@ class TestEmittedRecordsValid:
 
 class TestSearchDiscipline:
     def test_trail_and_stack_invariants(self):
+        # check_invariants audits the trail after every assignment change,
+        # and the target stack and propagation state at every round
         rng = random.Random(9090)
-
-        class Watched(Engine):
-            def _apply(self, var, val, reason, level_start):
-                super()._apply(var, val, reason, level_start)
-                self._audit_trail()
-
-            def _pop_suffix(self, new_len):
-                super()._pop_suffix(new_len)
-                self._audit_trail()
-
-            def _round_condition(self):
-                # a stable point between propagation steps
-                self._audit_trail()
-                self._audit_stack()
-                return super()._round_condition()
-
-            def _audit_trail(self):
-                assert len(self.trail) == len(self.assign) == len(self.pos)
-                assert self.level_start[0] == 0
-                # level 0 may be empty (implications only); others may not
-                assert all(
-                    a < b for a, b in zip(self.level_start[1:], self.level_start[2:])
-                )
-                for i, e in enumerate(self.trail):
-                    assert self.pos[e.var] == i
-                    assert self.assign[e.var] == e.val
-
-            def _audit_stack(self):
-                for lv in self.tlevels:
-                    assert lv.key_pos < len(self.trail)
-                    assert self.trail[lv.key_pos].var == lv.key_var
-                    assert lv.key_var in self.x_vars
-                    for cid in lv.done:
-                        assert not self.db.is_active(cid)
-                assert set(self.done_global) == {
-                    cid for lv in self.tlevels for cid in lv.done
-                }
-
         for _ in range(40):
             problem = rand_problem(rng, require_x_target=True)
-            eng = Watched(problem, SolverConfig(max_seconds=10))
+            eng = Engine(problem, SolverConfig(max_seconds=10, check_invariants=True))
             res = eng.solve()
             assert verify_pqe_solution(
                 problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
             )
             # after each proof the stack must have fully unwound
             assert eng.tlevels == [] and eng.done_global == {}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SolverConfig(learn_depth_k=-1, check_invariants=True),
+            SolverConfig(learn_depth_k=0, check_invariants=True),
+            SolverConfig(var_order="activity", check_invariants=True),
+        ],
+        ids=["no-learn", "learn-k0", "activity"],
+    )
+    def test_invariants_on_benchmark_families(self, config):
+        from tests.conftest import rand_cnf
+
+        rng = random.Random(4242)
+        instances = []
+        for _ in range(6):
+            clauses = rand_cnf(rng, 7, rng.randint(14, 30))
+            x = {v: rng.randrange(2) for v in range(1, 8)}
+            instances.append(harness.sat_reduction_instance(clauses, x).problem)
+        for seed in range(4):
+            circuit = harness.gen_circuit(seed, 4, 14)
+            x = {v: rng.randrange(2) for v in circuit.inputs}
+            z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
+            instances.append(harness.circuit_to_pqe(circuit, z).problem)
+        for problem in instances:
+            eng = Engine(problem, config)
+            res = eng.solve()
+            plain = solve_pqe(problem, SolverConfig(learn_depth_k=config.learn_depth_k,
+                                                    var_order=config.var_order))
+            # auditing observes the search, it never changes it
+            assert res.f1_star == plain.f1_star
+            assert {k: v for k, v in res.stats.items() if k != "wall_time_s"} == {
+                k: v for k, v in plain.stats.items() if k != "wall_time_s"
+            }
+            assert eng.tlevels == [] and eng.done_global == {}
+
+    def test_audit_catches_stale_propagation_state(self):
+        problem = rand_problem(random.Random(1), require_x_target=True)
+        eng = Engine(problem, SolverConfig(check_invariants=True))
+        cid = eng.db.active_ids()[0]
+        eng.db.units.symmetric_difference_update({cid})  # corrupt the unit set
+        with pytest.raises(AssertionError):
+            eng.solve()
 
     def test_termination_without_budget(self):
         rng = random.Random(404)
