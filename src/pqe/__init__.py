@@ -39,7 +39,6 @@ from .dsequent import (
     strengthen_by_satisfied,
     substitute,
     unit_deactivating_assignment,
-    update_after_implication,
 )
 from .io import parse_pqe, parse_solution, write_pqe, write_solution
 from .oracle import (
@@ -97,7 +96,6 @@ __all__ = [
     "strengthen_by_satisfied",
     "substitute",
     "unit_deactivating_assignment",
-    "update_after_implication",
     "verify_dsequent",
     "verify_pqe_solution",
     "write_pqe",

@@ -188,12 +188,6 @@ def join(s1: DSequent, s2: DSequent, v: int) -> DSequent:
     )
 
 
-def update_after_implication(s: DSequent, added: Iterable[int]) -> DSequent:
-    """Adding clauses implied by the formula preserves every record as-is."""
-    _ = tuple(added)
-    return s
-
-
 def substitute(s1: DSequent, s2: DSequent) -> DSequent:
     """Replace a constraint clause of s1 by the support of a record proving it."""
     if s2.target not in s1.constraint:

@@ -13,9 +13,11 @@ While proving one clause redundant the engine may need other clauses proved
 first; those secondary targets are tracked by a stack of target levels, one
 per unit-clause assignment made while processing a target-derived
 assignment (clause-only propagation). A target level records its key clause
-and key variable; its pending targets are the live clauses resolvable with
-the key on that variable. Clauses proved redundant at a live level are
-soft-deleted and restored when the level is popped.
+and key variable. Its pending targets are not stored: ``_partners``
+recomputes them, the live clauses resolvable with the key on that variable,
+whenever the next one is picked. A clause proved redundant at a live level
+is soft-deleted, and its record lives only in that level's ``done`` map
+until ``_drop_tlevel`` pops the level and restores the clause.
 
 Propagation state
 -----------------
@@ -66,7 +68,6 @@ class SolverConfig:
     default_polarity: int = 0
     max_conflicts: Optional[int] = None
     max_seconds: Optional[float] = None
-    sat_max_conflicts: Optional[int] = None
     check_invariants: bool = False
 
 
@@ -82,11 +83,6 @@ class FalsifiedClause:
 
 
 @dataclass(frozen=True)
-class ConflictInBcpStar:
-    cid: int
-
-
-@dataclass(frozen=True)
 class BlockedTrg:
     var: int
 
@@ -96,17 +92,7 @@ class ActiveDSequent:
     record: DSequent
 
 
-BacktrackCondition = Union[SatTrg, FalsifiedClause, ConflictInBcpStar, BlockedTrg, ActiveDSequent]
-
-
-@dataclass(frozen=True)
-class NextTarget:
-    cid: int
-
-
-@dataclass(frozen=True)
-class PoppedKey:
-    dseq: DSequent
+BacktrackCondition = Union[SatTrg, FalsifiedClause, BlockedTrg, ActiveDSequent]
 
 
 @dataclass
@@ -125,7 +111,6 @@ class TrailEntry:
     val: int
     reason: object  # None: decision; int: clause id; DSequent: deactivation
     level: int
-    level_start: bool
 
 
 @dataclass
@@ -133,7 +118,6 @@ class TargetLevel:
     key_clause: int
     key_var: int
     key_pos: int  # trail index of the key variable's assignment
-    pending: Tuple[int, ...]  # resolvable partners at creation time
     done: Dict[int, DSequent] = field(default_factory=dict)
 
 
@@ -178,11 +162,10 @@ class Engine:
         self.y_vars = set(problem.y_vars)
         self.db = ClauseDb()
         self.f1_ids: Set[int] = set()
-        self.f2_ids: Set[int] = set()
         for lits in problem.f1:
             self.f1_ids.add(self.db.add(lits, "f1-initial").id)
         for lits in problem.f2:
-            self.f2_ids.add(self.db.add(lits, "f2-initial").id)
+            self.db.add(lits, "f2-initial")
         self.store = DSequentStore(self.config.learn_depth_k)
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
         self.activity: Dict[int, float] = {v: 0.0 for v in problem.all_vars()}
@@ -195,7 +178,6 @@ class Engine:
         self.queue: List[Tuple[int, int, object]] = []
         self.queued: Set[int] = set()
         self.tlevels: List[TargetLevel] = []
-        self.done_global: Dict[int, DSequent] = {}
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
@@ -246,24 +228,16 @@ class Engine:
             empty = self.db.clause(min(self.db.falsified))
             self.stats["dseq_final"] += 1
             return self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), empty))
-        pending: List[Union[LrnOutcome, PoppedKey]] = []
+        pending: Optional[LrnOutcome] = None
         while True:
             self._check_budget()
-            if pending:
-                ev = pending.pop(0)
-            else:
+            outcome, pending = pending, None
+            if outcome is None:
                 res = self._bcp()
                 if res is None:
                     self._decide()
                     continue
-                if isinstance(res, (PoppedKey, LrnOutcome)):
-                    ev = res
-                else:
-                    ev = self._lrn(res)
-            if isinstance(ev, PoppedKey):
-                outcome = LrnOutcome(dseq=ev.dseq)
-            else:
-                outcome = ev
+                outcome = res if isinstance(res, LrnOutcome) else self._lrn(res)
             if outcome.is_conflict_clause and not outcome.clause.lits:
                 # the search refuted the whole formula; everything is redundant
                 final = self._emit(
@@ -286,18 +260,13 @@ class Engine:
                 continue
             # secondary target
             if outcome.is_conflict_clause:
-                nxt = self._spec_bcktr_clause(outcome.clause)
+                pending = self._spec_bcktr_clause(outcome.clause)
             else:
-                nxt = self._spec_bcktr_dseq(outcome.dseq)
-            if nxt is not None:
-                pending.append(nxt)
+                pending = self._spec_bcktr_dseq(outcome.dseq)
 
     def _reset_search(self) -> None:
-        for lv in reversed(self.tlevels):
-            for cid in lv.done:
-                self.db.reactivate(cid)
-        self.tlevels.clear()
-        self.done_global.clear()
+        while self.tlevels:
+            self._drop_tlevel()
         self._pop_suffix(0)
         self.queue.clear()
         self.queued.clear()
@@ -316,7 +285,7 @@ class Engine:
     def _apply(self, var: int, val: int, reason: object, level_start: bool) -> None:
         if level_start:
             self.level_start.append(len(self.trail))
-        entry = TrailEntry(var, val, reason, len(self.level_start) - 1, level_start)
+        entry = TrailEntry(var, val, reason, len(self.level_start) - 1)
         self.pos[var] = len(self.trail)
         self.trail.append(entry)
         self.db.assign(var, val)
@@ -381,7 +350,7 @@ class Engine:
     # BCP
     # ------------------------------------------------------------------
 
-    def _bcp(self) -> Union[None, BacktrackCondition, PoppedKey]:
+    def _bcp(self) -> Union[None, BacktrackCondition, LrnOutcome]:
         while True:
             cond = self._round_condition()
             if cond is not None:
@@ -412,9 +381,9 @@ class Engine:
                 self._apply(var, val, reason, level_start=True)
             elif reason == self.target and var in self.x_vars:
                 res = self._bcp_star(var, val, reason)
-                if isinstance(res, (ConflictInBcpStar, PoppedKey, LrnOutcome)):
+                if res is not None:
                     return res
-                # NextTarget: fall through to re-examine the new target
+                # None: a new target was picked; re-examine it
             elif reason == self.target:
                 # unit target on a free variable: branch-steering assignment
                 self._apply(var, val, reason, level_start=True)
@@ -469,7 +438,9 @@ class Engine:
             assert lv.key_var in self.x_vars
             for cid in lv.done:
                 assert not self.db.is_active(cid)
-        assert set(self.done_global) == {cid for lv in self.tlevels for cid in lv.done}
+        # a proved clause is done at one level only, so its record is unique
+        done = [cid for lv in self.tlevels for cid in lv.done]
+        assert len(done) == len(set(done))
 
     def _stored_record_check(self) -> Optional[BacktrackCondition]:
         """Active and unit learned records for the current target.
@@ -524,7 +495,9 @@ class Engine:
         e = self.trail[min(hits)]
         return e.var, e.val
 
-    def _bcp_star(self, seed_var: int, seed_val: int, seed_reason: int):
+    def _bcp_star(
+        self, seed_var: int, seed_val: int, seed_reason: int
+    ) -> Union[None, FalsifiedClause, LrnOutcome]:
         """Clause-only propagation of a target-derived assignment.
 
         Every unit clause found here opens a target level: its resolvable
@@ -535,7 +508,7 @@ class Engine:
         db = self.db
         while db.units or db.falsified:
             if db.falsified:
-                return ConflictInBcpStar(min(db.falsified))
+                return FalsifiedClause(min(db.falsified))
             cid = min(db.units)
             ul = db.free_literal(cid)
             self._apply(abs(ul), satisfying_value(ul), cid, level_start=False)
@@ -546,11 +519,7 @@ class Engine:
         return self._advance_target()
 
     def _push_tlevel(self, key_cid: int, key_var: int) -> None:
-        key = self.db.clause(key_cid)
-        pending = tuple(
-            cid for cid in self._partners(key, key_var) if self.db.is_active(cid)
-        )
-        self.tlevels.append(TargetLevel(key_cid, key_var, self.pos[key_var], pending))
+        self.tlevels.append(TargetLevel(key_cid, key_var, self.pos[key_var]))
         if len(self.tlevels) > self.stats["max_target_depth"]:
             self.stats["max_target_depth"] = len(self.tlevels)
 
@@ -569,11 +538,12 @@ class Engine:
     # target management
     # ------------------------------------------------------------------
 
-    def _advance_target(self) -> Union[NextTarget, PoppedKey]:
-        """Pick the next unproved pending target, or pop one exhausted level."""
+    def _advance_target(self) -> Optional[LrnOutcome]:
+        """Make the next unproved partner of the top key the target (None),
+        or pop the exhausted level and return the record for its key clause."""
         if not self.tlevels:
             self.target = self.primary
-            return NextTarget(self.primary)
+            return None
         top = self.tlevels[-1]
         key = self.db.clause(top.key_clause)
         for cid in self._partners(key, top.key_var):
@@ -583,69 +553,64 @@ class Engine:
                 and not self.db.is_satisfied(cid)
             ):
                 self.target = cid
-                return NextTarget(cid)
+                return None
         # key clause blocked at its key variable: certify while everything the
         # partner records rely on is still assigned, then pop the level.
         # Entries above the key assignment are re-derivable (implications) or
         # re-decidable (decisions); if the certificate mentions them, the
         # caller steers into the complementary subspace instead.
         try:
-            record = self._pop_third_kind(top)
+            record = self._third_kind(key, top.key_var)
         except dsq.InconsistentInputs:
             # the partner records form a support cycle (mutually exclusive
             # proofs); no application order exists, so certify semantically
             self.stats["consistency_recoveries"] += 1
             return self._handle_duplicate()
-        for cid in sorted(top.done):
-            self.db.reactivate(cid)
-            del self.done_global[cid]
+        self._drop_tlevel()
         self._pop_suffix(top.key_pos)
-        self.tlevels.pop()
         self.target = top.key_clause
         record = self._rewrite(record)
         self.store.consider(record, len(self.tlevels), self.x_vars, self.db)
-        return PoppedKey(record)
+        return LrnOutcome(dseq=record)
 
-    def _pop_third_kind(self, top: TargetLevel) -> DSequent:
-        key = self.db.clause(top.key_clause)
-        v, b = top.key_var, self.assign[top.key_var]
+    def _drop_tlevel(self) -> None:
+        """Pop the top target level and restore the clauses proved at it."""
+        for cid in sorted(self.tlevels.pop().done):
+            self.db.reactivate(cid)
+
+    def _third_kind(self, clause: Clause, v: int) -> DSequent:
+        """Certify a clause blocked at v from one record per partner on v.
+
+        A live partner is satisfied off v; a proved one brings its record
+        from the level it was proved at. When v is assigned (a key variable
+        being popped) a record that depends on v is joined with the
+        partner's record for the flipped value, which satisfies it.
+        """
+        b = self.assign.get(v)
         inputs = []
-        for cid in self._partners(key, v):
-            clause = self.db.clause(cid)
+        for cid in self._partners(clause, v):
+            partner = self.db.clause(cid)
             if self.db.is_active(cid):
-                sv, sval = self._satisfying_entry(clause.lits, exclude_var=v)
-                rec = self._emit(dsq.atomic_first_kind(clause, sv, sval))
+                sv, sval = self._satisfying_entry(partner.lits, exclude_var=v)
+                rec = self._emit(dsq.atomic_first_kind(partner, sv, sval))
             else:
-                rec = self.done_global.get(cid)
+                rec = next(
+                    (lv.done[cid] for lv in reversed(self.tlevels) if cid in lv.done), None
+                )
                 if rec is None:
                     raise AssertionError(f"partner {cid} is gone without a record")
-            while v in dict(rec.conditional):
+            while b is not None and v in dict(rec.conditional):
                 flip = self._emit(dsq.atomic_first_kind(self.db.clause(rec.target), v, 1 - b))
                 rec = self._emit(dsq.join(rec, flip, v))
             inputs.append(rec)
-        return self._emit(dsq.atomic_third_kind(key, v, self.x_vars, inputs))
-
-    def _third_kind_seed(self, v: int) -> DSequent:
-        tgt = self.db.clause(self.target)
-        inputs = []
-        for cid in self._partners(tgt, v):
-            clause = self.db.clause(cid)
-            if self.db.is_active(cid):
-                sv, sval = self._satisfying_entry(clause.lits, exclude_var=v)
-                inputs.append(self._emit(dsq.atomic_first_kind(clause, sv, sval)))
-            else:
-                rec = self.done_global.get(cid)
-                if rec is None:
-                    raise AssertionError(f"partner {cid} is gone without a record")
-                inputs.append(rec)
-        return self._emit(dsq.atomic_third_kind(tgt, v, self.x_vars, inputs))
+        return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, inputs))
 
     # ------------------------------------------------------------------
     # learning
     # ------------------------------------------------------------------
 
     def _lrn(self, cond: BacktrackCondition) -> LrnOutcome:
-        if isinstance(cond, (FalsifiedClause, ConflictInBcpStar)):
+        if isinstance(cond, FalsifiedClause):
             self.stats["conflicts"] += 1
             self._bump_clause(self.db.clause(cond.cid).lits)
             return self._lrn_falsified(cond.cid)
@@ -653,7 +618,7 @@ class Engine:
             seed = self._emit(dsq.atomic_first_kind(self.db.clause(self.target), cond.var, cond.val))
         elif isinstance(cond, BlockedTrg):
             try:
-                seed = self._third_kind_seed(cond.var)
+                seed = self._third_kind(self.db.clause(self.target), cond.var)
             except dsq.InconsistentInputs:
                 self.stats["consistency_recoveries"] += 1
                 return self._handle_duplicate()
@@ -824,7 +789,7 @@ class Engine:
             raise AssertionError("record not asserting: backtrack left its frontier assigned")
         self._enqueue(v, 1 - cond[v], ds)
 
-    def _spec_bcktr_dseq(self, ds: DSequent):
+    def _spec_bcktr_dseq(self, ds: DSequent) -> Optional[LrnOutcome]:
         """Handle a record for a secondary target.
 
         If its conditional reaches past the point of origin (the key-variable
@@ -855,12 +820,10 @@ class Engine:
         self._pop_suffix(poo + 1)
         self._clear_queue()
         top.done[ds.target] = ds
-        self.done_global[ds.target] = ds
         self.db.deactivate(ds.target)
-        res = self._advance_target()
-        return res if isinstance(res, (PoppedKey, LrnOutcome)) else None
+        return self._advance_target()
 
-    def _spec_bcktr_clause(self, clause: Clause):
+    def _spec_bcktr_clause(self, clause: Clause) -> Optional[LrnOutcome]:
         """Conflict-clause backtrack below secondary targets.
 
         Jumps like regular backtracking; any target level whose key variable
@@ -870,14 +833,10 @@ class Engine:
         old_level = self.tlevels[-1] if self.tlevels else None
         self._backtrack_on_clause(clause)
         while self.tlevels and self.tlevels[-1].key_pos >= len(self.trail):
-            lv = self.tlevels.pop()
-            for cid in sorted(lv.done):
-                self.db.reactivate(cid)
-                del self.done_global[cid]
+            self._drop_tlevel()
         if self.tlevels and self.tlevels[-1] is old_level:
             return None  # same level, same target
-        res = self._advance_target()
-        return res if isinstance(res, (PoppedKey, LrnOutcome)) else None
+        return self._advance_target()
 
     # ------------------------------------------------------------------
     # duplicate recovery
@@ -895,17 +854,14 @@ class Engine:
         while self.trail and self.trail[-1].var in self.x_vars:
             self._pop_suffix(len(self.trail) - 1)
         self._clear_queue()
-        for lv in reversed(self.tlevels):
-            for cid in sorted(lv.done):
-                self.db.reactivate(cid)
-                del self.done_global[cid]
-        self.tlevels.clear()
+        while self.tlevels:
+            self._drop_tlevel()
         self.target = self.primary
         primary_clause = self.db.clause(self.primary)
         live = [self.db.clause(cid).lits for cid in self.db.active_ids()]
         assumps = [e.var if e.val else -e.var for e in self.trail if e.var in self.y_vars]
         self.stats["sat_calls"] += 1
-        res = sat_solve(live, assumps, max_conflicts=self.config.sat_max_conflicts)
+        res = sat_solve(live, assumps)
         if not res.satisfiable:
             lits = tuple(-l for l in sorted(res.core, key=abs))
             clause = self._add_derived_clause(lits, True)
@@ -928,12 +884,12 @@ class Engine:
     def _add_derived_clause(self, lits: Lits, f1_side: bool) -> Clause:
         before = len(self.db)
         clause = self.db.add(lits, "derived-f1" if f1_side else "derived-f2")
+        # an implied clause leaves every learned record valid: none is touched
         if len(self.db) > before:
             if f1_side:
                 self.f1_ids.add(clause.id)
                 self.stats["clauses_added_f1"] += 1
             else:
-                self.f2_ids.add(clause.id)
                 self.stats["clauses_added_f2"] += 1
         return clause
 
@@ -944,7 +900,7 @@ class Engine:
         if self.trace is not None:
             self.trace(dsq.trace_line(ds))
         if self.on_dsequent is not None:
-            live = set(self.db.active_ids()) | set(self.done_global)
+            live = set(self.db.active_ids()) | {cid for lv in self.tlevels for cid in lv.done}
             snapshot = tuple((cid, self.db.clause(cid).lits) for cid in sorted(live))
             self.on_dsequent(ds, snapshot)
         return ds

@@ -29,7 +29,6 @@ from pqe.dsequent import (
     substitute,
     trace_line,
     unit_deactivating_assignment,
-    update_after_implication,
 )
 from pqe.formula import Clause, ClauseDb, NotResolvable
 
@@ -125,11 +124,6 @@ class TestJoin:
 
 
 class TestUpdateSubstituteStrengthen:
-    def test_update_is_identity(self):
-        s = ds(5, {1: 0}, {2})
-        assert update_after_implication(s, ()) == s
-        assert update_after_implication(s, (7, 8)) == s
-
     def test_substitute_empty_support(self):
         s1 = ds(30, {4: 0}, {31})
         s2 = ds(31, {1: 1}, ())

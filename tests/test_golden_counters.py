@@ -3,13 +3,16 @@
 The determinism tests compare two runs of the same code, so a change that
 moves a counter passes them. This test compares against values recorded
 once, through the command line as a user runs it: `pqe gen` builds each
-instance and `pqe solve FILE --stats=kv` solves it. A change that moves any
-answer or counter here must say why and re-record the file.
+instance and `pqe solve FILE --stats=kv --trace` solves it. `trace_sha256`
+is the SHA-256 of the `DS` trace lines, each ended by a newline, so the
+order and content of every D-sequent are pinned too. A change that moves
+any answer, counter or trace line here must say why and re-record the file.
 
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
 `gen satred --vars 12 --clauses 51`, each with seeds 1-5.
 """
 
+import hashlib
 import json
 import os
 
@@ -47,8 +50,11 @@ def test_batch_is_complete():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_answer_and_counters_pinned(name, tmp_path, capsys):
     path = _instance(name, tmp_path, capsys)
-    assert main(["solve", path, "--stats=kv"]) == 0
+    assert main(["solve", path, "--stats=kv", "--trace"]) == 0
     captured = capsys.readouterr()
-    stats = {k: int(v) for k, v in (line.split("=", 1) for line in captured.err.splitlines())}
+    lines = captured.err.splitlines()
+    ds = "".join(line + "\n" for line in lines if line.startswith("DS "))
+    stats = {k: int(v) for k, v in (line.split("=", 1) for line in lines if not line.startswith("DS "))}
     assert captured.out == PINNED[name]["solution"]
     assert stats == PINNED[name]["stats"]
+    assert hashlib.sha256(ds.encode()).hexdigest() == PINNED[name]["trace_sha256"]

@@ -13,7 +13,7 @@ from pqe.solver import (
     BlockedTrg,
     Engine,
     FalsifiedClause,
-    PoppedKey,
+    LrnOutcome,
     SatTrg,
     SolverConfig,
     solve_pqe,
@@ -215,8 +215,12 @@ class TestTargetStackWalkthrough:
             (ids[(5, 1)], 1),
             (ids[(-1, 2)], 2),
         ]
-        assert eng.tlevels[0].pending == (ids[(-1, 2)],)
-        assert eng.tlevels[1].pending == (ids[(-2, 3, 4)],)
+        live_partners = [
+            tuple(cid for cid in eng._partners(eng.db.clause(lv.key_clause), lv.key_var)
+                  if eng.db.is_active(cid))
+            for lv in eng.tlevels
+        ]
+        assert live_partners == [(ids[(-1, 2)],), (ids[(-2, 3, 4)],)]
         assert eng.target == ids[(-2, 3, 4)]
         assert cond == BlockedTrg(3)
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0), (1, 1), (2, 1)]
@@ -234,14 +238,14 @@ class TestTargetStackWalkthrough:
         # it done immediately pops the top level, certifying its key clause
         res = eng._spec_bcktr_dseq(out.dseq)
         assert trail_before == [(5, 0), (1, 1), (2, 1)]
-        assert isinstance(res, PoppedKey)
+        assert isinstance(res, LrnOutcome)
         assert res.dseq.target == ids[(-1, 2)]
         assert res.dseq.cond() == {5: 0} and not res.dseq.constraint
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0), (1, 1)]
         assert eng.db.is_active(ids[(-2, 3, 4)])
         # the popped key clause is itself done at the level below; cascade
         res2 = eng._spec_bcktr_dseq(res.dseq)
-        assert isinstance(res2, PoppedKey)
+        assert isinstance(res2, LrnOutcome)
         assert res2.dseq.target == ids[(5, 1)]
         assert res2.dseq.cond() == {5: 0} and not res2.dseq.constraint
         assert eng.tlevels == []

@@ -107,7 +107,7 @@ class TestSearchDiscipline:
                 problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
             )
             # after each proof the stack must have fully unwound
-            assert eng.tlevels == [] and eng.done_global == {}
+            assert eng.tlevels == []
 
     @pytest.mark.parametrize(
         "config",
@@ -142,7 +142,7 @@ class TestSearchDiscipline:
             assert {k: v for k, v in res.stats.items() if k != "wall_time_s"} == {
                 k: v for k, v in plain.stats.items() if k != "wall_time_s"
             }
-            assert eng.tlevels == [] and eng.done_global == {}
+            assert eng.tlevels == []
 
     def test_audit_catches_stale_propagation_state(self):
         problem = rand_problem(random.Random(1), require_x_target=True)
