@@ -28,7 +28,7 @@ e 1 2 0
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
-        learn_depth_k=-1 if getattr(args, "no_learn", False) else args.learn_k,
+        learn_depth_k=args.learn_k,
         var_order=args.order,
         default_polarity=args.polarity,
         max_conflicts=args.max_conflicts,
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--learn-k", type=int, default=0, dest="learn_k")
-        p.add_argument("--no-learn", action="store_true", dest="no_learn")
         p.add_argument("--order", choices=("static", "activity"), default="static")
         p.add_argument("--polarity", type=int, choices=(0, 1), default=0)
         p.add_argument("--max-conflicts", type=int, default=None, dest="max_conflicts")

@@ -156,9 +156,6 @@ class Clause:
     lits: Lits
     origin: str  # f1-initial | f2-initial | derived-f1 | derived-f2
 
-    def vars(self) -> Tuple[int, ...]:
-        return tuple(abs(l) for l in self.lits)
-
     def lit_on(self, v: int) -> Optional[int]:
         for l in self.lits:
             if abs(l) == v:
@@ -167,9 +164,6 @@ class Clause:
 
     def is_f1_side(self) -> bool:
         return self.origin in ("f1-initial", "derived-f1")
-
-    def __len__(self) -> int:
-        return len(self.lits)
 
 
 class ClauseDb:

@@ -32,10 +32,6 @@ class Circuit:
     gates: Tuple[Gate, ...]
     outputs: Tuple[int, ...]
 
-    def internal_vars(self) -> Tuple[int, ...]:
-        outs = set(self.outputs)
-        return tuple(g.out for g in self.gates if g.out not in outs)
-
 
 @dataclass
 class PqeInstance:
@@ -197,11 +193,7 @@ def _circuit_parts(inst: PqeInstance):
     return cz, u_z, inst.problem.f2
 
 
-def method1_blocking(
-    inst: PqeInstance,
-    clause_budget: int = 1000,
-    sat_max_conflicts: Optional[int] = None,
-) -> List[Lits]:
+def method1_blocking(inst: PqeInstance, clause_budget: int = 1000) -> List[Lits]:
     """Enumerate-and-block: shrink each witness input, block its cube.
 
     A literal is dropped only while the partial assignment (shrunk inputs
@@ -214,7 +206,7 @@ def method1_blocking(
     g: List[Lits] = []
     while len(g) < clause_budget:
         base = list(f2) + list(u_z) + g
-        res = sat_solve(base, max_conflicts=sat_max_conflicts)
+        res = sat_solve(base)
         if not res.satisfiable:
             return g
         partial = dict(res.model)
@@ -229,11 +221,7 @@ def method1_blocking(
     return g
 
 
-def method2_corelift(
-    inst: PqeInstance,
-    clause_budget: int = 1000,
-    sat_max_conflicts: Optional[int] = None,
-):
+def method2_corelift(inst: PqeInstance, clause_budget: int = 1000):
     """Enumerate-and-lift via unsatisfiable cores over the input literals.
 
     Works only when each input drives a unique output vector; otherwise the
@@ -243,11 +231,11 @@ def method2_corelift(
     inputs = sorted(inst.problem.y_vars)
     g: List[Lits] = []
     while len(g) < clause_budget:
-        res = sat_solve(list(f2) + list(u_z) + g, max_conflicts=sat_max_conflicts)
+        res = sat_solve(list(f2) + list(u_z) + g)
         if not res.satisfiable:
             return g
         assumptions = [v if res.model.get(v, 0) else -v for v in inputs]
-        lift = sat_solve(list(f2) + g + [cz], assumptions, max_conflicts=sat_max_conflicts)
+        lift = sat_solve(list(f2) + g + [cz], assumptions)
         if lift.satisfiable:
             return INAPPLICABLE
         core = sorted(lift.core, key=abs)

@@ -45,9 +45,9 @@ class _Solver:
         seen = set()
         for c in clauses:
             lits = sorted(set(c), key=abs)
+            seen.update(abs(l) for l in lits)
             if any(-l in c for l in lits):
                 continue  # tautology constrains nothing
-            seen.update(abs(l) for l in lits)
             if not lits:
                 self.empty_clause = True
             else:
@@ -165,7 +165,7 @@ class _Solver:
                 core.add(true_lit)
         return frozenset(core)
 
-    def solve(self, assumptions: Sequence[int], max_conflicts: Optional[int]) -> SatResult:
+    def solve(self, assumptions: Sequence[int]) -> SatResult:
         if self.empty_clause:
             return SatResult(False, core=frozenset())
         for u in self.units:
@@ -179,7 +179,6 @@ class _Solver:
         assume_set = set(assumptions)
         avars = {abs(a) for a in assumptions}
         order = [v for v in self.vars if v not in avars]
-        conflicts = 0
         while True:
             decision = None
             for a in assumptions:
@@ -204,9 +203,6 @@ class _Solver:
                 ci = self._propagate(head)
                 if ci is None:
                     break
-                conflicts += 1
-                if max_conflicts is not None and conflicts > max_conflicts:
-                    raise ResourceLimit(f"SAT conflict budget {max_conflicts} exhausted")
                 if all(self.level[abs(l)] == 0 for l in self.clauses[ci]):
                     return SatResult(False, core=frozenset())
                 asserting, others, back = self._analyze(ci)
@@ -216,11 +212,7 @@ class _Solver:
                 head = len(self.trail) - 1
 
 
-def sat_solve(
-    clauses: Sequence[Sequence[int]],
-    assumptions: Sequence[int] = (),
-    max_conflicts: Optional[int] = None,
-) -> SatResult:
+def sat_solve(clauses: Sequence[Sequence[int]], assumptions: Sequence[int] = ()) -> SatResult:
     """Decide the CNF under the given assumption literals.
 
     A satisfiable result carries a total model over the clause variables
@@ -233,7 +225,7 @@ def sat_solve(
             return SatResult(False, core=frozenset({a, -a}))
         amap[abs(a)] = a
     solver = _Solver(clauses)
-    res = solver.solve([amap[v] for v in sorted(amap)], max_conflicts)
+    res = solver.solve([amap[v] for v in sorted(amap)])
     if res.satisfiable:
         model = dict(res.model or {})
         for v in solver.vars:

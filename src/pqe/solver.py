@@ -8,6 +8,9 @@ Besides ordinary decisions, two kinds of assignment start their own level:
 an assignment derived from the current target clause itself (it steers the
 search, it is not an implication), and a deactivating assignment derived
 from a D-sequent. Level-wise backtracking can therefore undo them cleanly.
+Decisions are applied when they are made; the queue holds implications,
+target-derived steering and record hints, and no queued variable is ever
+assigned.
 
 While proving one clause redundant the engine may need other clauses proved
 first; those secondary targets are tracked by a stack of target levels, one
@@ -56,9 +59,6 @@ from .formula import (
     unit_literal,
 )
 from .satcore import ResourceLimit, sat_solve
-
-
-DECISION = object()  # queue marker for ordinary decisions
 
 
 @dataclass
@@ -334,11 +334,11 @@ class Engine:
         if var is None:
             raise AssertionError("nothing to decide and no backtracking condition")
         self.stats["decisions"] += 1
-        self._enqueue(var, self.config.default_polarity, DECISION)
+        self._apply(var, self.config.default_polarity, None, level_start=True)
 
     def _pick_branch_var(self) -> Optional[int]:
         for pool in (self.problem.y_vars, self.problem.x_vars):
-            cands = [v for v in pool if v not in self.assign and v not in self.queued]
+            cands = [v for v in pool if v not in self.assign]
             if not cands:
                 continue
             if self.config.var_order == "activity":
@@ -369,15 +369,7 @@ class Engine:
                     continue
                 return None
             var, val, reason = self._pick_queue()
-            if var in self.assign:
-                if self.assign[var] == val:
-                    continue
-                if isinstance(reason, int):
-                    return FalsifiedClause(reason)
-                continue  # stale deactivation; round checks judge the record
-            if reason is DECISION:
-                self._apply(var, val, None, level_start=True)
-            elif isinstance(reason, DSequent):
+            if isinstance(reason, DSequent):
                 self._apply(var, val, reason, level_start=True)
             elif reason == self.target and var in self.x_vars:
                 res = self._bcp_star(var, val, reason)
@@ -431,7 +423,8 @@ class Engine:
         }
 
     def _audit_stack(self) -> None:
-        """Target levels match the trail and the soft-deleted clauses."""
+        """Target levels match the trail and the soft-deleted clauses; no
+        queued variable is assigned."""
         for lv in self.tlevels:
             assert lv.key_pos < len(self.trail)
             assert self.trail[lv.key_pos].var == lv.key_var
@@ -441,6 +434,7 @@ class Engine:
         # a proved clause is done at one level only, so its record is unique
         done = [cid for lv in self.tlevels for cid in lv.done]
         assert len(done) == len(set(done))
+        assert not any(var in self.assign for var, _, _ in self.queue)
 
     def _stored_record_check(self) -> Optional[BacktrackCondition]:
         """Active and unit learned records for the current target.
@@ -546,7 +540,8 @@ class Engine:
             return None
         top = self.tlevels[-1]
         key = self.db.clause(top.key_clause)
-        for cid in self._partners(key, top.key_var):
+        partners = self._partners(key, top.key_var)
+        for cid in partners:
             if (
                 self.db.is_active(cid)
                 and cid not in top.done
@@ -560,7 +555,7 @@ class Engine:
         # re-decidable (decisions); if the certificate mentions them, the
         # caller steers into the complementary subspace instead.
         try:
-            record = self._third_kind(key, top.key_var)
+            record = self._third_kind(key, top.key_var, partners)
         except dsq.InconsistentInputs:
             # the partner records form a support cycle (mutually exclusive
             # proofs); no application order exists, so certify semantically
@@ -569,26 +564,23 @@ class Engine:
         self._drop_tlevel()
         self._pop_suffix(top.key_pos)
         self.target = top.key_clause
-        record = self._rewrite(record)
-        self.store.consider(record, len(self.tlevels), self.x_vars, self.db)
-        return LrnOutcome(dseq=record)
+        return LrnOutcome(dseq=self._rewrite(record))
 
     def _drop_tlevel(self) -> None:
         """Pop the top target level and restore the clauses proved at it."""
         for cid in sorted(self.tlevels.pop().done):
             self.db.reactivate(cid)
 
-    def _third_kind(self, clause: Clause, v: int) -> DSequent:
+    def _third_kind(self, clause: Clause, v: int, partners: Sequence[int]) -> DSequent:
         """Certify a clause blocked at v from one record per partner on v.
 
         A live partner is satisfied off v; a proved one brings its record
-        from the level it was proved at. When v is assigned (a key variable
-        being popped) a record that depends on v is joined with the
-        partner's record for the flipped value, which satisfies it.
+        from the level it was proved at. That record never depends on v:
+        ``_rewrite``'s satisfied-target escape joins v out of it before
+        ``_spec_bcktr_dseq`` marks the partner done.
         """
-        b = self.assign.get(v)
         inputs = []
-        for cid in self._partners(clause, v):
+        for cid in partners:
             partner = self.db.clause(cid)
             if self.db.is_active(cid):
                 sv, sval = self._satisfying_entry(partner.lits, exclude_var=v)
@@ -599,9 +591,8 @@ class Engine:
                 )
                 if rec is None:
                     raise AssertionError(f"partner {cid} is gone without a record")
-            while b is not None and v in dict(rec.conditional):
-                flip = self._emit(dsq.atomic_first_kind(self.db.clause(rec.target), v, 1 - b))
-                rec = self._emit(dsq.join(rec, flip, v))
+                if v in rec.cond():
+                    raise AssertionError(f"partner {cid}'s record depends on {v}")
             inputs.append(rec)
         return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, inputs))
 
@@ -617,8 +608,9 @@ class Engine:
         if isinstance(cond, SatTrg):
             seed = self._emit(dsq.atomic_first_kind(self.db.clause(self.target), cond.var, cond.val))
         elif isinstance(cond, BlockedTrg):
+            tgt = self.db.clause(self.target)
             try:
-                seed = self._third_kind(self.db.clause(self.target), cond.var)
+                seed = self._third_kind(tgt, cond.var, self._partners(tgt, cond.var))
             except dsq.InconsistentInputs:
                 self.stats["consistency_recoveries"] += 1
                 return self._handle_duplicate()

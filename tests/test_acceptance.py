@@ -419,7 +419,8 @@ def test_sat_reduction():
 def test_full_suite_determinism():
     """A fixed batch solved twice produces byte-identical solutions and stats."""
     rng = random.Random(2718)
-    batch = [parse_pqe(open(GOLDEN_PATH).read())]
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        batch = [parse_pqe(fh.read())]
     for _ in range(10):
         batch.append(_acceptance_instance(rng))
     for circuit, inst, z in _trend_circuits(2, rng, max_inputs=4, max_gates=12):

@@ -48,16 +48,8 @@ class TestSolve:
         assert lines and all(" RULE " in l for l in lines)
 
     def test_no_learn_flag(self, capsys, golden_file):
-        code, out, _ = run(capsys, "solve", golden_file, "--no-learn")
+        code, out, _ = run(capsys, "solve", golden_file, "--learn-k", "-1")
         assert code == 0 and out == "s pqe 1\n3 0\n"
-
-    def test_no_learn_equals_learn_k_minus_one(self, capsys, tmp_path):
-        path = tmp_path / "c.pqe"
-        run(capsys, "gen", "circuit", "--inputs", "4", "--gates", "12", "--seed", "11",
-            "-o", str(path))
-        _, out1, err1 = run(capsys, "solve", str(path), "--no-learn", "--stats=kv")
-        _, out2, err2 = run(capsys, "solve", str(path), "--learn-k", "-1", "--stats=kv")
-        assert (out1, err1) == (out2, err2)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.pqe")

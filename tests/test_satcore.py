@@ -1,9 +1,5 @@
-import random
-
-import pytest
-
 from pqe.oracle import cnf_satisfiable
-from pqe.satcore import ResourceLimit, sat_solve
+from pqe.satcore import sat_solve
 from tests.conftest import rand_cnf
 
 
@@ -38,11 +34,8 @@ class TestBasics:
         res = sat_solve([], assumptions=[2])
         assert res.satisfiable and res.model[2] == 1
 
-    def test_budget(self):
-        rng = random.Random(1)
-        hard = rand_cnf(rng, 12, 70)
-        with pytest.raises(ResourceLimit):
-            sat_solve(hard, max_conflicts=0)
+    def test_tautology_variables_in_model(self):
+        assert sat_solve([(1, -1)]).model == {1: 0}
 
 
 class TestAgainstEnumeration:

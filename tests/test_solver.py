@@ -322,20 +322,23 @@ class TestDecide:
         eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
         start_proof(eng, (1, 3))
         eng._decide()
-        assert eng.queue[0][:2] == (3, 0)
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (3, 0, None)
 
     def test_quantified_when_free_exhausted(self):
         eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(2,)])
         start_proof(eng, (1, 3))
         eng._apply(3, 0, None, level_start=True)
         eng._decide()
-        assert eng.queue[0][:2] == (1, 0)
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (1, 0, None)
 
     def test_polarity_config(self):
         eng = make_engine([1], [2], f1=[(1, 2)], f2=[], default_polarity=1)
         start_proof(eng, (1, 2))
         eng._decide()
-        assert eng.queue[0][:2] == (2, 1)
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (2, 1, None)
 
 
 class TestDuplicateRecovery:

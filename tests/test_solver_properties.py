@@ -152,6 +152,16 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng.solve()
 
+    def test_audit_catches_assigned_queue_entry(self):
+        problem = rand_problem(random.Random(1), require_x_target=True)
+        eng = Engine(problem, SolverConfig(check_invariants=True))
+        var = min(problem.x_vars)
+        eng._apply(var, 0, None, level_start=True)
+        eng._audit_stack()
+        eng.queue.append((var, 1, None))
+        with pytest.raises(AssertionError):
+            eng._audit_stack()
+
     def test_termination_without_budget(self):
         rng = random.Random(404)
         for _ in range(200):
