@@ -129,15 +129,17 @@ def verify_pqe_solution(
 ) -> bool:
     """Check f1_star ∧ ∃X[f2] ≡ ∃X[f1 ∧ f2] by full enumeration."""
     xs = set(x_vars)
-    for c in f1_star:
-        for l in c:
-            if abs(l) in xs:
-                raise ValueError("solution clauses must not mention quantified variables")
     ys = (
         set(y_vars)
         if y_vars is not None
         else (_collect_vars(f1) | _collect_vars(f2) | _collect_vars(f1_star)) - xs
     )
+    for c in f1_star:
+        for l in c:
+            if abs(l) in xs:
+                raise ValueError("solution clauses must not mention quantified variables")
+            if abs(l) not in ys:
+                raise ValueError(f"solution variable {abs(l)} is neither quantified nor free")
     sp = _Space(xs, ys)
     m1 = _mask_clauses(tuple(f1) + tuple(f2), sp.index)
     m2 = _mask_clauses(f2, sp.index)

@@ -22,6 +22,15 @@ whenever the next one is picked. A clause proved redundant at a live level
 is soft-deleted, and its record lives only in that level's ``done`` map
 until ``_drop_tlevel`` pops the level and restores the clause.
 
+The primary target is the bottom of that stack: with no target level left,
+the target is the primary, its point of origin lies before the first trail
+entry and its floor is decision level 0. Every learned record and conflict
+clause, whichever target it is for, goes through one backtracking rule
+(``_bcktr_dseq``, ``_bcktr_clause``): flip the deepest assignment of the
+record's conditional that lies above the point of origin, or jump as the
+conflict clause asserts. The proof of the primary is finished when, with no
+target level left, a record has an empty conditional.
+
 Propagation state
 -----------------
 The engine never scans the formula to find falsified or unit clauses. Every
@@ -69,6 +78,12 @@ class SolverConfig:
     max_conflicts: Optional[int] = None
     max_seconds: Optional[float] = None
     check_invariants: bool = False
+
+    def __post_init__(self) -> None:
+        if self.var_order not in ("static", "activity"):
+            raise ValueError(f"var_order must be 'static' or 'activity', not {self.var_order!r}")
+        if self.default_polarity not in (0, 1):
+            raise ValueError(f"default_polarity must be 0 or 1, not {self.default_polarity!r}")
 
 
 @dataclass(frozen=True)
@@ -246,30 +261,21 @@ class Engine:
                 self.stats["dseq_final"] += 1
                 self.store.consider(final, 0, self.x_vars, self.db)
                 return final
-            if outcome.dseq is not None:
-                self.stats["dseq_final"] += 1
-                self.store.consider(outcome.dseq, len(self.tlevels), self.x_vars, self.db)
-            if self.target == self.primary and not self.tlevels:
-                if outcome.is_conflict_clause:
-                    self._backtrack_on_clause(outcome.clause)
-                    continue
-                ds = outcome.dseq
-                if not ds.conditional:
-                    return ds
-                self._backtrack_on_dseq(ds)
-                continue
-            # secondary target
             if outcome.is_conflict_clause:
-                pending = self._spec_bcktr_clause(outcome.clause)
-            else:
-                pending = self._spec_bcktr_dseq(outcome.dseq)
+                pending = self._bcktr_clause(outcome.clause)
+                continue
+            ds = outcome.dseq
+            self.stats["dseq_final"] += 1
+            self.store.consider(ds, len(self.tlevels), self.x_vars, self.db)
+            if not self.tlevels and not ds.conditional:
+                return ds
+            pending = self._bcktr_dseq(ds)
 
     def _reset_search(self) -> None:
         while self.tlevels:
             self._drop_tlevel()
         self._pop_suffix(0)
-        self.queue.clear()
-        self.queued.clear()
+        self._clear_queue()
 
     def _check_budget(self) -> None:
         mc = self.config.max_conflicts
@@ -423,8 +429,10 @@ class Engine:
         }
 
     def _audit_stack(self) -> None:
-        """Target levels match the trail and the soft-deleted clauses; no
-        queued variable is assigned."""
+        """Target levels match the trail and the soft-deleted clauses; an
+        empty stack means the primary is the target; no queued variable is
+        assigned."""
+        assert self.tlevels or self.target == self.primary
         for lv in self.tlevels:
             assert lv.key_pos < len(self.trail)
             assert self.trail[lv.key_pos].var == lv.key_var
@@ -444,9 +452,12 @@ class Engine:
         variables would reshape the search tree, and on bad days cost more
         than the record saves.
         """
+        records = self.store.records_for(self.target)
+        if not records:
+            return None
         db = self.db
         pick = self._pick_branch_var()
-        for stored in self.store.records_for(self.target):
+        for stored in records:
             if not all(db.is_active(cid) for cid in stored.policy.constraint):
                 continue
             # sound reuse needs every as-derived support clause back in the
@@ -554,12 +565,8 @@ class Engine:
         # Entries above the key assignment are re-derivable (implications) or
         # re-decidable (decisions); if the certificate mentions them, the
         # caller steers into the complementary subspace instead.
-        try:
-            record = self._third_kind(key, top.key_var, partners)
-        except dsq.InconsistentInputs:
-            # the partner records form a support cycle (mutually exclusive
-            # proofs); no application order exists, so certify semantically
-            self.stats["consistency_recoveries"] += 1
+        record = self._third_kind(key, top.key_var, partners)
+        if record is None:
             return self._handle_duplicate()
         self._drop_tlevel()
         self._pop_suffix(top.key_pos)
@@ -571,13 +578,15 @@ class Engine:
         for cid in sorted(self.tlevels.pop().done):
             self.db.reactivate(cid)
 
-    def _third_kind(self, clause: Clause, v: int, partners: Sequence[int]) -> DSequent:
+    def _third_kind(self, clause: Clause, v: int, partners: Sequence[int]) -> Optional[DSequent]:
         """Certify a clause blocked at v from one record per partner on v.
 
         A live partner is satisfied off v; a proved one brings its record
         from the level it was proved at. That record never depends on v:
         ``_rewrite``'s satisfied-target escape joins v out of it before
-        ``_spec_bcktr_dseq`` marks the partner done.
+        ``_bcktr_dseq`` marks the partner done. None if the partner records
+        form a support cycle (mutually exclusive proofs): no application
+        order exists, and the caller certifies semantically instead.
         """
         inputs = []
         for cid in partners:
@@ -594,7 +603,11 @@ class Engine:
                 if v in rec.cond():
                     raise AssertionError(f"partner {cid}'s record depends on {v}")
             inputs.append(rec)
-        return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, inputs))
+        try:
+            return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, inputs))
+        except dsq.InconsistentInputs:
+            self.stats["consistency_recoveries"] += 1
+            return None
 
     # ------------------------------------------------------------------
     # learning
@@ -609,10 +622,8 @@ class Engine:
             seed = self._emit(dsq.atomic_first_kind(self.db.clause(self.target), cond.var, cond.val))
         elif isinstance(cond, BlockedTrg):
             tgt = self.db.clause(self.target)
-            try:
-                seed = self._third_kind(tgt, cond.var, self._partners(tgt, cond.var))
-            except dsq.InconsistentInputs:
-                self.stats["consistency_recoveries"] += 1
+            seed = self._third_kind(tgt, cond.var, self._partners(tgt, cond.var))
+            if seed is None:
                 return self._handle_duplicate()
         elif isinstance(cond, ActiveDSequent):
             seed = cond.record
@@ -746,84 +757,62 @@ class Engine:
     # backtracking
     # ------------------------------------------------------------------
 
-    def _cond_levels(self, cond: Assignment) -> List[Tuple[int, int]]:
-        return sorted((self.trail[self.pos[v]].level, v) for v in cond if v in self.pos)
+    def _bcktr_dseq(self, ds: DSequent) -> Optional[LrnOutcome]:
+        """Backtrack on a record for the current target.
 
-    def _backtrack_on_clause(self, clause: Clause) -> None:
-        levels = sorted((self.trail[self.pos[abs(l)]].level, abs(l), l) for l in clause.lits)
-        _, _, asserting = levels[-1]
-        back = levels[-2][0] if len(levels) > 1 else 0
-        self._backtrack_to_level(back)
-        self._clear_queue()
-        self._enqueue(abs(asserting), satisfying_value(asserting), clause.id)
-
-    def _backtrack_on_dseq(self, ds: DSequent) -> None:
-        """Flip the deepest assignment of the record's conditional.
-
-        Chronological on purpose: a record-driven jump below other branch
-        points would discard steering that only a stored record could
-        re-derive, losing the tree discipline that bounds the search (and,
-        with it, any benefit of learning). Clause-driven backtracking still
-        jumps: clauses persist in the formula and re-propagate on arrival.
+        While its conditional reaches above the point of origin (the top
+        level's key-variable assignment; before the first trail entry for
+        the primary) the proof is not finished: flip the deepest such
+        assignment, backing up no further than that. This is chronological
+        on purpose: a jump below other branch points would discard steering
+        that only a stored record could re-derive, losing the tree
+        discipline that bounds the search. Otherwise mark the target done
+        and move on.
         """
+        self._clear_queue()
+        if self.tlevels:
+            poo = self.tlevels[-1].key_pos
+            floor = self.trail[poo].level
+        else:
+            poo, floor = -1, 0
         cond = ds.cond()
         missing = sorted(v for v in cond if v not in self.assign)
-        self._clear_queue()
         if missing:
-            v = missing[0]
-            self._enqueue(v, 1 - cond[v], ds)
-            return
-        levels = self._cond_levels(cond)
-        back = max(0, levels[-1][0] - 1)
-        v = levels[-1][1]
-        self._backtrack_to_level(back)
-        if v in self.assign:
-            raise AssertionError("record not asserting: backtrack left its frontier assigned")
-        self._enqueue(v, 1 - cond[v], ds)
-
-    def _spec_bcktr_dseq(self, ds: DSequent) -> Optional[LrnOutcome]:
-        """Handle a record for a secondary target.
-
-        If its conditional reaches past the point of origin (the key-variable
-        assignment of its level) the proof is not finished: back up within
-        that scope and steer away. Otherwise mark the target done and move on.
-        """
-        top = self.tlevels[-1]
-        poo = top.key_pos
-        cond = ds.cond()
-        above = [v for v in cond if v in self.pos and self.pos[v] > poo]
-        missing = sorted(v for v in cond if v not in self.assign)
-        if missing:
-            self._clear_queue()
             self._enqueue(missing[0], 1 - cond[missing[0]], ds)
             return None
+        above = [v for v in cond if self.pos[v] > poo]
         if above:
             var = max(above, key=lambda v: self.pos[v])
             rest = [self.trail[self.pos[v]].level for v in cond if v != var]
             here = self.trail[self.pos[var]].level
-            back = max([self.trail[poo].level, here - 1] + rest)
-            self._backtrack_to_level(back)
+            self._backtrack_to_level(max([floor, here - 1] + rest))
             if var in self.assign:
                 raise AssertionError("record not asserting within the backtrack scope")
-            self._clear_queue()
             self._enqueue(var, 1 - cond[var], ds)
             return None
-        # proved up to the point of origin
+        # proved up to the point of origin; an empty conditional for the
+        # primary ended its proof before this, so a level is there to pop
+        top = self.tlevels[-1]
         self._pop_suffix(poo + 1)
-        self._clear_queue()
         top.done[ds.target] = ds
         self.db.deactivate(ds.target)
         return self._advance_target()
 
-    def _spec_bcktr_clause(self, clause: Clause) -> Optional[LrnOutcome]:
-        """Conflict-clause backtrack below secondary targets.
+    def _bcktr_clause(self, clause: Clause) -> Optional[LrnOutcome]:
+        """Backtrack on a conflict clause for the current target.
 
-        Jumps like regular backtracking; any target level whose key variable
-        gets unassigned is dissolved, its proved clauses returning to the
-        formula (the new clause covers the whole subspace by itself).
+        Jumps to the clause's second-deepest level and asserts its deepest
+        literal: clauses persist in the formula and re-propagate on arrival.
+        Any target level whose key variable gets unassigned is dissolved,
+        its proved clauses returning to the formula (the new clause covers
+        the whole subspace by itself).
         """
         old_level = self.tlevels[-1] if self.tlevels else None
-        self._backtrack_on_clause(clause)
+        levels = sorted((self.trail[self.pos[abs(l)]].level, abs(l), l) for l in clause.lits)
+        _, _, asserting = levels[-1]
+        self._backtrack_to_level(levels[-2][0] if len(levels) > 1 else 0)
+        self._clear_queue()
+        self._enqueue(abs(asserting), satisfying_value(asserting), clause.id)
         while self.tlevels and self.tlevels[-1].key_pos >= len(self.trail):
             self._drop_tlevel()
         if self.tlevels and self.tlevels[-1] is old_level:

@@ -106,6 +106,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", golden_file, str(sol))
         assert code == 1
 
+    def test_undeclared_variable_is_input_error(self, capsys, golden_file, tmp_path):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("s pqe 1\n3 99 0\n")
+        code, _, err = run(capsys, "verify", golden_file, str(sol))
+        assert code == 2
+        assert err.startswith("error: ") and "99" in err
+
 
 class TestGen:
     def test_circuit_manifest_and_solvable(self, capsys, tmp_path):

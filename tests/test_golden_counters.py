@@ -9,7 +9,9 @@ order and content of every D-sequent are pinned too. A change that moves
 any answer, counter or trace line here must say why and re-record the file.
 
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
-`gen satred --vars 12 --clauses 51`, each with seeds 1-5.
+`gen satred --vars 12 --clauses 51`, each with seeds 1-5. Each instance is
+pinned under the default options (key: the instance name) and under each
+option set of CONFIGS (key: instance name, a space, the CONFIGS label).
 """
 
 import hashlib
@@ -31,6 +33,13 @@ GEN = {
     "satred": ["satred", "--vars", "12", "--clauses", "51"],
 }
 
+CONFIGS = {
+    "learn-k=-1": ["--learn-k", "-1"],
+    "learn-k=2": ["--learn-k", "2"],
+    "order=activity": ["--order", "activity"],
+    "polarity=1": ["--polarity", "1"],
+}
+
 
 def _instance(name, tmp_path, capsys):
     if name == "golden":
@@ -44,13 +53,14 @@ def _instance(name, tmp_path, capsys):
 
 def test_batch_is_complete():
     names = {"golden"} | {f"{k}-{s}" for k in GEN for s in range(1, 6)}
-    assert set(PINNED) == names
+    assert set(PINNED) == names | {f"{n} {c}" for n in names for c in CONFIGS}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_answer_and_counters_pinned(name, tmp_path, capsys):
-    path = _instance(name, tmp_path, capsys)
-    assert main(["solve", path, "--stats=kv", "--trace"]) == 0
+    instance, _, config = name.partition(" ")
+    path = _instance(instance, tmp_path, capsys)
+    assert main(["solve", path, *(CONFIGS[config] if config else []), "--stats=kv", "--trace"]) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     ds = "".join(line + "\n" for line in lines if line.startswith("DS "))

@@ -53,6 +53,10 @@ class TestVerifySolution:
         with pytest.raises(ValueError):
             verify_pqe_solution([C1], [C2, C3], X, [(1,)], Y)
 
+    def test_undeclared_variable_in_solution_rejected(self):
+        with pytest.raises(ValueError, match="variable 99"):
+            verify_pqe_solution([C1], [C2, C3], X, [(3, 99)], Y)
+
 
 class TestSubspaceRedundancy:
     def test_redundant_in_satisfying_subspace(self):

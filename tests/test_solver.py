@@ -236,7 +236,7 @@ class TestTargetStackWalkthrough:
         trail_before = [(e.var, e.val) for e in eng.trail]
         # the deepest proof cannot move past its point of origin, so marking
         # it done immediately pops the top level, certifying its key clause
-        res = eng._spec_bcktr_dseq(out.dseq)
+        res = eng._bcktr_dseq(out.dseq)
         assert trail_before == [(5, 0), (1, 1), (2, 1)]
         assert isinstance(res, LrnOutcome)
         assert res.dseq.target == ids[(-1, 2)]
@@ -244,7 +244,7 @@ class TestTargetStackWalkthrough:
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0), (1, 1)]
         assert eng.db.is_active(ids[(-2, 3, 4)])
         # the popped key clause is itself done at the level below; cascade
-        res2 = eng._spec_bcktr_dseq(res.dseq)
+        res2 = eng._bcktr_dseq(res.dseq)
         assert isinstance(res2, LrnOutcome)
         assert res2.dseq.target == ids[(5, 1)]
         assert res2.dseq.cond() == {5: 0} and not res2.dseq.constraint
@@ -440,3 +440,14 @@ class TestBudgets:
                 hit = True
                 break
         assert hit
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("polarity", [2, -1])
+    def test_rejects_polarity_outside_0_1(self, polarity):
+        with pytest.raises(ValueError, match="default_polarity"):
+            SolverConfig(default_polarity=polarity)
+
+    def test_rejects_unknown_var_order(self):
+        with pytest.raises(ValueError, match="var_order"):
+            SolverConfig(var_order="activty")

@@ -162,6 +162,17 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng._audit_stack()
 
+    def test_audit_catches_secondary_target_without_level(self):
+        # with no target level on the stack the primary is the target
+        problem = rand_problem(random.Random(1), require_x_target=True)
+        eng = Engine(problem, SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        eng._audit_stack()
+        eng.target = max(eng.db.all_ids())
+        assert eng.target != eng.primary and not eng.tlevels
+        with pytest.raises(AssertionError):
+            eng._audit_stack()
+
     def test_termination_without_budget(self):
         rng = random.Random(404)
         for _ in range(200):
