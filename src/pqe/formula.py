@@ -37,17 +37,19 @@ SATISFIED = _Satisfied()
 
 def canonical_lits(lits: Iterable[int]) -> Lits:
     """Sort by variable, drop duplicate literals, reject tautologies and 0."""
-    seen: Dict[int, int] = {}
-    for lit in lits:
-        if lit == 0:
-            raise ValueError("literal 0 is not allowed")
-        var = abs(lit)
-        prev = seen.get(var)
-        if prev is None:
-            seen[var] = lit
-        elif prev != lit:
-            raise TautologyError(f"clause contains both polarities of {var}")
-    return tuple(seen[v] for v in sorted(seen))
+    lits = tuple(lits)
+    distinct = set(lits)
+    if len({abs(l) for l in distinct}) != len(distinct):
+        seen: Set[int] = set()
+        for lit in lits:
+            if lit == 0:
+                break
+            if -lit in seen:
+                raise TautologyError(f"clause contains both polarities of {abs(lit)}")
+            seen.add(lit)
+    if 0 in distinct:
+        raise ValueError("literal 0 is not allowed")
+    return tuple(sorted(distinct, key=abs))
 
 
 def lit_truth(lit: int, asg: Assignment) -> Optional[int]:
@@ -177,7 +179,9 @@ class ClauseDb:
     current partial assignment, changed only through ``assign`` and
     ``unassign``. Per stored clause, live or not, the store counts the
     literals that assignment makes true and the literals it leaves
-    non-false. From the counts it keeps two sets of *active* ids:
+    non-false, and the sum of those non-false literals, which for a unit
+    clause is its free literal. From the counts it keeps two sets of
+    *active* ids:
     ``falsified`` (every literal false) and ``units`` (no literal true,
     exactly one unassigned). An assignment or unassignment touches only the
     two occurrence lists of its variable; ``add``, ``deactivate`` and
@@ -197,12 +201,16 @@ class ClauseDb:
         self.values: Assignment = {}
         self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
         self._open: List[int] = [0]  # by id: literals not false under values
+        self._open_sum: List[int] = [0]  # by id: sum of the literals not false
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
 
     def add(self, lits: Iterable[int], origin: str) -> Clause:
         """Insert a clause; a duplicate of an active clause returns the existing one."""
-        key = canonical_lits(lits)
+        return self.add_canonical(canonical_lits(lits), origin)
+
+    def add_canonical(self, key: Lits, origin: str) -> Clause:
+        """``add`` for literals already in ``canonical_lits`` form."""
         hit = self._dedup.get(key)
         if hit is not None:
             return self._clauses[hit]
@@ -213,17 +221,18 @@ class ClauseDb:
         self._active[cid] = True
         self._dedup[key] = cid
         self._any[key] = cid
-        true = open_ = 0
+        true = open_ = open_sum = 0
         for l in key:
             self._occ.setdefault(l, []).append(cid)
             t = lit_truth(l, self.values)
-            if t is None:
+            if t != 0:
                 open_ += 1
-            elif t:
-                open_ += 1
-                true += 1
+                open_sum += l
+                if t:
+                    true += 1
         self._true.append(true)
         self._open.append(open_)
+        self._open_sum.append(open_sum)
         self._track(cid)
         return clause
 
@@ -276,9 +285,10 @@ class ClauseDb:
     def all_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._clauses))
 
-    def occurrences(self, lit: int) -> Tuple[int, ...]:
-        """Ids of all clauses (any liveness) containing exactly this literal."""
-        return tuple(self._occ.get(lit, ()))
+    def occurrences(self, lit: int) -> Sequence[int]:
+        """Ids of all clauses (any liveness) containing exactly this literal,
+        ascending. The store's own list: read it, do not change it."""
+        return self._occ.get(lit, ())
 
     # -- propagation state ---------------------------------------------
 
@@ -287,11 +297,13 @@ class ClauseDb:
         self.values[var] = val
         lit = var if val else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
+        open_sum = self._open_sum
         for cid in self._occ.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
                 units.discard(cid)
         for cid in self._occ.get(-lit, ()):
+            open_sum[cid] += lit
             n = open_[cid] - 1
             open_[cid] = n
             if n <= 1 and not true[cid] and active[cid]:
@@ -305,11 +317,13 @@ class ClauseDb:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
+        open_sum = self._open_sum
         for cid in self._occ.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
         for cid in self._occ.get(-lit, ()):
+            open_sum[cid] -= lit
             n = open_[cid] + 1
             open_[cid] = n
             if n <= 2 and not true[cid] and active[cid]:
@@ -328,33 +342,35 @@ class ClauseDb:
         return self._open[cid] == 0
 
     def free_literal(self, cid: int) -> int:
-        """The unassigned literal of a clause in ``units``."""
-        for l in self._clauses[cid].lits:
-            if abs(l) not in self.values:
-                return l
-        raise ValueError(f"clause {cid} has no unassigned literal")
+        """The unassigned literal of a clause in ``units``.
+
+        A unit clause has no true literal and one non-false literal, so the
+        sum of its non-false literals is that literal; for a clause that is
+        not unit the answer means nothing.
+        """
+        return self._open_sum[cid]
 
     def __len__(self) -> int:
         return len(self._clauses)
 
 
-def is_blocked(db: ClauseDb, c: Clause, v: int, q: Assignment) -> bool:
+def is_blocked(db: ClauseDb, c: Clause, v: int) -> bool:
     """True iff no live unsatisfied clause is resolvable with c on v.
 
-    Clauses clashing with c on a second variable resolve to tautologies and
-    never block; soft-deleted clauses are out of the formula in the current
-    subspace. Assumes v is unassigned in q and c is not satisfied by q.
+    Satisfaction is read from the store's assignment. Clauses clashing with
+    c on a second variable resolve to tautologies and never block;
+    soft-deleted clauses are out of the formula in the current subspace.
+    Assumes v is unassigned and c is not satisfied.
     """
     lit = c.lit_on(v)
     if lit is None:
         raise ValueError(f"variable {v} does not occur in clause {c.id}")
+    mine = set(c.lits)
     for cid in db.occurrences(-lit):
-        if cid == c.id or not db.is_active(cid):
+        if cid == c.id or not db.is_active(cid) or db.is_satisfied(cid):
             continue
-        other = db.clause(cid)
-        if not resolvable_on(c.lits, other.lits, v):
-            continue
-        if not clause_satisfied(other.lits, q):
+        # the partner holds -lit; it resolves with c iff that is its only clash
+        if not any(-l in mine for l in db.clause(cid).lits if l != -lit):
             return False
     return True
 
@@ -365,7 +381,7 @@ class EcnfProblem:
 
     x_vars: frozenset
     y_vars: frozenset
-    f1: Tuple[Lits, ...]
+    f1: Tuple[Lits, ...]  # canonical (``canonical_lits``), no duplicates
     f2: Tuple[Lits, ...]
 
     @classmethod

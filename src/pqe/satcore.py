@@ -44,9 +44,10 @@ class _Solver:
         self.units: List[int] = []
         seen = set()
         for c in clauses:
-            lits = sorted(set(c), key=abs)
+            distinct = set(c)
+            lits = sorted(distinct, key=abs)
             seen.update(abs(l) for l in lits)
-            if any(-l in c for l in lits):
+            if any(-l in distinct for l in lits):
                 continue  # tautology constrains nothing
             if not lits:
                 self.empty_clause = True

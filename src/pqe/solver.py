@@ -35,20 +35,30 @@ Propagation state
 -----------------
 The engine never scans the formula to find falsified or unit clauses. Every
 assignment and unassignment goes through ``_apply`` and ``_pop_suffix`` to
-the clause store, which keeps per clause a count of true literals and a
-count of non-false ones, and from them the sets of active falsified and
-active unit clause ids (see ``ClauseDb``). A round of BCP reads the target's
-counts, takes the lowest falsified id and enqueues the units in ascending
-id order, which is the order a scan of the formula in id order would find
-them in. ``SolverConfig.check_invariants`` re-derives the sets by such a
-scan at every round and asserts that they agree.
+the clause store, which keeps per clause a count of true literals, a count
+of non-false ones and the sum of the non-false ones, and from the counts
+the sets of active falsified and active unit clause ids (see ``ClauseDb``).
+A round of BCP reads the target's counts, takes the lowest falsified id and
+enqueues the units in ascending id order, which is the order a scan of the
+formula in id order would find them in; a unit's free literal is its sum.
+The blocked-clause test reads the partners' true counts too.
+``SolverConfig.check_invariants`` re-derives the sets and the free
+literals by such a scan at every round and asserts that they agree.
+
+Records
+-------
+Every derived D-sequent is counted in ``stats`` (``_emit``). The records
+``_rewrite`` passes through on the way to its result are built only when
+something observes them (a ``trace`` or ``on_dsequent`` callback); without
+an observer it carries the conditional and constraint as plain mutable
+values and builds one record at the end.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import dsequent as dsq
 from .dsequent import DSequent, DSequentStore
@@ -61,6 +71,7 @@ from .formula import (
     assignment_subsumes,
     clause_falsified,
     clause_satisfied,
+    falsifying_assignment,
     is_blocked,
     resolvable_on,
     resolve,
@@ -80,6 +91,8 @@ class SolverConfig:
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
+        if self.learn_depth_k < -1:
+            raise ValueError(f"learn_depth_k must be -1 or more, not {self.learn_depth_k!r}")
         if self.var_order not in ("static", "activity"):
             raise ValueError(f"var_order must be 'static' or 'activity', not {self.var_order!r}")
         if self.default_polarity not in (0, 1):
@@ -158,6 +171,10 @@ _STAT_KEYS = (
     "primaries_proved",
 )
 
+# ``Engine._pick`` until the record check picks a branch variable
+# (variables are positive; a pick of None means nothing is left to pick)
+_NOT_PICKED = 0
+
 
 class Engine:
     """Search state for one problem; drives the whole elimination."""
@@ -178,9 +195,9 @@ class Engine:
         self.db = ClauseDb()
         self.f1_ids: Set[int] = set()
         for lits in problem.f1:
-            self.f1_ids.add(self.db.add(lits, "f1-initial").id)
+            self.f1_ids.add(self.db.add_canonical(lits, "f1-initial").id)
         for lits in problem.f2:
-            self.db.add(lits, "f2-initial")
+            self.db.add_canonical(lits, "f2-initial")
         self.store = DSequentStore(self.config.learn_depth_k)
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
         self.activity: Dict[int, float] = {v: 0.0 for v in problem.all_vars()}
@@ -196,6 +213,7 @@ class Engine:
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
+        self._pick: Optional[int] = _NOT_PICKED
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -336,7 +354,8 @@ class Engine:
         return var, val, reason
 
     def _decide(self) -> None:
-        var = self._pick_branch_var()
+        # the record check just before may have picked in this same state
+        var = self._pick if self._pick != _NOT_PICKED else self._pick_branch_var()
         if var is None:
             raise AssertionError("nothing to decide and no backtracking condition")
         self.stats["decisions"] += 1
@@ -427,6 +446,8 @@ class Engine:
         assert db.units == {
             cid for cid in active if unit_literal(db.clause(cid).lits, self.assign) is not None
         }
+        for cid in db.units:
+            assert db.free_literal(cid) == unit_literal(db.clause(cid).lits, self.assign), cid
 
     def _audit_stack(self) -> None:
         """Target levels match the trail and the soft-deleted clauses; an
@@ -452,11 +473,11 @@ class Engine:
         variables would reshape the search tree, and on bad days cost more
         than the record saves.
         """
+        self._pick = _NOT_PICKED
         records = self.store.records_for(self.target)
         if not records:
             return None
         db = self.db
-        pick = self._pick_branch_var()
         for stored in records:
             if not all(db.is_active(cid) for cid in stored.policy.constraint):
                 continue
@@ -472,7 +493,11 @@ class Engine:
                 self.stats["dseq_reused"] += 1
                 return ActiveDSequent(self._reactivate_record(stored.full))
             hint = dsq.unit_deactivating_assignment(stored.policy, self.assign)
-            if hint is None or hint[0] != pick or hint[0] in self.queued:
+            if hint is None or hint[0] in self.queued:
+                continue
+            if self._pick == _NOT_PICKED:
+                self._pick = self._pick_branch_var()
+            if hint[0] != self._pick:
                 continue
             self.stats["deactivation_hints"] += 1
             self._enqueue(hint[0], hint[1], self._reactivate_record(stored.full))
@@ -484,7 +509,7 @@ class Engine:
             v = abs(lit)
             if v in self.assign or v not in self.x_vars:
                 continue
-            if is_blocked(self.db, tgt, v, self.assign):
+            if is_blocked(self.db, tgt, v):
                 return v
         return None
 
@@ -674,23 +699,6 @@ class Engine:
             work = resolve(work, reason.lits, entry.var)
         return work, f1_side, None
 
-    def _try_join(self, ds: DSequent, other: DSequent, var: int) -> Optional[DSequent]:
-        """Join that must shrink the conditional's trail frontier.
-
-        Rejects joins whose result mentions assignments that are no longer
-        on the trail (the search left that branch) or that sit above the
-        assignment being eliminated (no progress; convoluted backtracking
-        histories can reassign a record's context higher up).
-        """
-        if dsq.assignments_resolvable(ds.cond(), other.cond()) != var:
-            return None
-        joined = dsq.join(ds, other, var)
-        limit = self.pos[var]
-        for v2, b2 in joined.conditional:
-            if self.assign.get(v2) != b2 or self.pos[v2] >= limit:
-                return None
-        return joined
-
     def _rewrite(self, ds: DSequent) -> DSequent:
         """Eliminate derived assignments from the conditional, latest first.
 
@@ -698,40 +706,85 @@ class Engine:
         from the target clause itself, deactivations from records for other
         targets, and key-variable assignments of live target levels (unless
         a satisfied-target join can remove them for free).
+
+        Each step joins the record with a partner record on the latest
+        assignment: the deactivation record that made it, a record for the
+        subspace falsifying its reason clause, or the target's own
+        satisfied-clause record. The working record is a conditional dict
+        and a constraint set, updated in place; the intermediate records
+        are built only for the observers (``_emit``).
         """
-        tgt = self.db.clause(ds.target)
+        assign, pos, trail = self.assign, self.pos, self.trail
+        if not all(assign.get(v) == b for v, b in ds.conditional):
+            return ds  # conditional left the trail subspace; nothing to do
+        target = ds.target
+        tgt = self.db.clause(target)
         live_keys = {lv.key_clause: lv.key_var for lv in self.tlevels}
-        while True:
-            cond = ds.cond()
-            assigned = [v for v in cond if v in self.pos]
-            if not assigned:
-                return ds
-            var = max(assigned, key=lambda v: self.pos[v])
-            entry = self.trail[self.pos[var]]
-            if entry.val != cond[var]:
-                return ds  # conditional left the trail subspace; nothing to do
+        observed = self.trace is not None or self.on_dsequent is not None
+        cond = dict(ds.conditional)
+        constraint = set(ds.constraint)
+        joined = False
+        while cond:
+            var = max(cond, key=pos.__getitem__)
             b = cond[var]
-            joined = other = None
-            reason = entry.reason
+            limit = pos[var]
+            reason = trail[limit].reason
+            if reason is None:
+                break
+            partner = None  # (conditional items, constraint, rule; None: a stored record)
             if isinstance(reason, DSequent):
-                if reason.target == ds.target:
-                    joined = self._try_join(ds, reason, var)
-            elif reason is not None and reason != ds.target and live_keys.get(reason) != var:
-                other = dsq.falsified_clause_dsequent(tgt, self.db.clause(reason))
-                joined = self._try_join(ds, other, var)
-            if joined is None and reason is not None:
+                if reason.target == target:
+                    partner = (reason.conditional, reason.constraint, None)
+            elif reason != target and live_keys.get(reason) != var:
+                falsifying = falsifying_assignment(self.db.clause(reason).lits)
+                partner = (falsifying.items(), (reason,), "atomic2")
+            if partner is None or not self._joins_at(partner[0], var, b, limit):
                 # satisfied-target escape: free of charge, and the only way
                 # out for key-variable assignments (their reason clause must
                 # never enter a constraint its own certificate depends on)
                 lt = tgt.lit_on(var)
-                if lt is not None and satisfying_value(lt) != b:
-                    other = dsq.atomic_first_kind(tgt, var, 1 - b)
-                    joined = self._try_join(ds, other, var)
-            if joined is None:
-                return ds
-            if other is not None:
-                self._emit(other)
-            ds = self._emit(joined)
+                if lt is None or satisfying_value(lt) == b:
+                    break
+                partner = (((var, 1 - b),), (), "atomic1")
+            items, extra, rule = partner
+            del cond[var]
+            cond.update(item for item in items if item[0] != var)
+            constraint.update(extra)
+            joined = True
+            if rule is not None:
+                self._count(rule)
+                if observed:
+                    if rule == "atomic1":
+                        self._show(dsq.atomic_first_kind(tgt, var, 1 - b))
+                    else:
+                        self._show(dsq.falsified_clause_dsequent(tgt, self.db.clause(reason)))
+            self._count("join")
+            if observed:
+                self._show(DSequent.make(target, cond, constraint, "join"))
+        return DSequent.make(target, cond, constraint, "join") if joined else ds
+
+    def _joins_at(self, items: Iterable[Tuple[int, int]], var: int, b: int, limit: int) -> bool:
+        """Whether a partner conditional joins the working one on var=b.
+
+        It must clash with it on var alone, and its other assignments must
+        be on the trail below position ``limit``, the one being eliminated.
+        The working conditional lies on the trail, so a partner assignment
+        that agrees with the trail never clashes with it. This rejects
+        joins whose result mentions assignments the search has left, or
+        assignments above the one being eliminated (no progress;
+        convoluted backtracking histories can reassign a record's context
+        higher up).
+        """
+        assign, pos = self.assign, self.pos
+        clash = False
+        for v, val in items:
+            if v == var:
+                if val == b:
+                    return False
+                clash = True
+            elif assign.get(v) != val or pos[v] >= limit:
+                return False
+        return clash
 
     def _reactivate_record(self, full: DSequent) -> DSequent:
         """A stored record, made valid for the current formula state.
@@ -848,11 +901,18 @@ class Engine:
             clause = self._add_derived_clause(lits, True)
             seed = self._emit(dsq.falsified_clause_dsequent(primary_clause, clause))
             return LrnOutcome(dseq=self._rewrite(seed))
-        model = dict(res.model)
-        partial = dict(model)
-        for v in sorted(mv for mv in model if mv in self.y_vars):
+        # the model satisfies every live clause, and so does each shrunk
+        # one: dropping v can only unsatisfy the live clauses v made true
+        db = self.db
+        partial = dict(res.model)
+        for v in sorted(mv for mv in res.model if mv in self.y_vars):
             dropped = partial.pop(v)
-            if not all(clause_satisfied(c, partial) for c in live):
+            made_true = db.occurrences(v if dropped else -v)
+            if not all(
+                clause_satisfied(db.clause(cid).lits, partial)
+                for cid in made_true
+                if db.is_active(cid)
+            ):
                 partial[v] = dropped
         y_star = {v: val for v, val in partial.items() if v in self.y_vars}
         seed = self._emit(DSequent.make(self.primary, y_star, (), "sat-witness"))
@@ -875,9 +935,17 @@ class Engine:
         return clause
 
     def _emit(self, ds: DSequent) -> DSequent:
+        """Count a derived record and show it to the observers."""
+        self._count(ds.rule)
+        self._show(ds)
+        return ds
+
+    def _count(self, rule: str) -> None:
         self.stats["dseq_generated"] += 1
-        key = f"dseq_{ds.rule.replace('-', '_')}"
+        key = f"dseq_{rule.replace('-', '_')}"
         self.stats[key] = self.stats.get(key, 0) + 1
+
+    def _show(self, ds: DSequent) -> None:
         if self.trace is not None:
             self.trace(dsq.trace_line(ds))
         if self.on_dsequent is not None:

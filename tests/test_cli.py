@@ -51,6 +51,11 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", golden_file, "--learn-k", "-1")
         assert code == 0 and out == "s pqe 1\n3 0\n"
 
+    def test_learn_k_below_minus_1_rejected(self, capsys, golden_file):
+        code, out, err = run(capsys, "solve", golden_file, "--learn-k", "-7")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "learn_depth_k" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.pqe")
         assert code == 2

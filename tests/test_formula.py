@@ -116,26 +116,27 @@ class TestBlocked:
         self.c3 = self.db.add((3, -2), "f2-initial")
 
     def test_blocked_when_partner_satisfied(self):
-        assert is_blocked(self.db, self.c1, 1, {3: 1})
+        self.db.assign(3, 1)
+        assert is_blocked(self.db, self.c1, 1)
 
     def test_not_blocked_with_open_partner(self):
-        assert not is_blocked(self.db, self.c1, 1, {})
+        assert not is_blocked(self.db, self.c1, 1)
 
     def test_lone_clause_is_blocked(self):
         db = ClauseDb()
         c = db.add((-1, 2), "f1-initial")
-        assert is_blocked(db, c, 1, {})
-        assert is_blocked(db, c, 2, {})
+        assert is_blocked(db, c, 1)
+        assert is_blocked(db, c, 2)
 
     def test_soft_deleted_partner_ignored(self):
         self.db.deactivate(self.c2.id)
-        assert is_blocked(self.db, self.c1, 1, {})
+        assert is_blocked(self.db, self.c1, 1)
 
     def test_double_clash_partner_ignored(self):
         db = ClauseDb()
         c = db.add((1, 2), "f1-initial")
         db.add((-1, -2), "f2-initial")  # resolves to a tautology
-        assert is_blocked(db, c, 1, {})
+        assert is_blocked(db, c, 1)
 
 
 class TestAssignments:

@@ -5,8 +5,10 @@ moves a counter passes them. This test compares against values recorded
 once, through the command line as a user runs it: `pqe gen` builds each
 instance and `pqe solve FILE --stats=kv --trace` solves it. `trace_sha256`
 is the SHA-256 of the `DS` trace lines, each ended by a newline, so the
-order and content of every D-sequent are pinned too. A change that moves
-any answer, counter or trace line here must say why and re-record the file.
+order and content of every D-sequent are pinned too. The same answers and
+counters are pinned for the solve without `--trace`, where the engine
+builds no record it does not keep. A change that moves any answer, counter
+or trace line here must say why and re-record the file.
 
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
 `gen satred --vars 12 --clauses 51`, each with seeds 1-5. Each instance is
@@ -56,15 +58,29 @@ def test_batch_is_complete():
     assert set(PINNED) == names | {f"{n} {c}" for n in names for c in CONFIGS}
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_answer_and_counters_pinned(name, tmp_path, capsys):
+def _solve(name, tmp_path, capsys, *flags):
+    """Solution text, kv stats and DS lines of ``pqe solve`` on a pinned entry."""
     instance, _, config = name.partition(" ")
     path = _instance(instance, tmp_path, capsys)
-    assert main(["solve", path, *(CONFIGS[config] if config else []), "--stats=kv", "--trace"]) == 0
+    assert main(["solve", path, *(CONFIGS[config] if config else []), "--stats=kv", *flags]) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     ds = "".join(line + "\n" for line in lines if line.startswith("DS "))
     stats = {k: int(v) for k, v in (line.split("=", 1) for line in lines if not line.startswith("DS "))}
-    assert captured.out == PINNED[name]["solution"]
+    return captured.out, stats, ds
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_answer_and_counters_pinned(name, tmp_path, capsys):
+    solution, stats, ds = _solve(name, tmp_path, capsys, "--trace")
+    assert solution == PINNED[name]["solution"]
     assert stats == PINNED[name]["stats"]
     assert hashlib.sha256(ds.encode()).hexdigest() == PINNED[name]["trace_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_untraced_answer_and_counters_pinned(name, tmp_path, capsys):
+    solution, stats, ds = _solve(name, tmp_path, capsys)
+    assert ds == ""
+    assert solution == PINNED[name]["solution"]
+    assert stats == PINNED[name]["stats"]

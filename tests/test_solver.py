@@ -451,3 +451,8 @@ class TestConfigValidation:
     def test_rejects_unknown_var_order(self):
         with pytest.raises(ValueError, match="var_order"):
             SolverConfig(var_order="activty")
+
+    @pytest.mark.parametrize("k", [-2, -7])
+    def test_rejects_learn_depth_below_minus_1(self, k):
+        with pytest.raises(ValueError, match="learn_depth_k"):
+            SolverConfig(learn_depth_k=k)

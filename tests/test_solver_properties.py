@@ -6,10 +6,30 @@ import random
 import pytest
 
 from pqe import harness
-from pqe.formula import clause_satisfied
+from pqe.formula import EcnfProblem, clause_satisfied
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, solve_pqe
-from tests.conftest import rand_problem
+from tests.conftest import rand_cnf, rand_problem
+
+
+def benchmark_family_instances():
+    """Small SAT-reduction and circuit instances, as the bench builds them."""
+    rng = random.Random(4242)
+    instances = []
+    for _ in range(6):
+        clauses = rand_cnf(rng, 7, rng.randint(14, 30))
+        x = {v: rng.randrange(2) for v in range(1, 8)}
+        instances.append(harness.sat_reduction_instance(clauses, x).problem)
+    for seed in range(4):
+        circuit = harness.gen_circuit(seed, 4, 14)
+        x = {v: rng.randrange(2) for v in circuit.inputs}
+        z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
+        instances.append(harness.circuit_to_pqe(circuit, z).problem)
+    return instances
+
+
+def counters(result):
+    return {k: v for k, v in result.stats.items() if k != "wall_time_s"}
 
 
 class TestSoundness:
@@ -119,30 +139,29 @@ class TestSearchDiscipline:
         ids=["no-learn", "learn-k0", "activity"],
     )
     def test_invariants_on_benchmark_families(self, config):
-        from tests.conftest import rand_cnf
-
-        rng = random.Random(4242)
-        instances = []
-        for _ in range(6):
-            clauses = rand_cnf(rng, 7, rng.randint(14, 30))
-            x = {v: rng.randrange(2) for v in range(1, 8)}
-            instances.append(harness.sat_reduction_instance(clauses, x).problem)
-        for seed in range(4):
-            circuit = harness.gen_circuit(seed, 4, 14)
-            x = {v: rng.randrange(2) for v in circuit.inputs}
-            z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
-            instances.append(harness.circuit_to_pqe(circuit, z).problem)
-        for problem in instances:
+        for problem in benchmark_family_instances():
             eng = Engine(problem, config)
             res = eng.solve()
             plain = solve_pqe(problem, SolverConfig(learn_depth_k=config.learn_depth_k,
                                                     var_order=config.var_order))
             # auditing observes the search, it never changes it
             assert res.f1_star == plain.f1_star
-            assert {k: v for k, v in res.stats.items() if k != "wall_time_s"} == {
-                k: v for k, v in plain.stats.items() if k != "wall_time_s"
-            }
+            assert counters(res) == counters(plain)
             assert eng.tlevels == []
+
+    @pytest.mark.parametrize("learn_k", [-1, 0, 2])
+    def test_observers_do_not_change_the_search(self, learn_k):
+        # records along a rewrite are built only for an observer; with or
+        # without one the search, its answers and its counters are the same
+        config = SolverConfig(learn_depth_k=learn_k)
+        for problem in benchmark_family_instances():
+            lines, records = [], []
+            plain = solve_pqe(problem, config)
+            traced = solve_pqe(problem, config, trace=lines.append)
+            observed = solve_pqe(problem, config, on_dsequent=lambda ds, _: records.append(ds))
+            assert plain.f1_star == traced.f1_star == observed.f1_star
+            assert counters(plain) == counters(traced) == counters(observed)
+            assert len(lines) == len(records) == plain.stats["dseq_generated"]
 
     def test_audit_catches_stale_propagation_state(self):
         problem = rand_problem(random.Random(1), require_x_target=True)
@@ -151,6 +170,17 @@ class TestSearchDiscipline:
         eng.db.units.symmetric_difference_update({cid})  # corrupt the unit set
         with pytest.raises(AssertionError):
             eng.solve()
+
+    def test_audit_catches_stale_free_literal(self):
+        eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2)], [(-1, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng._apply(2, 0, None, level_start=True)  # (1 2) is unit on 1
+        (cid,) = eng.db.units
+        assert eng.db.free_literal(cid) == 1
+        eng._audit_trail()
+        eng.db._open_sum[cid] += 1  # corrupt the clause's literal sum
+        with pytest.raises(AssertionError):
+            eng._audit_trail()
 
     def test_audit_catches_assigned_queue_entry(self):
         problem = rand_problem(random.Random(1), require_x_target=True)
