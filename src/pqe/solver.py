@@ -31,6 +31,11 @@ record's conditional that lies above the point of origin, or jump as the
 conflict clause asserts. The proof of the primary is finished when, with no
 target level left, a record has an empty conditional.
 
+Learning happens where a condition is found. Each detector (satisfied,
+falsified or blocked target, falsified clause, reusable stored record)
+learns from it at once and returns a record for the current target or a
+conflict clause, and ``prove_redundant`` hands that to the rule above.
+
 Propagation state
 -----------------
 The engine never scans the formula to find falsified or unit clauses. Every
@@ -97,40 +102,10 @@ class SolverConfig:
             raise ValueError(f"var_order must be 'static' or 'activity', not {self.var_order!r}")
         if self.default_polarity not in (0, 1):
             raise ValueError(f"default_polarity must be 0 or 1, not {self.default_polarity!r}")
-
-
-@dataclass(frozen=True)
-class SatTrg:
-    var: int
-    val: int
-
-
-@dataclass(frozen=True)
-class FalsifiedClause:
-    cid: int
-
-
-@dataclass(frozen=True)
-class BlockedTrg:
-    var: int
-
-
-@dataclass(frozen=True)
-class ActiveDSequent:
-    record: DSequent
-
-
-BacktrackCondition = Union[SatTrg, FalsifiedClause, BlockedTrg, ActiveDSequent]
-
-
-@dataclass
-class LrnOutcome:
-    dseq: Optional[DSequent] = None
-    clause: Optional[Clause] = None
-
-    @property
-    def is_conflict_clause(self) -> bool:
-        return self.dseq is None
+        if self.max_conflicts is not None and self.max_conflicts < 0:
+            raise ValueError(f"max_conflicts must be 0 or more, not {self.max_conflicts!r}")
+        if self.max_seconds is not None and not self.max_seconds >= 0:  # NaN too
+            raise ValueError(f"max_seconds must be 0 or more, not {self.max_seconds!r}")
 
 
 @dataclass
@@ -261,33 +236,29 @@ class Engine:
             empty = self.db.clause(min(self.db.falsified))
             self.stats["dseq_final"] += 1
             return self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), empty))
-        pending: Optional[LrnOutcome] = None
+        pending: Optional[Union[DSequent, Clause]] = None
         while True:
             self._check_budget()
-            outcome, pending = pending, None
-            if outcome is None:
-                res = self._bcp()
-                if res is None:
+            learned, pending = pending, None
+            if learned is None:
+                learned = self._bcp()
+                if learned is None:
                     self._decide()
                     continue
-                outcome = res if isinstance(res, LrnOutcome) else self._lrn(res)
-            if outcome.is_conflict_clause and not outcome.clause.lits:
+            if isinstance(learned, Clause):
+                if learned.lits:
+                    pending = self._bcktr_clause(learned)
+                    continue
                 # the search refuted the whole formula; everything is redundant
-                final = self._emit(
-                    dsq.falsified_clause_dsequent(self.db.clause(primary), outcome.clause)
-                )
+                final = self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), learned))
                 self.stats["dseq_final"] += 1
                 self.store.consider(final, 0, self.x_vars, self.db)
                 return final
-            if outcome.is_conflict_clause:
-                pending = self._bcktr_clause(outcome.clause)
-                continue
-            ds = outcome.dseq
             self.stats["dseq_final"] += 1
-            self.store.consider(ds, len(self.tlevels), self.x_vars, self.db)
-            if not self.tlevels and not ds.conditional:
-                return ds
-            pending = self._bcktr_dseq(ds)
+            self.store.consider(learned, len(self.tlevels), self.x_vars, self.db)
+            if not self.tlevels and not learned.conditional:
+                return learned
+            pending = self._bcktr_dseq(learned)
 
     def _reset_search(self) -> None:
         while self.tlevels:
@@ -375,21 +346,22 @@ class Engine:
     # BCP
     # ------------------------------------------------------------------
 
-    def _bcp(self) -> Union[None, BacktrackCondition, LrnOutcome]:
+    def _bcp(self) -> Union[None, DSequent, Clause]:
+        """Propagate to a condition and learn from it; None: decide next."""
         while True:
-            cond = self._round_condition()
-            if cond is not None:
-                return cond
+            learned = self._round_condition()
+            if learned is not None:
+                return learned
             if not self.queue:
                 v = self._blocked_var()
                 if v is not None:
-                    return BlockedTrg(v)
+                    return self._lrn_blocked(v)
                 # consult learned records exactly where a decision would be
                 # made: reuse then only ever replaces exploration, it never
                 # preempts a condition the search was about to find anyway
-                cond = self._stored_record_check()
-                if cond is not None:
-                    return cond
+                learned = self._stored_record_check()
+                if learned is not None:
+                    return learned
                 if self.queue:
                     continue
                 return None
@@ -407,19 +379,20 @@ class Engine:
             else:
                 self._apply(var, val, reason, level_start=False)
 
-    def _round_condition(self) -> Optional[BacktrackCondition]:
+    def _round_condition(self) -> Union[None, DSequent, Clause]:
         if self.config.check_invariants:
             # a stable point between propagation steps
             self._audit_trail()
             self._audit_stack()
         db = self.db
         if db.is_satisfied(self.target):
-            var, val = self._satisfying_entry(db.clause(self.target).lits)
-            return SatTrg(var, val)
+            tgt = db.clause(self.target)
+            var, val = self._satisfying_entry(tgt.lits)
+            return self._rewrite(self._emit(dsq.atomic_first_kind(tgt, var, val)))
         if db.is_falsified(self.target):
-            return FalsifiedClause(self.target)
+            return self._lrn_falsified(self.target)
         if db.falsified:
-            return FalsifiedClause(min(db.falsified))
+            return self._lrn_falsified(min(db.falsified))
         for cid in sorted(db.units):
             ul = db.free_literal(cid)
             self._enqueue(abs(ul), satisfying_value(ul), cid)
@@ -465,7 +438,7 @@ class Engine:
         assert len(done) == len(set(done))
         assert not any(var in self.assign for var, _, _ in self.queue)
 
-    def _stored_record_check(self) -> Optional[BacktrackCondition]:
+    def _stored_record_check(self) -> Optional[DSequent]:
         """Active and unit learned records for the current target.
 
         Consulted at decision points only. A unit record steers the branch
@@ -491,7 +464,7 @@ class Engine:
             q = stored.policy.cond()
             if assignment_subsumes(q, self.assign):
                 self.stats["dseq_reused"] += 1
-                return ActiveDSequent(self._reactivate_record(stored.full))
+                return self._rewrite(self._reactivate_record(stored.full))
             hint = dsq.unit_deactivating_assignment(stored.policy, self.assign)
             if hint is None or hint[0] in self.queued:
                 continue
@@ -527,7 +500,7 @@ class Engine:
 
     def _bcp_star(
         self, seed_var: int, seed_val: int, seed_reason: int
-    ) -> Union[None, FalsifiedClause, LrnOutcome]:
+    ) -> Union[None, DSequent, Clause]:
         """Clause-only propagation of a target-derived assignment.
 
         Every unit clause found here opens a target level: its resolvable
@@ -538,7 +511,7 @@ class Engine:
         db = self.db
         while db.units or db.falsified:
             if db.falsified:
-                return FalsifiedClause(min(db.falsified))
+                return self._lrn_falsified(min(db.falsified))
             cid = min(db.units)
             ul = db.free_literal(cid)
             self._apply(abs(ul), satisfying_value(ul), cid, level_start=False)
@@ -568,7 +541,7 @@ class Engine:
     # target management
     # ------------------------------------------------------------------
 
-    def _advance_target(self) -> Optional[LrnOutcome]:
+    def _advance_target(self) -> Optional[DSequent]:
         """Make the next unproved partner of the top key the target (None),
         or pop the exhausted level and return the record for its key clause."""
         if not self.tlevels:
@@ -596,7 +569,7 @@ class Engine:
         self._drop_tlevel()
         self._pop_suffix(top.key_pos)
         self.target = top.key_clause
-        return LrnOutcome(dseq=self._rewrite(record))
+        return self._rewrite(record)
 
     def _drop_tlevel(self) -> None:
         """Pop the top target level and restore the clauses proved at it."""
@@ -638,51 +611,40 @@ class Engine:
     # learning
     # ------------------------------------------------------------------
 
-    def _lrn(self, cond: BacktrackCondition) -> LrnOutcome:
-        if isinstance(cond, FalsifiedClause):
-            self.stats["conflicts"] += 1
-            self._bump_clause(self.db.clause(cond.cid).lits)
-            return self._lrn_falsified(cond.cid)
-        if isinstance(cond, SatTrg):
-            seed = self._emit(dsq.atomic_first_kind(self.db.clause(self.target), cond.var, cond.val))
-        elif isinstance(cond, BlockedTrg):
-            tgt = self.db.clause(self.target)
-            seed = self._third_kind(tgt, cond.var, self._partners(tgt, cond.var))
-            if seed is None:
-                return self._handle_duplicate()
-        elif isinstance(cond, ActiveDSequent):
-            seed = cond.record
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown condition {cond}")
-        return LrnOutcome(dseq=self._rewrite(seed))
+    def _lrn_blocked(self, v: int) -> DSequent:
+        """The record for a target blocked at its unassigned quantified v."""
+        tgt = self.db.clause(self.target)
+        record = self._third_kind(tgt, v, self._partners(tgt, v))
+        if record is None:
+            return self._handle_duplicate()
+        return self._rewrite(record)
 
-    def _lrn_falsified(self, cid: int) -> LrnOutcome:
-        lits, f1_side, hit = self._conflict_walk(cid)
-        if hit is None:
-            if self.db.find_any(lits) is not None:
-                return self._handle_duplicate()
-            clause = self._add_derived_clause(lits, f1_side)
-            self._bump_clause(lits)
-            return LrnOutcome(clause=clause)
-        if cid != self.target:
-            seed = self._emit(
-                dsq.falsified_clause_dsequent(self.db.clause(self.target), self.db.clause(cid))
-            )
-            return LrnOutcome(dseq=self._rewrite(seed))
-        # the falsified clause is the target itself and a D-sequent-derived
-        # assignment matters: a helper clause is added alongside the record
+    def _lrn_falsified(self, cid: int) -> Union[DSequent, Clause]:
+        """Learn from a falsified clause: a conflict clause, or a record for
+        the target when the walk stops at a record-derived assignment."""
+        self.stats["conflicts"] += 1
+        self._bump_clause(self.db.clause(cid).lits)
+        lits, f1_side, at_record = self._conflict_walk(cid)
+        tgt = self.db.clause(self.target)
+        if at_record and cid != self.target:
+            seed = self._emit(dsq.falsified_clause_dsequent(tgt, self.db.clause(cid)))
+            return self._rewrite(seed)
         if self.db.find_any(lits) is not None:
             return self._handle_duplicate()
         clause = self._add_derived_clause(lits, f1_side)
         self._bump_clause(lits)
-        seed = self._emit(dsq.falsified_clause_dsequent(self.db.clause(self.target), clause))
-        return LrnOutcome(dseq=self._rewrite(seed), clause=clause)
+        if not at_record:
+            return clause
+        # the falsified clause is the target itself: the record rests on the
+        # derived clause, which stays in the formula as a helper
+        return self._rewrite(self._emit(dsq.falsified_clause_dsequent(tgt, clause)))
 
-    def _conflict_walk(self, start_cid: int):
+    def _conflict_walk(self, start_cid: int) -> Tuple[Lits, bool, bool]:
         """Resolve the falsified clause backwards through clause reasons.
 
         Stops at a real decision (a conflict clause has been built) or at a
         D-sequent-derived assignment (clause learning is impossible there).
+        Returns the resolvent, whether F1 took part, and whether a record stopped it.
         """
         start = self.db.clause(start_cid)
         work: Lits = start.lits
@@ -691,13 +653,13 @@ class Engine:
             pos, _ = max((self.pos[abs(l)], l) for l in work)
             entry = self.trail[pos]
             if entry.reason is None:
-                return work, f1_side, None
+                return work, f1_side, False
             if isinstance(entry.reason, DSequent):
-                return work, f1_side, entry
+                return work, f1_side, True
             reason = self.db.clause(entry.reason)
             f1_side = f1_side or reason.is_f1_side()
             work = resolve(work, reason.lits, entry.var)
-        return work, f1_side, None
+        return work, f1_side, False
 
     def _rewrite(self, ds: DSequent) -> DSequent:
         """Eliminate derived assignments from the conditional, latest first.
@@ -810,7 +772,7 @@ class Engine:
     # backtracking
     # ------------------------------------------------------------------
 
-    def _bcktr_dseq(self, ds: DSequent) -> Optional[LrnOutcome]:
+    def _bcktr_dseq(self, ds: DSequent) -> Optional[DSequent]:
         """Backtrack on a record for the current target.
 
         While its conditional reaches above the point of origin (the top
@@ -851,7 +813,7 @@ class Engine:
         self.db.deactivate(ds.target)
         return self._advance_target()
 
-    def _bcktr_clause(self, clause: Clause) -> Optional[LrnOutcome]:
+    def _bcktr_clause(self, clause: Clause) -> Optional[DSequent]:
         """Backtrack on a conflict clause for the current target.
 
         Jumps to the clause's second-deepest level and asserts its deepest
@@ -876,7 +838,7 @@ class Engine:
     # duplicate recovery
     # ------------------------------------------------------------------
 
-    def _handle_duplicate(self) -> LrnOutcome:
+    def _handle_duplicate(self) -> DSequent:
         """A derived clause duplicates a stored one: decide the subspace semantically.
 
         Back out of all quantified-variable assignments and secondary targets,
@@ -899,8 +861,7 @@ class Engine:
         if not res.satisfiable:
             lits = tuple(-l for l in sorted(res.core, key=abs))
             clause = self._add_derived_clause(lits, True)
-            seed = self._emit(dsq.falsified_clause_dsequent(primary_clause, clause))
-            return LrnOutcome(dseq=self._rewrite(seed))
+            return self._rewrite(self._emit(dsq.falsified_clause_dsequent(primary_clause, clause)))
         # the model satisfies every live clause, and so does each shrunk
         # one: dropping v can only unsatisfy the live clauses v made true
         db = self.db
@@ -915,8 +876,7 @@ class Engine:
             ):
                 partial[v] = dropped
         y_star = {v: val for v, val in partial.items() if v in self.y_vars}
-        seed = self._emit(DSequent.make(self.primary, y_star, (), "sat-witness"))
-        return LrnOutcome(dseq=self._rewrite(seed))
+        return self._rewrite(self._emit(DSequent.make(self.primary, y_star, (), "sat-witness")))
 
     # ------------------------------------------------------------------
     # bookkeeping

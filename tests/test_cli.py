@@ -56,6 +56,19 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "learn_depth_k" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-seconds", "nan", "max_seconds"),
+            ("--max-seconds", "-5", "max_seconds"),
+            ("--max-conflicts", "-1", "max_conflicts"),
+        ],
+    )
+    def test_bad_budget_rejected(self, capsys, golden_file, flag, value, field):
+        code, out, err = run(capsys, "solve", golden_file, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.pqe")
         assert code == 2

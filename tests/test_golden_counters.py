@@ -11,9 +11,12 @@ builds no record it does not keep. A change that moves any answer, counter
 or trace line here must say why and re-record the file.
 
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
-`gen satred --vars 12 --clauses 51`, each with seeds 1-5. Each instance is
-pinned under the default options (key: the instance name) and under each
-option set of CONFIGS (key: instance name, a space, the CONFIGS label).
+`gen satred --vars 12 --clauses 51`, each with seeds 1-5, and the circuits
+of seeds 83 and 96, which each learn an F2-side conflict clause (the
+`derived-f2` path, `clauses_added_f2`) under most option sets. Each
+instance is pinned under the default options (key: the instance name) and
+under each option set of CONFIGS (key: instance name, a space, the CONFIGS
+label).
 """
 
 import hashlib
@@ -35,6 +38,8 @@ GEN = {
     "satred": ["satred", "--vars", "12", "--clauses", "51"],
 }
 
+F2_SIDE = {"circuit-83", "circuit-96"}
+
 CONFIGS = {
     "learn-k=-1": ["--learn-k", "-1"],
     "learn-k=2": ["--learn-k", "2"],
@@ -54,8 +59,9 @@ def _instance(name, tmp_path, capsys):
 
 
 def test_batch_is_complete():
-    names = {"golden"} | {f"{k}-{s}" for k in GEN for s in range(1, 6)}
+    names = {"golden"} | {f"{k}-{s}" for k in GEN for s in range(1, 6)} | F2_SIDE
     assert set(PINNED) == names | {f"{n} {c}" for n in names for c in CONFIGS}
+    assert all(PINNED[n]["stats"]["clauses_added_f2"] == 1 for n in F2_SIDE)
 
 
 def _solve(name, tmp_path, capsys, *flags):

@@ -8,16 +8,7 @@ from pqe.dsequent import DSequent
 from pqe.formula import EcnfProblem
 from pqe.io import parse_pqe
 from pqe.oracle import enumerate_qe, verify_pqe_solution
-from pqe.solver import (
-    ActiveDSequent,
-    BlockedTrg,
-    Engine,
-    FalsifiedClause,
-    LrnOutcome,
-    SatTrg,
-    SolverConfig,
-    solve_pqe,
-)
+from pqe.solver import Engine, SolverConfig, solve_pqe
 
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
 
@@ -99,11 +90,11 @@ class TestLearnSatisfiedTarget:
         helper = eng.db.find_active((3, 1))
         eng._apply(3, 0, None, level_start=True)
         eng._apply(1, 1, helper.id, level_start=False)
-        out = eng._lrn(SatTrg(1, 1))
-        assert out.clause is None
-        assert out.dseq.target == target.id
-        assert out.dseq.cond() == {3: 0}
-        assert out.dseq.constraint == {helper.id}
+        out = eng._round_condition()
+        assert isinstance(out, DSequent)
+        assert out.target == target.id
+        assert out.cond() == {3: 0}
+        assert out.constraint == {helper.id}
 
 
 class TestLearnBlockedTarget:
@@ -115,12 +106,12 @@ class TestLearnBlockedTarget:
         c1 = eng.db.find_active((4, 1))
         eng._apply(4, 0, None, level_start=True)
         eng._apply(1, 1, c1.id, level_start=False)
-        cond = eng._bcp()
-        assert cond == BlockedTrg(2)
-        out = eng._lrn(cond)
-        assert out.clause is None
-        assert out.dseq.cond() == {4: 0}
-        assert out.dseq.constraint == {c1.id}
+        out = eng._bcp()
+        assert eng.stats["dseq_atomic3"] == 1
+        assert isinstance(out, DSequent)
+        assert out.target == target.id
+        assert out.cond() == {4: 0}
+        assert out.constraint == {c1.id}
 
 
 class TestLearnFalsifiedNonTarget:
@@ -146,10 +137,10 @@ class TestLearnFalsifiedNonTarget:
         eng._apply(1, 1, stored, level_start=True)
         eng._apply(2, 1, c1.id, level_start=False)
         eng._apply(3, 1, c2.id, level_start=False)
-        out = eng._lrn(FalsifiedClause(c3.id))
-        assert out.clause is None
-        assert out.dseq.cond() == {5: 0}
-        assert out.dseq.constraint == {c1.id, c2.id, c3.id}
+        out = eng._lrn_falsified(c3.id)
+        assert isinstance(out, DSequent)
+        assert out.cond() == {5: 0}
+        assert out.constraint == {c1.id, c2.id, c3.id}
 
 
 class TestLearnFalsifiedTarget:
@@ -165,12 +156,13 @@ class TestLearnFalsifiedTarget:
         eng._apply(1, 1, stored, level_start=True)
         eng._apply(2, 1, c1.id, level_start=False)
         eng._apply(3, 1, c2.id, level_start=False)
-        out = eng._lrn(FalsifiedClause(target.id))
-        assert out.clause is not None
-        assert out.clause.lits == (-1, 5)
-        assert out.clause.is_f1_side()
-        assert out.dseq.cond() == {5: 0}
-        assert out.dseq.constraint == {out.clause.id}
+        out = eng._lrn_falsified(target.id)
+        helper = eng.db.find_active((-1, 5))
+        assert helper is not None
+        assert helper.is_f1_side()
+        assert isinstance(out, DSequent)
+        assert out.cond() == {5: 0}
+        assert out.constraint == {helper.id}
 
 
 class TestLearnActivatedRecord:
@@ -185,9 +177,9 @@ class TestLearnActivatedRecord:
         eng._apply(3, 0, None, level_start=True)
         eng._apply(1, 1, c1.id, level_start=False)
         eng._apply(2, 1, c2.id, level_start=False)
-        out = eng._lrn(ActiveDSequent(stored))
-        assert out.dseq.cond() == {3: 0}
-        assert out.dseq.constraint == {c1.id, c2.id}
+        out = eng._rewrite(stored)
+        assert out.cond() == {3: 0}
+        assert out.constraint == {c1.id, c2.id}
 
 
 class TestTargetStackWalkthrough:
@@ -209,7 +201,7 @@ class TestTargetStackWalkthrough:
         start_proof(eng, (5, 1))
         assert eng._bcp() is None
         eng._decide()
-        cond = eng._bcp()
+        out = eng._bcp()
         # two target levels, keyed by the unit chain, and the new target
         assert [(lv.key_clause, lv.key_var) for lv in eng.tlevels] == [
             (ids[(5, 1)], 1),
@@ -222,7 +214,9 @@ class TestTargetStackWalkthrough:
         ]
         assert live_partners == [(ids[(-1, 2)],), (ids[(-2, 3, 4)],)]
         assert eng.target == ids[(-2, 3, 4)]
-        assert cond == BlockedTrg(3)
+        # the new target is blocked at x3: its third-kind record comes back
+        assert eng.stats["dseq_atomic3"] == 1
+        assert isinstance(out, DSequent) and out.target == ids[(-2, 3, 4)]
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0), (1, 1), (2, 1)]
 
     def test_special_backtracking_sequence(self):
@@ -230,24 +224,23 @@ class TestTargetStackWalkthrough:
         start_proof(eng, (5, 1))
         eng._bcp()
         eng._decide()
-        cond = eng._bcp()
-        out = eng._lrn(cond)
-        assert out.dseq.cond() == {5: 0} and not out.dseq.constraint
+        out = eng._bcp()
+        assert out.cond() == {5: 0} and not out.constraint
         trail_before = [(e.var, e.val) for e in eng.trail]
         # the deepest proof cannot move past its point of origin, so marking
         # it done immediately pops the top level, certifying its key clause
-        res = eng._bcktr_dseq(out.dseq)
+        res = eng._bcktr_dseq(out)
         assert trail_before == [(5, 0), (1, 1), (2, 1)]
-        assert isinstance(res, LrnOutcome)
-        assert res.dseq.target == ids[(-1, 2)]
-        assert res.dseq.cond() == {5: 0} and not res.dseq.constraint
+        assert isinstance(res, DSequent)
+        assert res.target == ids[(-1, 2)]
+        assert res.cond() == {5: 0} and not res.constraint
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0), (1, 1)]
         assert eng.db.is_active(ids[(-2, 3, 4)])
         # the popped key clause is itself done at the level below; cascade
-        res2 = eng._bcktr_dseq(res.dseq)
-        assert isinstance(res2, LrnOutcome)
-        assert res2.dseq.target == ids[(5, 1)]
-        assert res2.dseq.cond() == {5: 0} and not res2.dseq.constraint
+        res2 = eng._bcktr_dseq(res)
+        assert isinstance(res2, DSequent)
+        assert res2.target == ids[(5, 1)]
+        assert res2.cond() == {5: 0} and not res2.constraint
         assert eng.tlevels == []
         assert [(e.var, e.val) for e in eng.trail] == [(5, 0)]
         assert eng.db.is_active(ids[(-1, 2)])
@@ -284,9 +277,9 @@ class TestStoredRecordPropagation:
         rec = DSequent.make(target.id, {6: 0}, (), "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng._apply(6, 0, None, level_start=True)
-        cond = eng._stored_record_check()
-        assert isinstance(cond, ActiveDSequent)
-        assert cond.record.cond() == {6: 0}
+        out = eng._stored_record_check()
+        assert isinstance(out, DSequent)
+        assert out.cond() == {6: 0}
         assert eng.stats["dseq_reused"] == 1
 
     def test_reactivation_substitutes_missing_support(self):
@@ -299,10 +292,10 @@ class TestStoredRecordPropagation:
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None, level_start=True)  # satisfies the helper via -3
-        cond = eng._stored_record_check()
-        assert isinstance(cond, ActiveDSequent)
-        assert cond.record.cond() == {3: 0}
-        assert cond.record.constraint == frozenset()
+        out = eng._stored_record_check()
+        assert isinstance(out, DSequent)
+        assert out.cond() == {3: 0}
+        assert out.constraint == frozenset()
         assert eng.stats["dseq_substitute"] == 1
 
     def test_unusable_record_skipped_when_support_gone(self):
@@ -357,9 +350,9 @@ class TestDuplicateRecovery:
         eng._apply(3, 0, None, level_start=True)
         eng._apply(4, 0, None, level_start=True)
         out = eng._handle_duplicate()
-        assert out.dseq.rule in ("sat-witness", "join")
-        assert 4 not in out.dseq.cond()
-        assert out.dseq.cond() == {3: 0}
+        assert out.rule in ("sat-witness", "join")
+        assert 4 not in out.cond()
+        assert out.cond() == {3: 0}
 
     def test_unsat_subspace_adds_free_clause(self):
         eng = make_engine([1], [3], f1=[(3, 1)], f2=[(-1,), (1, -3, 3) if False else (1, 3)])
@@ -368,7 +361,7 @@ class TestDuplicateRecovery:
         eng._apply(3, 0, None, level_start=True)
         out = eng._handle_duplicate()
         # under y=0 the formula is contradictory: (x1 v y) forces x1, (-x1) refutes
-        assert out.dseq is not None
+        assert isinstance(out, DSequent)
         added = [cid for cid in eng.f1_ids if eng.db.clause(cid).origin == "derived-f1"]
         assert added and eng.db.clause(added[0]).lits == (3,)
 
@@ -456,3 +449,12 @@ class TestConfigValidation:
     def test_rejects_learn_depth_below_minus_1(self, k):
         with pytest.raises(ValueError, match="learn_depth_k"):
             SolverConfig(learn_depth_k=k)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), -5.0])
+    def test_rejects_time_budget_nan_or_negative(self, seconds):
+        with pytest.raises(ValueError, match="max_seconds"):
+            SolverConfig(max_seconds=seconds)
+
+    def test_rejects_negative_conflict_budget(self):
+        with pytest.raises(ValueError, match="max_conflicts"):
+            SolverConfig(max_conflicts=-1)
