@@ -88,6 +88,10 @@ def _cmd_gen(args) -> int:
         det = bool(inst.meta.get("det", True))
         line = harness.manifest_line(args.seed, args.seed, args.inputs, args.gates, det, args.output)
     else:
+        if args.vars < 1:
+            raise ValueError(f"--vars must be 1 or more, not {args.vars}")
+        if args.clauses < 0:
+            raise ValueError(f"--clauses must be 0 or more, not {args.clauses}")
         rng = random.Random(args.seed)
         clauses = []
         for _ in range(args.clauses):

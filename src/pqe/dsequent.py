@@ -11,7 +11,7 @@ removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import (
     Assignment,
@@ -153,10 +153,10 @@ def falsified_clause_dsequent(target: Clause, b: Clause) -> DSequent:
 
 
 def atomic_third_kind(
-    c: Clause, v: int, x_vars: Iterable[int], resolvable_dseqs: Sequence[DSequent]
+    c: Clause, v: int, x_vars: Collection[int], resolvable_dseqs: Sequence[DSequent]
 ) -> DSequent:
     """The target is blocked at quantified variable v given records for all partners."""
-    if v not in set(x_vars) or c.lit_on(v) is None:
+    if v not in x_vars or c.lit_on(v) is None:
         raise TargetNotXClause(f"{v} is not a quantified variable of clause {c.id}")
     merged: Assignment = {}
     for ds in resolvable_dseqs:
@@ -293,10 +293,10 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
     targets = [ds.target for ds in dseqs]
     if len(set(targets)) != n:
         raise ValueError("records must target distinct clauses")
+    conds = [ds.cond() for ds in dseqs]
     for i in range(n):
-        qi = dseqs[i].cond()
         for j in range(i + 1, n):
-            if not assignments_compatible(qi, dseqs[j].cond()):
+            if not assignments_compatible(conds[i], conds[j]):
                 return Inconsistent(incompatible=(i, j))
     pos = {t: i for i, t in enumerate(targets)}
     succs = [[pos[t] for t in sorted(ds.constraint) if t in pos] for ds in dseqs]

@@ -188,7 +188,15 @@ class ClauseDb:
     ``reactivate`` move a clause into or out of the sets. The sets hold
     exactly the active clauses for which ``clause_falsified`` and
     ``unit_literal`` would answer, so the lowest id in a set is the one a
-    scan of ``active_ids()`` in id order would find first.
+    scan of ``active_ids()`` in id order would find first. Every id that
+    joins ``units`` is also appended to ``new_units``, which the reader
+    drains: a clause that stayed in ``units`` since the last drain kept its
+    free literal.
+
+    ``partners`` indexes, per (clause id, literal), the ids of the clauses
+    resolvable with that clause on the literal's variable. Ids and literals
+    never change and occurrence lists only grow, so a list is extended, not
+    rebuilt, when clauses have arrived since it was last read.
     """
 
     def __init__(self) -> None:
@@ -204,6 +212,9 @@ class ClauseDb:
         self._open_sum: List[int] = [0]  # by id: sum of the literals not false
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
+        self.new_units: List[int] = []  # ids that joined ``units`` since the last drain
+        self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
+        self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
 
     def add(self, lits: Iterable[int], origin: str) -> Clause:
         """Insert a clause; a duplicate of an active clause returns the existing one."""
@@ -222,14 +233,17 @@ class ClauseDb:
         self._dedup[key] = cid
         self._any[key] = cid
         true = open_ = open_sum = 0
+        values, occ = self.values, self._occ
         for l in key:
-            self._occ.setdefault(l, []).append(cid)
-            t = lit_truth(l, self.values)
-            if t != 0:
+            occ.setdefault(l, []).append(cid)
+            val = values.get(abs(l))
+            if val is None:
                 open_ += 1
                 open_sum += l
-                if t:
-                    true += 1
+            elif val == (l > 0):
+                open_ += 1
+                open_sum += l
+                true += 1
         self._true.append(true)
         self._open.append(open_)
         self._open_sum.append(open_sum)
@@ -243,6 +257,7 @@ class ClauseDb:
                 self.falsified.add(cid)
             elif self._open[cid] == 1:
                 self.units.add(cid)
+                self.new_units.append(cid)
 
     def clause(self, cid: int) -> Clause:
         return self._clauses[cid]
@@ -290,6 +305,46 @@ class ClauseDb:
         ascending. The store's own list: read it, do not change it."""
         return self._occ.get(lit, ())
 
+    def partners(self, cid: int, lit: int) -> Sequence[int]:
+        """Ids of all clauses (any liveness) resolvable with clause ``cid``
+        on the variable of its literal ``lit``, ascending. The store's own
+        list: read it, do not change it."""
+        key = (cid, lit)
+        ids = self._partner_ids.get(key)
+        if ids is None:
+            ids = self._partner_ids[key] = []
+            self._partner_scanned[key] = 0
+        occ = self._occ.get(-lit, ())
+        scanned = self._partner_scanned[key]
+        if scanned < len(occ):
+            # a partner holds -lit; it resolves with the clause iff that is
+            # its only clash
+            mine = set(self._clauses[cid].lits)
+            for other in occ[scanned:]:
+                if not any(-l in mine for l in self._clauses[other].lits if l != -lit):
+                    ids.append(other)
+            self._partner_scanned[key] = len(occ)
+        return ids
+
+    def blocked_on(self, cid: int, lit: int) -> bool:
+        """No live clause the assignment leaves unsatisfied is resolvable
+        with clause ``cid`` on the variable of its literal ``lit``: what
+        ``is_blocked`` finds by a scan, read from the index and the counts."""
+        active, true = self._active, self._true
+        for other in self.partners(cid, lit):
+            if active[other] and not true[other]:
+                return False
+        return True
+
+    def audit_partners(self) -> None:
+        """Every cached partner list equals a ``resolvable_on`` scan of the
+        occurrences it has read (a ``check_invariants`` audit)."""
+        for (cid, lit), ids in self._partner_ids.items():
+            lits = self._clauses[cid].lits
+            read = self._occ.get(-lit, [])[: self._partner_scanned[(cid, lit)]]
+            want = [o for o in read if resolvable_on(lits, self._clauses[o].lits, abs(lit))]
+            assert ids == want, f"partner list of clause {cid} on {lit}: {ids} != {want}"
+
     # -- propagation state ---------------------------------------------
 
     def assign(self, var: int, val: int) -> None:
@@ -297,7 +352,7 @@ class ClauseDb:
         self.values[var] = val
         lit = var if val else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum = self._open_sum
+        open_sum, new_units = self._open_sum, self.new_units
         for cid in self._occ.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
@@ -309,6 +364,7 @@ class ClauseDb:
             if n <= 1 and not true[cid] and active[cid]:
                 if n:
                     units.add(cid)
+                    new_units.append(cid)
                 else:
                     units.discard(cid)
                     self.falsified.add(cid)
@@ -317,11 +373,12 @@ class ClauseDb:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum = self._open_sum
+        open_sum, new_units = self._open_sum, self.new_units
         for cid in self._occ.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
+                new_units.append(cid)
         for cid in self._occ.get(-lit, ()):
             open_sum[cid] -= lit
             n = open_[cid] + 1
@@ -330,6 +387,7 @@ class ClauseDb:
                 if n == 1:
                     self.falsified.discard(cid)
                     units.add(cid)
+                    new_units.append(cid)
                 else:
                     units.discard(cid)
 
@@ -357,20 +415,23 @@ class ClauseDb:
 def is_blocked(db: ClauseDb, c: Clause, v: int) -> bool:
     """True iff no live unsatisfied clause is resolvable with c on v.
 
-    Satisfaction is read from the store's assignment. Clauses clashing with
-    c on a second variable resolve to tautologies and never block;
-    soft-deleted clauses are out of the formula in the current subspace.
-    Assumes v is unassigned and c is not satisfied.
+    A scan of the occurrence list that evaluates each partner under the
+    store's assignment: the reference that ``ClauseDb.blocked_on`` is
+    audited against. Clauses clashing with c on a second variable resolve
+    to tautologies and never block; soft-deleted clauses are out of the
+    formula in the current subspace. Assumes v is unassigned and c is not
+    satisfied.
     """
     lit = c.lit_on(v)
     if lit is None:
         raise ValueError(f"variable {v} does not occur in clause {c.id}")
     mine = set(c.lits)
     for cid in db.occurrences(-lit):
-        if cid == c.id or not db.is_active(cid) or db.is_satisfied(cid):
+        partner = db.clause(cid).lits
+        if cid == c.id or not db.is_active(cid) or clause_satisfied(partner, db.values):
             continue
         # the partner holds -lit; it resolves with c iff that is its only clash
-        if not any(-l in mine for l in db.clause(cid).lits if l != -lit):
+        if not any(-l in mine for l in partner if l != -lit):
             return False
     return True
 

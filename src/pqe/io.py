@@ -16,7 +16,7 @@ is written and tolerated when absent on read.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, NoReturn, Sequence, Tuple
 
 from .formula import EcnfProblem, Lits, PqeError, TautologyError, canonical_lits
 
@@ -67,17 +67,30 @@ def _token_col(raw: str, idx: int) -> int:
     return max(1, len(raw))
 
 
-def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
-    toks = stripped.split()
-    if toks[-1] != "0":
-        raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
-    lits: List[int] = []
+def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: int) -> NoReturn:
+    """Raise the positioned error for the first bad literal token of a
+    clause line (not an integer, 0, or out of range)."""
     for i, tok in enumerate(toks[:-1]):
         lit = _parse_int(tok, ln, raw, i)
         if lit == 0:
             raise PqeSyntaxError(ln, _token_col(raw, i), "literal 0 inside a clause line")
         if abs(lit) > max_var:
             raise PqeSemanticError(ln, _token_col(raw, i), f"variable {abs(lit)} out of range")
+    raise AssertionError("no bad literal on the line")
+
+
+def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
+    toks = stripped.split()
+    if toks[-1] != "0":
+        raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
+    lits: List[int] = []
+    for tok in toks[:-1]:
+        try:
+            lit = int(tok)
+        except ValueError:
+            lit = 0
+        if not (lit and -max_var <= lit <= max_var):
+            _raise_bad_literal(raw, toks, ln, max_var)
         lits.append(lit)
     try:
         return canonical_lits(lits)

@@ -45,14 +45,14 @@ class _Solver:
         seen = set()
         for c in clauses:
             distinct = set(c)
-            lits = sorted(distinct, key=abs)
-            seen.update(abs(l) for l in lits)
-            if any(-l in distinct for l in lits):
+            cvars = {abs(l) for l in distinct}
+            seen |= cvars
+            if len(cvars) != len(distinct):
                 continue  # tautology constrains nothing
-            if not lits:
+            if not distinct:
                 self.empty_clause = True
             else:
-                self._add_clause(lits)
+                self._add_clause(sorted(distinct, key=abs))
         self.vars = sorted(seen)
 
     def _add_clause(self, lits: List[int]) -> int:
@@ -78,36 +78,43 @@ class _Solver:
         self.trail.append(lit)
 
     def _propagate(self, head: int) -> Optional[int]:
-        """Watch-based unit propagation; returns a falsified clause index."""
-        while head < len(self.trail):
-            lit = self.trail[head]
+        """Watch-based unit propagation; returns a falsified clause index.
+
+        A literal l is true when ``assign.get(abs(l)) == (l > 0)``: values
+        are 0/1, and an unassigned variable compares unequal to both.
+        """
+        trail, watches, clauses, assign = self.trail, self.watches, self.clauses, self.assign
+        while head < len(trail):
+            lit = trail[head]
             head += 1
-            watching = self.watches.get(-lit, [])
+            watching = watches.get(-lit)
+            if not watching:
+                continue
             i = 0
             while i < len(watching):
                 ci = watching[i]
-                lits = self.clauses[ci]
+                lits = clauses[ci]
                 if lits[0] == -lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                if self._value(lits[0]) == 1:
+                first = lits[0]
+                first_val = assign.get(abs(first))
+                if first_val == (first > 0):
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
+                    other = lits[k]
+                    val = assign.get(abs(other))
+                    if val is None or val == (other > 0):
+                        lits[1], lits[k] = other, lits[1]
                         watching[i] = watching[-1]
                         watching.pop()
-                        self.watches.setdefault(lits[1], []).append(ci)
-                        moved = True
+                        watches.setdefault(other, []).append(ci)
                         break
-                if moved:
-                    continue
-                if self._value(lits[0]) == 0:
-                    return ci
-                if self._value(lits[0]) is None:
-                    self._assign(lits[0], ci)
-                i += 1
+                else:
+                    if first_val is not None:
+                        return ci  # every literal is false
+                    self._assign(first, ci)
+                    i += 1
         return None
 
     def _analyze(self, conflict: int):

@@ -46,9 +46,18 @@ the sets of active falsified and active unit clause ids (see ``ClauseDb``).
 A round of BCP reads the target's counts, takes the lowest falsified id and
 enqueues the units in ascending id order, which is the order a scan of the
 formula in id order would find them in; a unit's free literal is its sum.
-The blocked-clause test reads the partners' true counts too.
-``SolverConfig.check_invariants`` re-derives the sets and the free
-literals by such a scan at every round and asserts that they agree.
+A round offers only the units the store lists in ``new_units``, the ids
+that joined the unit set since the last round drained it. A unit that
+stayed in the set kept its free variable unassigned, and that variable
+was queued when the unit was offered: every queue pick assigns its
+variable, so only ``_clear_queue`` empties the queue without an
+assignment, and after it the next round offers every unit again.
+The blocked-clause test reads the store's partner index: per (clause,
+literal) the ascending ids of the clauses resolvable with it, extended
+when derived clauses arrive, and the partners' liveness and true counts.
+``SolverConfig.check_invariants`` re-derives the sets, the free literals,
+the partner lists and the blocked test by scans at every round, and
+asserts that they agree and that every unit's free variable is queued.
 
 Records
 -------
@@ -73,12 +82,10 @@ from .formula import (
     ClauseDb,
     EcnfProblem,
     Lits,
-    assignment_subsumes,
     clause_falsified,
     clause_satisfied,
     falsifying_assignment,
     is_blocked,
-    resolvable_on,
     resolve,
     satisfying_value,
     unit_literal,
@@ -168,9 +175,10 @@ class Engine:
         self.x_vars = set(problem.x_vars)
         self.y_vars = set(problem.y_vars)
         self.db = ClauseDb()
-        self.f1_ids: Set[int] = set()
+        # ascending: derived clauses get higher ids than every stored one
+        self.f1_ids: List[int] = []
         for lits in problem.f1:
-            self.f1_ids.add(self.db.add_canonical(lits, "f1-initial").id)
+            self.f1_ids.append(self.db.add_canonical(lits, "f1-initial").id)
         for lits in problem.f2:
             self.db.add_canonical(lits, "f2-initial")
         self.store = DSequentStore(self.config.learn_depth_k)
@@ -184,12 +192,15 @@ class Engine:
         self.level_start: List[int] = [0]
         self.queue: List[Tuple[int, int, object]] = []
         self.queued: Set[int] = set()
+        self._offer_all = True  # the next round offers every unit, not just new ones
         self.tlevels: List[TargetLevel] = []
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
         self._pick: Optional[int] = _NOT_PICKED
         self._deadline: Optional[float] = None
+        self._next_f1 = 0  # f1_ids before it are proved or have no quantified literal
+        self._rule_keys: Dict[str, str] = {}  # record rule -> its stats key
 
     # ------------------------------------------------------------------
     # top level
@@ -210,16 +221,21 @@ class Engine:
             self.removed.add(cid)
         f1_star = tuple(
             self.db.clause(cid).lits
-            for cid in sorted(self.f1_ids)
+            for cid in self.f1_ids
             if self.db.is_active(cid) and not self.problem.is_x_clause(self.db.clause(cid).lits)
         )
         self.stats["wall_time_s"] = time.monotonic() - t0
         return PqeResult(f1_star, dict(self.stats))
 
     def _next_primary(self) -> Optional[int]:
-        for cid in sorted(self.f1_ids):
+        # between proofs only the proved primaries are inactive, and they
+        # never return, so the clauses passed over stay passed over
+        ids = self.f1_ids
+        while self._next_f1 < len(ids):
+            cid = ids[self._next_f1]
             if self.db.is_active(cid) and self.problem.is_x_clause(self.db.clause(cid).lits):
                 return cid
+            self._next_f1 += 1
         return None
 
     # ------------------------------------------------------------------
@@ -305,6 +321,7 @@ class Engine:
     def _clear_queue(self) -> None:
         self.queue.clear()
         self.queued.clear()
+        self._offer_all = True
 
     def _enqueue(self, var: int, val: int, reason: object) -> None:
         if var in self.assign or var in self.queued:
@@ -384,6 +401,7 @@ class Engine:
             # a stable point between propagation steps
             self._audit_trail()
             self._audit_stack()
+            self.db.audit_partners()
         db = self.db
         if db.is_satisfied(self.target):
             tgt = db.clause(self.target)
@@ -393,9 +411,18 @@ class Engine:
             return self._lrn_falsified(self.target)
         if db.falsified:
             return self._lrn_falsified(min(db.falsified))
-        for cid in sorted(db.units):
+        if self._offer_all:
+            self._offer_all = False
+            offered = sorted(db.units)
+        else:
+            offered = sorted(db.units.intersection(db.new_units))
+        db.new_units.clear()
+        for cid in offered:
             ul = db.free_literal(cid)
             self._enqueue(abs(ul), satisfying_value(ul), cid)
+        if self.config.check_invariants:
+            for cid in db.units:
+                assert abs(db.free_literal(cid)) in self.queued, f"unit {cid} is not queued"
         return None
 
     def _audit_trail(self) -> None:
@@ -450,8 +477,14 @@ class Engine:
         records = self.store.records_for(self.target)
         if not records:
             return None
-        db = self.db
+        db, assign = self.db, self.assign
         for stored in records:
+            # the conditional first: it rules out most records at once
+            subsumed = all(assign.get(v) == b for v, b in stored.policy.conditional)
+            if not subsumed:
+                hint = dsq.unit_deactivating_assignment(stored.policy, assign)
+                if hint is None or hint[0] in self.queued:
+                    continue
             if not all(db.is_active(cid) for cid in stored.policy.constraint):
                 continue
             # sound reuse needs every as-derived support clause back in the
@@ -461,13 +494,9 @@ class Engine:
                 db.is_active(cid) or db.is_satisfied(cid) for cid in stored.full.constraint
             ):
                 continue
-            q = stored.policy.cond()
-            if assignment_subsumes(q, self.assign):
+            if subsumed:
                 self.stats["dseq_reused"] += 1
                 return self._rewrite(self._reactivate_record(stored.full))
-            hint = dsq.unit_deactivating_assignment(stored.policy, self.assign)
-            if hint is None or hint[0] in self.queued:
-                continue
             if self._pick == _NOT_PICKED:
                 self._pick = self._pick_branch_var()
             if hint[0] != self._pick:
@@ -477,12 +506,16 @@ class Engine:
         return None
 
     def _blocked_var(self) -> Optional[int]:
-        tgt = self.db.clause(self.target)
+        db = self.db
+        tgt = db.clause(self.target)
         for lit in tgt.lits:
             v = abs(lit)
             if v in self.assign or v not in self.x_vars:
                 continue
-            if is_blocked(self.db, tgt, v):
+            blocked = db.blocked_on(tgt.id, lit)
+            if self.config.check_invariants:
+                assert blocked == is_blocked(db, tgt, v), f"blocked test of {tgt.id} on {v}"
+            if blocked:
                 return v
         return None
 
@@ -527,15 +560,12 @@ class Engine:
             self.stats["max_target_depth"] = len(self.tlevels)
 
     def _partners(self, clause: Clause, v: int) -> Tuple[int, ...]:
-        """Ids of clauses resolvable with the given clause on v, any liveness."""
-        lit = clause.lit_on(v)
-        out = []
-        for cid in self.db.occurrences(-lit):
-            if cid == clause.id or cid in self.removed:
-                continue
-            if resolvable_on(clause.lits, self.db.clause(cid).lits, v):
-                out.append(cid)
-        return tuple(sorted(out))
+        """Ids of clauses resolvable with the given clause on v, any liveness
+        but the proved primaries, ascending."""
+        removed = self.removed
+        return tuple(
+            cid for cid in self.db.partners(clause.id, clause.lit_on(v)) if cid not in removed
+        )
 
     # ------------------------------------------------------------------
     # target management
@@ -888,7 +918,7 @@ class Engine:
         # an implied clause leaves every learned record valid: none is touched
         if len(self.db) > before:
             if f1_side:
-                self.f1_ids.add(clause.id)
+                self.f1_ids.append(clause.id)
                 self.stats["clauses_added_f1"] += 1
             else:
                 self.stats["clauses_added_f2"] += 1
@@ -902,7 +932,9 @@ class Engine:
 
     def _count(self, rule: str) -> None:
         self.stats["dseq_generated"] += 1
-        key = f"dseq_{rule.replace('-', '_')}"
+        key = self._rule_keys.get(rule)
+        if key is None:
+            key = self._rule_keys[rule] = f"dseq_{rule.replace('-', '_')}"
         self.stats[key] = self.stats.get(key, 0) + 1
 
     def _show(self, ds: DSequent) -> None:

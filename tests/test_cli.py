@@ -162,6 +162,27 @@ class TestGen:
         assert code == 0
         assert out in ("s pqe 0\n", "s pqe 1\n0\n")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--vars", "0"), ("--vars", "-3"), ("--clauses", "-2")],
+    )
+    def test_gen_satred_rejects_bad_sizes(self, capsys, tmp_path, flag, value):
+        out_file = tmp_path / "s.pqe"
+        sizes = {"--vars": "6", "--clauses": "3", flag: value}
+        args = [a for kv in sizes.items() for a in kv]
+        code, out, err = run(capsys, "gen", "satred", *args, "-o", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err
+        assert not out_file.exists()
+
+    def test_gen_satred_accepts_no_clauses(self, capsys, tmp_path):
+        out_file = tmp_path / "s.pqe"
+        code, _, _ = run(capsys, "gen", "satred", "--vars", "1", "--clauses", "0",
+                         "-o", str(out_file))
+        assert code == 0
+        code, out, _ = run(capsys, "solve", str(out_file))
+        assert code == 0
+
     def test_gen_drop_marks_nondet(self, capsys, tmp_path):
         out_file = tmp_path / "d.pqe"
         code, out, _ = run(

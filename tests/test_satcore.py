@@ -1,3 +1,5 @@
+from hypothesis import given, settings, strategies as st
+
 from pqe.oracle import cnf_satisfiable
 from pqe.satcore import sat_solve
 from tests.conftest import rand_cnf
@@ -62,3 +64,27 @@ class TestAgainstEnumeration:
             else:
                 assert set(res.core) <= set(assume)
                 assert not cnf_satisfiable(list(clauses) + [(a,) for a in res.core])
+
+
+_literal = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+class TestAgainstEnumerationProperty:
+    # duplicate literals, tautologies and empty clauses all appear: the
+    # solver drops tautologies and flags an empty clause while it sets up
+    @settings(max_examples=300, deadline=None)
+    @given(
+        clauses=st.lists(st.lists(_literal, max_size=5), max_size=12),
+        assumptions=st.lists(_literal, max_size=4),
+    )
+    def test_answer_model_and_core(self, clauses, assumptions):
+        res = sat_solve(clauses, assumptions)
+        units = [(a,) for a in assumptions]
+        assert res.satisfiable == cnf_satisfiable(clauses + units)
+        if res.satisfiable:
+            variables = {abs(l) for c in clauses for l in c} | {abs(a) for a in assumptions}
+            assert set(res.model) == variables
+            assert model_satisfies(clauses + units, res.model)
+        else:
+            assert res.core <= set(assumptions)
+            assert not cnf_satisfiable(clauses + [(a,) for a in res.core])

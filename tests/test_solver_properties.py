@@ -203,6 +203,37 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng._audit_stack()
 
+    def test_audit_catches_unit_not_reoffered(self, monkeypatch):
+        # a round offers only the units new since the last one, so after the
+        # queue is emptied without assignments every unit must be offered
+        def clear_without_reoffer(self):
+            self.queue.clear()
+            self.queued.clear()
+
+        monkeypatch.setattr(Engine, "_clear_queue", clear_without_reoffer)
+        with pytest.raises(AssertionError, match="is not queued"):
+            for problem in benchmark_family_instances():
+                Engine(problem, SolverConfig(check_invariants=True)).solve()
+
+    def test_audit_catches_dropped_partner(self):
+        problem = EcnfProblem.make([1], [2, 3, 4], [(1, 2)], [(-1, 3), (-1, 4)])
+        eng = Engine(problem, SolverConfig(check_invariants=True))
+        target = min(eng.f1_ids)
+        assert list(eng.db.partners(target, 1)) == [2, 3]
+        eng.db.audit_partners()
+        eng.db.partners(target, 1).pop()  # lose partner 3 from the index
+        with pytest.raises(AssertionError, match="partner list"):
+            eng.solve()
+
+    def test_audit_catches_corrupt_true_count(self):
+        problem = EcnfProblem.make([1], [2, 3], [(1, 2)], [(-1, 3)])
+        eng = Engine(problem, SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        assert eng._blocked_var() is None  # (-1 3) is a live unsatisfied partner
+        eng.db._true[2] = 1  # the partner now reads as satisfied
+        with pytest.raises(AssertionError, match="blocked test"):
+            eng._blocked_var()
+
     def test_termination_without_budget(self):
         rng = random.Random(404)
         for _ in range(200):
