@@ -109,9 +109,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # reject bad arguments before any method runs or prints a row
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("--methods names no method; choose from pqe, m1, m2")
+    for name in methods:
+        if name not in ("pqe", "m1", "m2"):
+            raise ValueError(f"unknown method {name!r}; choose from pqe, m1, m2")
+    if args.budget < 1:
+        raise ValueError(f"--budget must be 1 or more, not {args.budget}")
     problem = _read_problem(args.file)
     inst = harness.PqeInstance(problem, {"kind": "circuit"})
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     print(f"{'method':8} {'clauses':>8} {'shortest':>9} {'seconds':>9}")
     for name in methods:
         t0 = time.monotonic()
@@ -119,11 +127,8 @@ def _cmd_compare(args) -> int:
             g = harness.pqe_blocking(inst, _config_from_args(args))
         elif name == "m1":
             g = harness.method1_blocking(inst, args.budget)
-        elif name == "m2":
-            g = harness.method2_corelift(inst, args.budget)
         else:
-            print(f"unknown method {name!r}", file=sys.stderr)
-            return 2
+            g = harness.method2_corelift(inst, args.budget)
         dt = time.monotonic() - t0
         if isinstance(g, harness.Inapplicable):
             print(f"{name:8} {'-':>8} {'inapplicable':>9} {dt:9.3f}")

@@ -188,10 +188,7 @@ class ClauseDb:
     ``reactivate`` move a clause into or out of the sets. The sets hold
     exactly the active clauses for which ``clause_falsified`` and
     ``unit_literal`` would answer, so the lowest id in a set is the one a
-    scan of ``active_ids()`` in id order would find first. Every id that
-    joins ``units`` is also appended to ``new_units``, which the reader
-    drains: a clause that stayed in ``units`` since the last drain kept its
-    free literal.
+    scan of ``active_ids()`` in id order would find first.
 
     ``partners`` indexes, per (clause id, literal), the ids of the clauses
     resolvable with that clause on the literal's variable. Ids and literals
@@ -212,7 +209,6 @@ class ClauseDb:
         self._open_sum: List[int] = [0]  # by id: sum of the literals not false
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
-        self.new_units: List[int] = []  # ids that joined ``units`` since the last drain
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
         self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
 
@@ -257,7 +253,6 @@ class ClauseDb:
                 self.falsified.add(cid)
             elif self._open[cid] == 1:
                 self.units.add(cid)
-                self.new_units.append(cid)
 
     def clause(self, cid: int) -> Clause:
         return self._clauses[cid]
@@ -352,7 +347,7 @@ class ClauseDb:
         self.values[var] = val
         lit = var if val else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, new_units = self._open_sum, self.new_units
+        open_sum = self._open_sum
         for cid in self._occ.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
@@ -364,7 +359,6 @@ class ClauseDb:
             if n <= 1 and not true[cid] and active[cid]:
                 if n:
                     units.add(cid)
-                    new_units.append(cid)
                 else:
                     units.discard(cid)
                     self.falsified.add(cid)
@@ -373,12 +367,11 @@ class ClauseDb:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, new_units = self._open_sum, self.new_units
+        open_sum = self._open_sum
         for cid in self._occ.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
-                new_units.append(cid)
         for cid in self._occ.get(-lit, ()):
             open_sum[cid] -= lit
             n = open_[cid] + 1
@@ -387,7 +380,6 @@ class ClauseDb:
                 if n == 1:
                     self.falsified.discard(cid)
                     units.add(cid)
-                    new_units.append(cid)
                 else:
                     units.discard(cid)
 

@@ -8,9 +8,8 @@ Besides ordinary decisions, two kinds of assignment start their own level:
 an assignment derived from the current target clause itself (it steers the
 search, it is not an implication), and a deactivating assignment derived
 from a D-sequent. Level-wise backtracking can therefore undo them cleanly.
-Decisions are applied when they are made; the queue holds implications,
-target-derived steering and record hints, and no queued variable is ever
-assigned.
+Decisions are applied when they are made; everything else is applied by
+BCP, one assignment per step (see Propagation state).
 
 While proving one clause redundant the engine may need other clauses proved
 first; those secondary targets are tracked by a stack of target levels, one
@@ -43,21 +42,23 @@ assignment and unassignment goes through ``_apply`` and ``_pop_suffix`` to
 the clause store, which keeps per clause a count of true literals, a count
 of non-false ones and the sum of the non-false ones, and from the counts
 the sets of active falsified and active unit clause ids (see ``ClauseDb``).
-A round of BCP reads the target's counts, takes the lowest falsified id and
-enqueues the units in ascending id order, which is the order a scan of the
-formula in id order would find them in; a unit's free literal is its sum.
-A round offers only the units the store lists in ``new_units``, the ids
-that joined the unit set since the last round drained it. A unit that
-stayed in the set kept its free variable unassigned, and that variable
-was queued when the unit was offered: every queue pick assigns its
-variable, so only ``_clear_queue`` empties the queue without an
-assignment, and after it the next round offers every unit again.
+A round of BCP reads the target's counts and takes the lowest falsified id.
+Failing a condition, it makes one assignment, the first of: the pending
+one, the unit clause with the lowest id other than the target, and the
+target's own unit. The lowest id is the one a scan of the formula in id
+order would find first, and ``_bcp_star`` applies units by the same rule;
+a unit's free literal is its sum. The pending assignment is the one a
+backtrack or a record asks for: a record's flip or missing variable, a
+conflict clause's asserting literal or a stored record's hint. At most one
+exists, and backtracking replaces it. The target's unit comes last because
+it is no implication: on a free variable it steers the branch, on a
+quantified one it starts ``_bcp_star``.
 The blocked-clause test reads the store's partner index: per (clause,
 literal) the ascending ids of the clauses resolvable with it, extended
 when derived clauses arrive, and the partners' liveness and true counts.
 ``SolverConfig.check_invariants`` re-derives the sets, the free literals,
 the partner lists and the blocked test by scans at every round, and
-asserts that they agree and that every unit's free variable is queued.
+asserts that they agree and that the pending variable is unassigned.
 
 Records
 -------
@@ -190,9 +191,8 @@ class Engine:
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
         self.level_start: List[int] = [0]
-        self.queue: List[Tuple[int, int, object]] = []
-        self.queued: Set[int] = set()
-        self._offer_all = True  # the next round offers every unit, not just new ones
+        # (var, value, reason) a backtrack or a record asks for; applied first
+        self._pending: Optional[Tuple[int, int, object]] = None
         self.tlevels: List[TargetLevel] = []
         self.removed: Set[int] = set()
         self.primary = 0
@@ -280,7 +280,7 @@ class Engine:
         while self.tlevels:
             self._drop_tlevel()
         self._pop_suffix(0)
-        self._clear_queue()
+        self._pending = None
 
     def _check_budget(self) -> None:
         mc = self.config.max_conflicts
@@ -290,7 +290,7 @@ class Engine:
             raise ResourceLimit(f"time budget {self.config.max_seconds}s exhausted")
 
     # ------------------------------------------------------------------
-    # assignments, trail, queue
+    # assignments and trail
     # ------------------------------------------------------------------
 
     def _apply(self, var: int, val: int, reason: object, level_start: bool) -> None:
@@ -318,29 +318,6 @@ class Engine:
             return
         self._pop_suffix(self.level_start[level + 1])
 
-    def _clear_queue(self) -> None:
-        self.queue.clear()
-        self.queued.clear()
-        self._offer_all = True
-
-    def _enqueue(self, var: int, val: int, reason: object) -> None:
-        if var in self.assign or var in self.queued:
-            return
-        self.queued.add(var)
-        self.queue.append((var, val, reason))
-
-    def _pick_queue(self) -> Tuple[int, int, object]:
-        idx = 0
-        for i, (var, val, reason) in enumerate(self.queue):
-            if not (isinstance(reason, int) and reason == self.target):
-                idx = i
-                break
-        else:
-            idx = 0
-        var, val, reason = self.queue.pop(idx)
-        self.queued.discard(var)
-        return var, val, reason
-
     def _decide(self) -> None:
         # the record check just before may have picked in this same state
         var = self._pick if self._pick != _NOT_PICKED else self._pick_branch_var()
@@ -365,11 +342,21 @@ class Engine:
 
     def _bcp(self) -> Union[None, DSequent, Clause]:
         """Propagate to a condition and learn from it; None: decide next."""
+        db = self.db
         while True:
             learned = self._round_condition()
             if learned is not None:
                 return learned
-            if not self.queue:
+            if self._pending is not None:
+                var, val, reason = self._pending
+                self._pending = None
+            elif db.units:
+                cid = min(db.units)
+                if cid == self.target and len(db.units) > 1:
+                    cid = min(c for c in db.units if c != cid)  # the target's goes last
+                ul = db.free_literal(cid)
+                var, val, reason = abs(ul), satisfying_value(ul), cid
+            else:
                 v = self._blocked_var()
                 if v is not None:
                     return self._lrn_blocked(v)
@@ -377,12 +364,9 @@ class Engine:
                 # made: reuse then only ever replaces exploration, it never
                 # preempts a condition the search was about to find anyway
                 learned = self._stored_record_check()
-                if learned is not None:
+                if learned is not None or self._pending is None:
                     return learned
-                if self.queue:
-                    continue
-                return None
-            var, val, reason = self._pick_queue()
+                continue
             if isinstance(reason, DSequent):
                 self._apply(var, val, reason, level_start=True)
             elif reason == self.target and var in self.x_vars:
@@ -411,18 +395,6 @@ class Engine:
             return self._lrn_falsified(self.target)
         if db.falsified:
             return self._lrn_falsified(min(db.falsified))
-        if self._offer_all:
-            self._offer_all = False
-            offered = sorted(db.units)
-        else:
-            offered = sorted(db.units.intersection(db.new_units))
-        db.new_units.clear()
-        for cid in offered:
-            ul = db.free_literal(cid)
-            self._enqueue(abs(ul), satisfying_value(ul), cid)
-        if self.config.check_invariants:
-            for cid in db.units:
-                assert abs(db.free_literal(cid)) in self.queued, f"unit {cid} is not queued"
         return None
 
     def _audit_trail(self) -> None:
@@ -451,8 +423,8 @@ class Engine:
 
     def _audit_stack(self) -> None:
         """Target levels match the trail and the soft-deleted clauses; an
-        empty stack means the primary is the target; no queued variable is
-        assigned."""
+        empty stack means the primary is the target; the pending variable
+        is unassigned."""
         assert self.tlevels or self.target == self.primary
         for lv in self.tlevels:
             assert lv.key_pos < len(self.trail)
@@ -463,7 +435,7 @@ class Engine:
         # a proved clause is done at one level only, so its record is unique
         done = [cid for lv in self.tlevels for cid in lv.done]
         assert len(done) == len(set(done))
-        assert not any(var in self.assign for var, _, _ in self.queue)
+        assert self._pending is None or self._pending[0] not in self.assign
 
     def _stored_record_check(self) -> Optional[DSequent]:
         """Active and unit learned records for the current target.
@@ -483,8 +455,8 @@ class Engine:
             subsumed = all(assign.get(v) == b for v, b in stored.policy.conditional)
             if not subsumed:
                 hint = dsq.unit_deactivating_assignment(stored.policy, assign)
-                if hint is None or hint[0] in self.queued:
-                    continue
+                if hint is None or self._pending is not None:
+                    continue  # the first hint wins
             if not all(db.is_active(cid) for cid in stored.policy.constraint):
                 continue
             # sound reuse needs every as-derived support clause back in the
@@ -502,7 +474,7 @@ class Engine:
             if hint[0] != self._pick:
                 continue
             self.stats["deactivation_hints"] += 1
-            self._enqueue(hint[0], hint[1], self._reactivate_record(stored.full))
+            self._pending = (hint[0], hint[1], self._reactivate_record(stored.full))
         return None
 
     def _blocked_var(self) -> Optional[int]:
@@ -814,7 +786,7 @@ class Engine:
         discipline that bounds the search. Otherwise mark the target done
         and move on.
         """
-        self._clear_queue()
+        self._pending = None
         if self.tlevels:
             poo = self.tlevels[-1].key_pos
             floor = self.trail[poo].level
@@ -823,7 +795,7 @@ class Engine:
         cond = ds.cond()
         missing = sorted(v for v in cond if v not in self.assign)
         if missing:
-            self._enqueue(missing[0], 1 - cond[missing[0]], ds)
+            self._pending = (missing[0], 1 - cond[missing[0]], ds)
             return None
         above = [v for v in cond if self.pos[v] > poo]
         if above:
@@ -833,7 +805,7 @@ class Engine:
             self._backtrack_to_level(max([floor, here - 1] + rest))
             if var in self.assign:
                 raise AssertionError("record not asserting within the backtrack scope")
-            self._enqueue(var, 1 - cond[var], ds)
+            self._pending = (var, 1 - cond[var], ds)
             return None
         # proved up to the point of origin; an empty conditional for the
         # primary ended its proof before this, so a level is there to pop
@@ -856,8 +828,7 @@ class Engine:
         levels = sorted((self.trail[self.pos[abs(l)]].level, abs(l), l) for l in clause.lits)
         _, _, asserting = levels[-1]
         self._backtrack_to_level(levels[-2][0] if len(levels) > 1 else 0)
-        self._clear_queue()
-        self._enqueue(abs(asserting), satisfying_value(asserting), clause.id)
+        self._pending = (abs(asserting), satisfying_value(asserting), clause.id)
         while self.tlevels and self.tlevels[-1].key_pos >= len(self.trail):
             self._drop_tlevel()
         if self.tlevels and self.tlevels[-1] is old_level:
@@ -879,7 +850,7 @@ class Engine:
         self.stats["duplicates"] += 1
         while self.trail and self.trail[-1].var in self.x_vars:
             self._pop_suffix(len(self.trail) - 1)
-        self._clear_queue()
+        self._pending = None
         while self.tlevels:
             self._drop_tlevel()
         self.target = self.primary

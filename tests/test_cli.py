@@ -216,6 +216,18 @@ class TestCompare:
         code, _, err = run(capsys, "compare", golden_file, "--methods", "zz")
         assert code == 2
 
+    @pytest.mark.parametrize("methods", ["pqe,zz", ","])
+    def test_bad_methods_rejected_before_any_method_runs(self, capsys, golden_file, methods):
+        code, out, err = run(capsys, "compare", golden_file, "--methods", methods)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_bad_budget_rejected(self, capsys, golden_file, budget):
+        code, out, err = run(capsys, "compare", golden_file, "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--budget" in err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -258,8 +258,35 @@ class TestTargetStackWalkthrough:
         ) < conds.index((ids[(5, 1)], ((5, 0),)))
 
 
+class TestUnitOrder:
+    def test_lowest_id_unit_first(self):
+        # y3=0 makes (3 4) and (3 6) unit; applying y4 then makes (-4 5)
+        # unit, which goes first by its lower id though (3 6) waited longer
+        eng = make_engine([1], [2, 3, 4, 5, 6, 7], f1=[(1, 2)],
+                          f2=[(3, 4), (-4, 5), (3, 6), (-1, 7)])
+        start_proof(eng, (1, 2))
+        eng._apply(3, 0, None, level_start=True)
+        assert eng._bcp() is None
+        assert [(e.var, e.val, e.reason) for e in eng.trail] == [
+            (3, 0, None), (4, 1, 2), (5, 1, 3), (6, 1, 4)
+        ]
+
+    def test_target_unit_applied_last(self):
+        # x1=0 makes the target (1 2) unit on y2, and (1 3) unit; y3 then
+        # makes (-3 4) unit: both others go before the target's own unit,
+        # which steers the branch at a level of its own
+        eng = make_engine([1], [2, 3, 4], f1=[(1, 2)], f2=[(1, 3), (-3, 4)])
+        target = start_proof(eng, (1, 2))
+        eng._apply(1, 0, None, level_start=True)
+        out = eng._bcp()
+        assert isinstance(out, DSequent) and out.cond() == {2: 1}
+        assert [(e.var, e.val, e.reason, e.level) for e in eng.trail] == [
+            (1, 0, None, 1), (3, 1, 2, 1), (4, 1, 3, 1), (2, 1, target.id, 2)
+        ]
+
+
 class TestStoredRecordPropagation:
-    def test_unit_record_enqueues_deactivation(self):
+    def test_unit_record_sets_pending_deactivation(self):
         # x5 is the next branch variable; the unit record flips its polarity
         eng = make_engine([5, 7], [6], f1=[(5, 7)], f2=[(6, 5, 7)])
         target = start_proof(eng, (5, 7))
@@ -268,7 +295,7 @@ class TestStoredRecordPropagation:
         eng._apply(6, 0, None, level_start=True)
         assert eng._round_condition() is None
         assert eng._stored_record_check() is None
-        assert (5, 0) in {(v, b) for v, b, _ in eng.queue}
+        assert eng._pending[:2] == (5, 0)
         assert eng.stats["deactivation_hints"] == 1
 
     def test_active_record_reported(self):

@@ -182,13 +182,13 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng._audit_trail()
 
-    def test_audit_catches_assigned_queue_entry(self):
+    def test_audit_catches_assigned_pending_variable(self):
         problem = rand_problem(random.Random(1), require_x_target=True)
         eng = Engine(problem, SolverConfig(check_invariants=True))
         var = min(problem.x_vars)
         eng._apply(var, 0, None, level_start=True)
         eng._audit_stack()
-        eng.queue.append((var, 1, None))
+        eng._pending = (var, 1, None)
         with pytest.raises(AssertionError):
             eng._audit_stack()
 
@@ -202,18 +202,6 @@ class TestSearchDiscipline:
         assert eng.target != eng.primary and not eng.tlevels
         with pytest.raises(AssertionError):
             eng._audit_stack()
-
-    def test_audit_catches_unit_not_reoffered(self, monkeypatch):
-        # a round offers only the units new since the last one, so after the
-        # queue is emptied without assignments every unit must be offered
-        def clear_without_reoffer(self):
-            self.queue.clear()
-            self.queued.clear()
-
-        monkeypatch.setattr(Engine, "_clear_queue", clear_without_reoffer)
-        with pytest.raises(AssertionError, match="is not queued"):
-            for problem in benchmark_family_instances():
-                Engine(problem, SolverConfig(check_invariants=True)).solve()
 
     def test_audit_catches_dropped_partner(self):
         problem = EcnfProblem.make([1], [2, 3, 4], [(1, 2)], [(-1, 3), (-1, 4)])

@@ -13,7 +13,11 @@ running this script on both commits.
 Each pair is solved three times: with a ``trace`` callback, with no
 observer, and with an ``on_dsequent`` callback. The script exits 1 if the
 answers or counters of the three runs differ, since the observers must not
-steer the search.
+steer the search. It also exits 1 on a wrong answer, naming the instance
+and config: a workload answer is checked against the perfbench reference
+(``workloads.answer_ok``), a random one by the enumeration oracle
+(``oracle.verify_pqe_solution``). A digest that prints is therefore one of
+right answers, not only of unchanged ones.
 
 Batch: the first 120 instances of the perfbench workloads circuit-wide,
 circuit-cone and satred at seed 13, and 300 ``tests.conftest.rand_problem``
@@ -22,6 +26,7 @@ CONFIGS. It takes about 2.5 minutes on one core.
 """
 
 import dataclasses
+import functools
 import hashlib
 import random
 import sys
@@ -32,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from pqe import io as pqeio  # noqa: E402
+from pqe import oracle  # noqa: E402
 from pqe.solver import SolverConfig, solve_pqe  # noqa: E402
 from tests.conftest import rand_problem  # noqa: E402
 
@@ -49,35 +55,47 @@ CONFIGS = {
 }
 
 
+def _oracle_ok(problem, answer) -> bool:
+    return oracle.verify_pqe_solution(
+        problem.f1, problem.f2, problem.x_vars, answer, problem.y_vars
+    )
+
+
 def batch():
-    """(name, problem) for every instance of the batch, in a fixed order."""
+    """(name, problem, check) for every instance of the batch, in a fixed
+    order; ``check(answer)`` tells whether an answer is right."""
     for name in ("circuit-wide", "circuit-cone", "satred"):
         # setup draws slot by slot, so a shorter workload gives its first slots
         first = dataclasses.replace(workloads.WORKLOADS[name], count=PER_WORKLOAD)
         for case in workloads.setup(first, SEED):
-            yield f"{name}:{case.cid}", pqeio.parse_pqe(case.text)
+            check = functools.partial(workloads.answer_ok, case)
+            yield f"{name}:{case.cid}", pqeio.parse_pqe(case.text), check
     rng = random.Random(2024)
     for i in range(RANDOM_INSTANCES):
-        yield f"random:{i}", rand_problem(rng)
+        problem = rand_problem(rng)
+        yield f"random:{i}", problem, functools.partial(_oracle_ok, problem)
 
 
 def observable(problem, config, **observers):
-    """Answer text and kv stats lines of one solve."""
+    """The answer, and its text with the kv stats lines, of one solve."""
     res = solve_pqe(problem, config, **observers)
     kv = "".join(f"{k}={v}\n" for k, v in sorted(res.stats.items()) if k != "wall_time_s")
-    return pqeio.write_solution(res.f1_star) + kv
+    return res.f1_star, pqeio.write_solution(res.f1_star) + kv
 
 
 def main() -> int:
     digest = hashlib.sha256()
     pairs = 0
-    for name, problem in batch():
+    for name, problem, check in batch():
         for label, config in CONFIGS.items():
             lines = []
-            traced = observable(problem, config, trace=lines.append)
+            answer, traced = observable(problem, config, trace=lines.append)
+            if not check(answer):
+                print(f"{name} {label}: wrong answer", file=sys.stderr)
+                return 1
             runs = (
-                observable(problem, config),
-                observable(problem, config, on_dsequent=lambda ds, snapshot: None),
+                observable(problem, config)[1],
+                observable(problem, config, on_dsequent=lambda ds, snapshot: None)[1],
             )
             if any(run != traced for run in runs):
                 print(f"{name} {label}: observers changed the search", file=sys.stderr)
