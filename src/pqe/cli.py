@@ -29,8 +29,6 @@ e 1 2 0
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
         learn_depth_k=args.learn_k,
-        var_order=args.order,
-        default_polarity=args.polarity,
         max_conflicts=args.max_conflicts,
         max_seconds=args.max_seconds,
     )
@@ -120,6 +118,8 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"--budget must be 1 or more, not {args.budget}")
     problem = _read_problem(args.file)
     inst = harness.PqeInstance(problem, {"kind": "circuit"})
+    if "m1" in methods or "m2" in methods:
+        harness.circuit_parts(inst)  # the baselines run on circuit instances only
     print(f"{'method':8} {'clauses':>8} {'shortest':>9} {'seconds':>9}")
     for name in methods:
         t0 = time.monotonic()
@@ -199,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--learn-k", type=int, default=0, dest="learn_k")
-        p.add_argument("--order", choices=("static", "activity"), default="static")
-        p.add_argument("--polarity", type=int, choices=(0, 1), default=0)
         p.add_argument("--max-conflicts", type=int, default=None, dest="max_conflicts")
         p.add_argument("--max-seconds", type=float, default=None, dest="max_seconds")
 

@@ -336,58 +336,35 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
 # --- learned-record store --------------------------------------------------
 
 
-def retention_filter(
-    ds: DSequent,
-    stack_depth_of_target: int,
-    learn_depth_k: int,
-    x_vars: Iterable[int],
-    db: ClauseDb,
-) -> Optional[DSequent]:
-    """Storage policy: keep records for targets of the bottom levels only.
-
-    Free-variable-only clauses never leave the formula and are dropped from
-    stored constraints; records for the bottom target (depth 0) need no
-    constraint at all, since no clause they rely on can be soft-deleted
-    while they are consulted.
-    """
-    if learn_depth_k < 0 or stack_depth_of_target > learn_depth_k:
-        return None
-    if learn_depth_k == 0:
-        keep: frozenset = frozenset()
-    else:
-        xs = set(x_vars)
-        keep = frozenset(
-            cid for cid in ds.constraint if any(abs(l) in xs for l in db.clause(cid).lits)
-        )
-    return replace(ds, constraint=keep)
-
-
-@dataclass(frozen=True)
-class StoredDSequent:
-    policy: DSequent  # constraint reduced per the retention policy
-    full: DSequent  # as derived; used when the record seeds new derivations
-
-
 class DSequentStore:
-    """Learned records indexed by target, deduplicated on the policy record."""
+    """Learned records by target, kept as derived for targets at most
+    ``learn_depth_k`` levels deep (none at k = -1). Duplicates share the
+    target, the conditional and, for k >= 1, the constraint's clauses with
+    a quantified literal: only those ever leave the formula."""
 
     def __init__(self, learn_depth_k: int):
         self.learn_depth_k = learn_depth_k
-        self.by_target: Dict[int, List[StoredDSequent]] = {}
+        self.by_target: Dict[int, List[DSequent]] = {}
         self._seen: Set[Tuple] = set()
 
-    def consider(self, ds: DSequent, depth: int, x_vars: Iterable[int], db: ClauseDb) -> bool:
-        """Store per policy; True iff an equivalent record is now retained."""
-        policy = retention_filter(ds, depth, self.learn_depth_k, x_vars, db)
-        if policy is None:
+    def consider(self, ds: DSequent, depth: int, x_vars: Collection[int], db: ClauseDb) -> bool:
+        """Store per k; True iff an equivalent record is now retained."""
+        k = self.learn_depth_k
+        if k < 0 or depth > k:
             return False
-        if policy.key() in self._seen:
+        support: frozenset = frozenset()
+        if k > 0:
+            support = frozenset(
+                cid for cid in ds.constraint if any(abs(l) in x_vars for l in db.clause(cid).lits)
+            )
+        key = (ds.target, ds.conditional, support)
+        if key in self._seen:
             return True
-        self._seen.add(policy.key())
-        self.by_target.setdefault(ds.target, []).append(StoredDSequent(policy, ds))
+        self._seen.add(key)
+        self.by_target.setdefault(ds.target, []).append(ds)
         return True
 
-    def records_for(self, target: int) -> Sequence[StoredDSequent]:
+    def records_for(self, target: int) -> Sequence[DSequent]:
         return self.by_target.get(target, ())
 
     def __len__(self) -> int:

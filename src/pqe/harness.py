@@ -183,7 +183,8 @@ class Inapplicable:
 INAPPLICABLE = Inapplicable()
 
 
-def _circuit_parts(inst: PqeInstance):
+def circuit_parts(inst: PqeInstance):
+    """(output-vector clause, its negated units, gate clauses); ValueError off circuits."""
     if inst.meta.get("kind") != "circuit":
         raise ValueError("baseline methods run on circuit instances")
     if len(inst.problem.f1) != 1:
@@ -201,7 +202,7 @@ def method1_blocking(inst: PqeInstance, clause_budget: int = 1000) -> List[Lits]
     clause on its own, so every extension of the kept cube reaches the same
     output vector.
     """
-    cz, u_z, f2 = _circuit_parts(inst)
+    cz, u_z, f2 = circuit_parts(inst)
     inputs = sorted(inst.problem.y_vars)
     g: List[Lits] = []
     while len(g) < clause_budget:
@@ -227,7 +228,7 @@ def method2_corelift(inst: PqeInstance, clause_budget: int = 1000):
     Works only when each input drives a unique output vector; otherwise the
     lift query is satisfiable and the method reports itself inapplicable.
     """
-    cz, u_z, f2 = _circuit_parts(inst)
+    cz, u_z, f2 = circuit_parts(inst)
     inputs = sorted(inst.problem.y_vars)
     g: List[Lits] = []
     while len(g) < clause_budget:

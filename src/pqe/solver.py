@@ -67,6 +67,10 @@ Every derived D-sequent is counted in ``stats`` (``_emit``). The records
 something observes them (a ``trace`` or ``on_dsequent`` callback); without
 an observer it carries the conditional and constraint as plain mutable
 values and builds one record at the end.
+Records are stored as derived (``DSequentStore``). A stored record is
+reused, or gives a branch hint, only while every clause of its constraint
+is active. At k = 0 that always holds: records exist only for the
+primary, the target only while no target level is live.
 """
 
 from __future__ import annotations
@@ -97,8 +101,6 @@ from .satcore import ResourceLimit, sat_solve
 @dataclass
 class SolverConfig:
     learn_depth_k: int = 0  # -1: learn nothing; 0: bottom-level targets only
-    var_order: str = "static"  # or "activity"
-    default_polarity: int = 0
     max_conflicts: Optional[int] = None
     max_seconds: Optional[float] = None
     check_invariants: bool = False
@@ -106,10 +108,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.learn_depth_k < -1:
             raise ValueError(f"learn_depth_k must be -1 or more, not {self.learn_depth_k!r}")
-        if self.var_order not in ("static", "activity"):
-            raise ValueError(f"var_order must be 'static' or 'activity', not {self.var_order!r}")
-        if self.default_polarity not in (0, 1):
-            raise ValueError(f"default_polarity must be 0 or 1, not {self.default_polarity!r}")
         if self.max_conflicts is not None and self.max_conflicts < 0:
             raise ValueError(f"max_conflicts must be 0 or more, not {self.max_conflicts!r}")
         if self.max_seconds is not None and not self.max_seconds >= 0:  # NaN too
@@ -173,8 +171,8 @@ class Engine:
         self.config = config or SolverConfig()
         self.on_dsequent = on_dsequent
         self.trace = trace
-        self.x_vars = set(problem.x_vars)
-        self.y_vars = set(problem.y_vars)
+        self.x_vars = problem.x_vars
+        self.y_vars = problem.y_vars
         self.db = ClauseDb()
         # ascending: derived clauses get higher ids than every stored one
         self.f1_ids: List[int] = []
@@ -184,8 +182,6 @@ class Engine:
             self.db.add_canonical(lits, "f2-initial")
         self.store = DSequentStore(self.config.learn_depth_k)
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
-        self.activity: Dict[int, float] = {v: 0.0 for v in problem.all_vars()}
-        self._act_inc = 1.0
         # search state, reset per proof; the store owns the assignment
         self.assign: Assignment = self.db.values
         self.trail: List[TrailEntry] = []
@@ -324,16 +320,13 @@ class Engine:
         if var is None:
             raise AssertionError("nothing to decide and no backtracking condition")
         self.stats["decisions"] += 1
-        self._apply(var, self.config.default_polarity, None, level_start=True)
+        self._apply(var, 0, None, level_start=True)
 
     def _pick_branch_var(self) -> Optional[int]:
-        for pool in (self.problem.y_vars, self.problem.x_vars):
+        for pool in (self.y_vars, self.x_vars):
             cands = [v for v in pool if v not in self.assign]
-            if not cands:
-                continue
-            if self.config.var_order == "activity":
-                return max(cands, key=lambda v: (self.activity[v], -v))
-            return min(cands)
+            if cands:
+                return min(cands)
         return None
 
     # ------------------------------------------------------------------
@@ -450,31 +443,26 @@ class Engine:
         if not records:
             return None
         db, assign = self.db, self.assign
-        for stored in records:
+        for rec in records:
+            if self.config.check_invariants and self.config.learn_depth_k == 0:
+                assert all(db.is_active(cid) for cid in rec.constraint), rec
             # the conditional first: it rules out most records at once
-            subsumed = all(assign.get(v) == b for v, b in stored.policy.conditional)
+            subsumed = all(assign.get(v) == b for v, b in rec.conditional)
             if not subsumed:
-                hint = dsq.unit_deactivating_assignment(stored.policy, assign)
+                hint = dsq.unit_deactivating_assignment(rec, assign)
                 if hint is None or self._pending is not None:
                     continue  # the first hint wins
-            if not all(db.is_active(cid) for cid in stored.policy.constraint):
-                continue
-            # sound reuse needs every as-derived support clause back in the
-            # formula or satisfied here; usually guaranteed, but the target
-            # may be serving as a secondary target inside its own proof
-            if not all(
-                db.is_active(cid) or db.is_satisfied(cid) for cid in stored.full.constraint
-            ):
+            if not all(db.is_active(cid) for cid in rec.constraint):
                 continue
             if subsumed:
                 self.stats["dseq_reused"] += 1
-                return self._rewrite(self._reactivate_record(stored.full))
+                return self._rewrite(rec)
             if self._pick == _NOT_PICKED:
                 self._pick = self._pick_branch_var()
             if hint[0] != self._pick:
                 continue
             self.stats["deactivation_hints"] += 1
-            self._pending = (hint[0], hint[1], self._reactivate_record(stored.full))
+            self._pending = (hint[0], hint[1], rec)
         return None
 
     def _blocked_var(self) -> Optional[int]:
@@ -625,7 +613,6 @@ class Engine:
         """Learn from a falsified clause: a conflict clause, or a record for
         the target when the walk stops at a record-derived assignment."""
         self.stats["conflicts"] += 1
-        self._bump_clause(self.db.clause(cid).lits)
         lits, f1_side, at_record = self._conflict_walk(cid)
         tgt = self.db.clause(self.target)
         if at_record and cid != self.target:
@@ -634,7 +621,6 @@ class Engine:
         if self.db.find_any(lits) is not None:
             return self._handle_duplicate()
         clause = self._add_derived_clause(lits, f1_side)
-        self._bump_clause(lits)
         if not at_record:
             return clause
         # the falsified clause is the target itself: the record rests on the
@@ -749,26 +735,6 @@ class Engine:
             elif assign.get(v) != val or pos[v] >= limit:
                 return False
         return clash
-
-    def _reactivate_record(self, full: DSequent) -> DSequent:
-        """A stored record, made valid for the current formula state.
-
-        Constraint clauses proved redundant meanwhile must be satisfied by
-        the trail; substituting their satisfied-clause records drops them,
-        at the cost of the satisfying assignments in the conditional.
-        """
-        gone = [cid for cid in sorted(full.constraint) if not self.db.is_active(cid)]
-        out = full
-        for cid in gone:
-            var, val = self._satisfying_entry(self.db.clause(cid).lits)
-            first = self._emit(dsq.atomic_first_kind(self.db.clause(cid), var, val))
-            out = self._emit(dsq.substitute(out, first))
-        return out
-
-    def _bump_clause(self, lits: Sequence[int]) -> None:
-        for l in lits:
-            self.activity[abs(l)] = self.activity.get(abs(l), 0.0) + self._act_inc
-        self._act_inc /= 0.95
 
     # ------------------------------------------------------------------
     # backtracking

@@ -69,6 +69,11 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("flag, value", [("--order", "activity"), ("--polarity", "1")])
+    def test_removed_branching_flags_rejected(self, capsys, golden_file, flag, value):
+        code, out, _ = run(capsys, "solve", golden_file, flag, value)
+        assert (code, out) == (2, "")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.pqe")
         assert code == 2
@@ -221,6 +226,17 @@ class TestCompare:
         code, out, err = run(capsys, "compare", golden_file, "--methods", methods)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("methods", ["pqe,m1,m2", "m2"])
+    def test_non_circuit_rejected_before_any_row(self, capsys, tmp_path, methods):
+        path = tmp_path / "s.pqe"
+        run(capsys, "gen", "satred", "--vars", "6", "--clauses", "20", "--seed", "2",
+            "-o", str(path))
+        code, out, err = run(capsys, "compare", str(path), "--methods", methods)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "output-vector" in err
+        code, out, _ = run(capsys, "compare", str(path), "--methods", "pqe")
+        assert code == 0 and out.splitlines()[1].startswith("pqe")
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_bad_budget_rejected(self, capsys, golden_file, budget):

@@ -24,7 +24,6 @@ from pqe.dsequent import (
     is_applicable,
     join,
     relax_order,
-    retention_filter,
     strengthen_by_satisfied,
     substitute,
     trace_line,
@@ -301,22 +300,39 @@ class TestRetentionAndStore:
         self.x_vars = (1, 2)
 
     def test_depth_zero_strips_constraint(self):
-        s = ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id})
-        out = retention_filter(s, 0, 0, self.x_vars, self.db)
-        assert out is not None and out.constraint == frozenset()
+        # at k = 0 the duplicate test ignores the constraint; the record
+        # first stored is kept as derived
+        store = DSequentStore(0)
+        first = ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id})
+        assert store.consider(first, 0, self.x_vars, self.db)
+        assert store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
+        assert store.records_for(self.tgt.id) == [first]
+        assert store.consider(ds(self.tgt.id, {5: 1}, ()), 0, self.x_vars, self.db)
+        assert len(store) == 2
 
     def test_deeper_than_k_dropped(self):
-        s = ds(self.tgt.id, {5: 0}, ())
-        assert retention_filter(s, 1, 0, self.x_vars, self.db) is None
+        store = DSequentStore(2)
+        assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 3, self.x_vars, self.db)
+        assert store.consider(ds(self.tgt.id, {5: 0}, ()), 2, self.x_vars, self.db)
+        assert len(store) == 1
 
     def test_no_learning(self):
-        s = ds(self.tgt.id, {5: 0}, ())
-        assert retention_filter(s, 0, -1, self.x_vars, self.db) is None
+        store = DSequentStore(-1)
+        assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
+        assert len(store) == 0
 
     def test_free_clauses_always_stripped(self):
-        s = ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id})
-        out = retention_filter(s, 1, 2, self.x_vars, self.db)
-        assert out.constraint == {self.xc.id}
+        # at k >= 1 the duplicate test ignores free-variable-only clauses
+        store = DSequentStore(2)
+        first = ds(self.tgt.id, {5: 0}, {self.xc.id})
+        assert store.consider(first, 1, self.x_vars, self.db)
+        assert store.consider(ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id}), 1,
+                              self.x_vars, self.db)
+        assert store.records_for(self.tgt.id) == [first]
+        # a clause with a quantified literal makes the record a new one
+        other = ds(self.tgt.id, {5: 0}, {self.yc.id})
+        assert store.consider(other, 1, self.x_vars, self.db)
+        assert store.records_for(self.tgt.id) == [first, other]
 
     def test_store_deduplicates(self):
         store = DSequentStore(0)
@@ -325,7 +341,7 @@ class TestRetentionAndStore:
         # an equivalent record is already retained: reported, not re-added
         assert store.consider(s, 0, self.x_vars, self.db)
         assert len(store) == 1
-        assert store.records_for(self.tgt.id)[0].full == s
+        assert store.records_for(self.tgt.id) == [s]
 
     def test_store_rejects_by_depth(self):
         store = DSequentStore(0)

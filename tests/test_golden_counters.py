@@ -17,6 +17,13 @@ of seeds 83 and 96, which each learn an F2-side conflict clause (the
 instance is pinned under the default options (key: the instance name) and
 under each option set of CONFIGS (key: instance name, a space, the CONFIGS
 label).
+
+The entries labelled `polarity=1` were recorded when the engine could try
+value 1 first at each decision. Branching now always tries value 0 first, so
+these entries solve the mirrored instance, every literal negated, and negate
+the literals of the answer and of each `DS` conditional back. The mirrored
+search makes exactly the choices of the value-1-first search on the original,
+so these entries pin that the engine treats both signs of a variable alike.
 """
 
 import hashlib
@@ -43,9 +50,38 @@ F2_SIDE = {"circuit-83", "circuit-96"}
 CONFIGS = {
     "learn-k=-1": ["--learn-k", "-1"],
     "learn-k=2": ["--learn-k", "2"],
-    "order=activity": ["--order", "activity"],
-    "polarity=1": ["--polarity", "1"],
+    "polarity=1": [],
 }
+
+MIRRORED = {"polarity=1"}
+
+
+def _negate(tokens):
+    return [str(-int(t)) for t in tokens]
+
+
+def _mirror_instance(path, tmp_path):
+    """Write the instance at ``path`` with every literal negated; return the new path."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    out = [line if line[:1] in ("c", "p", "e") else " ".join(_negate(line.split()[:-1]) + ["0"])
+           for line in lines if line.strip()]
+    mirrored = str(tmp_path / "mirrored.pqe")
+    with open(mirrored, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+    return mirrored
+
+
+def _mirror_ds(line):
+    toks = line.split()
+    q, h = toks.index("Q"), toks.index("H")
+    return " ".join(toks[: q + 1] + _negate(toks[q + 1 : h - 1]) + toks[h - 1 :])
+
+
+def _mirror_solution(text):
+    header, *clauses = text.splitlines()
+    return "".join(line + "\n" for line in
+                   [header, *(" ".join(_negate(c.split()[:-1]) + ["0"]) for c in clauses)])
 
 
 def _instance(name, tmp_path, capsys):
@@ -68,12 +104,18 @@ def _solve(name, tmp_path, capsys, *flags):
     """Solution text, kv stats and DS lines of ``pqe solve`` on a pinned entry."""
     instance, _, config = name.partition(" ")
     path = _instance(instance, tmp_path, capsys)
+    mirrored = config in MIRRORED
+    if mirrored:
+        path = _mirror_instance(path, tmp_path)
     assert main(["solve", path, *(CONFIGS[config] if config else []), "--stats=kv", *flags]) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    ds = "".join(line + "\n" for line in lines if line.startswith("DS "))
+    ds_lines = [line for line in lines if line.startswith("DS ")]
+    if mirrored:
+        ds_lines = [_mirror_ds(line) for line in ds_lines]
+    ds = "".join(line + "\n" for line in ds_lines)
     stats = {k: int(v) for k, v in (line.split("=", 1) for line in lines if not line.startswith("DS "))}
-    return captured.out, stats, ds
+    return _mirror_solution(captured.out) if mirrored else captured.out, stats, ds
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pqe import harness
+from pqe.dsequent import DSequent
 from pqe.formula import EcnfProblem, clause_satisfied
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, solve_pqe
@@ -51,15 +52,6 @@ class TestSoundness:
                 assert verify_pqe_solution(
                     problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
                 ), (k, problem)
-
-    def test_activity_order_sound(self):
-        rng = random.Random(88)
-        for _ in range(40):
-            problem = rand_problem(rng, require_x_target=True)
-            res = solve_pqe(problem, SolverConfig(var_order="activity", max_seconds=10))
-            assert verify_pqe_solution(
-                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
-            )
 
 
 class TestDerivedClausesImplied:
@@ -134,16 +126,14 @@ class TestSearchDiscipline:
         [
             SolverConfig(learn_depth_k=-1, check_invariants=True),
             SolverConfig(learn_depth_k=0, check_invariants=True),
-            SolverConfig(var_order="activity", check_invariants=True),
         ],
-        ids=["no-learn", "learn-k0", "activity"],
+        ids=["no-learn", "learn-k0"],
     )
     def test_invariants_on_benchmark_families(self, config):
         for problem in benchmark_family_instances():
             eng = Engine(problem, config)
             res = eng.solve()
-            plain = solve_pqe(problem, SolverConfig(learn_depth_k=config.learn_depth_k,
-                                                    var_order=config.var_order))
+            plain = solve_pqe(problem, SolverConfig(learn_depth_k=config.learn_depth_k))
             # auditing observes the search, it never changes it
             assert res.f1_star == plain.f1_star
             assert counters(res) == counters(plain)
@@ -221,6 +211,22 @@ class TestSearchDiscipline:
         eng.db._true[2] = 1  # the partner now reads as satisfied
         with pytest.raises(AssertionError, match="blocked test"):
             eng._blocked_var()
+
+    def test_audit_catches_k0_record_on_inactive_clause(self):
+        # at k = 0 a record the engine consults never rests on an inactive clause
+        eng = Engine(EcnfProblem.make([1, 4], [3], [(1, 3)], [(4, -3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        helper = eng.db.find_active((4, -3))
+        rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
+        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        eng._apply(3, 0, None, level_start=True)
+        assert eng._stored_record_check() is rec
+        eng._pop_suffix(0)
+        eng.db.deactivate(helper.id)
+        eng._apply(3, 0, None, level_start=True)
+        with pytest.raises(AssertionError, match="DSequent"):
+            eng._stored_record_check()
 
     def test_termination_without_budget(self):
         rng = random.Random(404)
