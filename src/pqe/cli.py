@@ -78,7 +78,8 @@ def _cmd_gen(args) -> int:
         circuit = harness.gen_circuit(args.seed, args.inputs, args.gates)
         rng = random.Random(args.seed ^ 0x5EED)
         x = {v: rng.randrange(2) for v in circuit.inputs}
-        z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
+        values = harness.simulate(circuit, x)
+        z = {v: values[v] for v in circuit.outputs}
         inst = harness.circuit_to_pqe(circuit, z)
         if args.drop:
             inst = harness.drop_clauses(inst, args.drop, args.seed ^ 0xD209)
@@ -177,7 +178,8 @@ def _cmd_selftest(args) -> int:
 
     circuit = harness.gen_circuit(3, 3, 6)
     x = {v: 0 for v in circuit.inputs}
-    z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
+    values = harness.simulate(circuit, x)
+    z = {v: values[v] for v in circuit.outputs}
     inst = harness.circuit_to_pqe(circuit, z)
     g_pqe = harness.pqe_blocking(inst)
     g_m1 = harness.method1_blocking(inst)

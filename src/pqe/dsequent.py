@@ -10,7 +10,7 @@ removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import (
@@ -19,10 +19,8 @@ from .formula import (
     ClauseDb,
     NotResolvable,
     PqeError,
-    assignment_subsumes,
     assignments_compatible,
     assignments_resolvable,
-    clause_satisfied,
     cofactor_clause,
     falsifying_assignment,
     resolve_assignments,
@@ -55,14 +53,6 @@ class TargetMismatch(PqeError):
 
 
 class NotInConstraint(PqeError):
-    pass
-
-
-class NotSubsumingAssignment(PqeError):
-    pass
-
-
-class ChainBroken(PqeError):
     pass
 
 
@@ -99,9 +89,6 @@ class DSequent:
     def cond(self) -> Assignment:
         return dict(self.conditional)
 
-    def key(self) -> Tuple:
-        return (self.target, self.conditional, self.constraint)
-
     def __repr__(self) -> str:
         q = ",".join(f"{v}={b}" for v, b in self.conditional)
         h = ",".join(str(c) for c in sorted(self.constraint))
@@ -129,7 +116,11 @@ def atomic_first_kind(c: Clause, v: int, b: int) -> DSequent:
 
 
 def atomic_second_kind(c: Clause, b: Clause, q: Assignment, x_vars: Iterable[int]) -> DSequent:
-    """Under q, clause b implies the target c, so c is redundant while b is present."""
+    """Under q, clause b implies the target c, so c is redundant while b is present.
+
+    The engine does not call it; ``perfbench/tracing.py`` patches it by name,
+    so it goes when the tracer stops patching names (ROADMAP item 4).
+    """
     xs = set(x_vars)
     cq = cofactor_clause(c, q)
     if cq is SATISFIED or not any(abs(l) in xs for l in cq):
@@ -177,7 +168,11 @@ def atomic_third_kind(
 
 
 def join(s1: DSequent, s2: DSequent, v: int) -> DSequent:
-    """Merge two records for one target whose conditionals clash exactly on v."""
+    """Merge two records for one target whose conditionals clash exactly on v.
+
+    The engine does not call it; ``perfbench/tracing.py`` patches it by name,
+    so it goes when the tracer stops patching names (ROADMAP item 4).
+    """
     if s1.target != s2.target:
         raise TargetMismatch(f"targets {s1.target} and {s2.target} differ")
     q1, q2 = s1.cond(), s2.cond()
@@ -189,7 +184,11 @@ def join(s1: DSequent, s2: DSequent, v: int) -> DSequent:
 
 
 def substitute(s1: DSequent, s2: DSequent) -> DSequent:
-    """Replace a constraint clause of s1 by the support of a record proving it."""
+    """Replace a constraint clause of s1 by the support of a record proving it.
+
+    The engine does not call it; ``perfbench/tracing.py`` patches it by name,
+    so it goes when the tracer stops patching names (ROADMAP item 4).
+    """
     if s2.target not in s1.constraint:
         raise NotInConstraint(f"clause {s2.target} not in the constraint of {s1}")
     q1, q2 = s1.cond(), s2.cond()
@@ -199,59 +198,6 @@ def substitute(s1: DSequent, s2: DSequent) -> DSequent:
     return DSequent.make(
         s1.target, q1, (s1.constraint - {s2.target}) | s2.constraint, "substitute"
     )
-
-
-def strengthen_by_satisfied(s: DSequent, r: Assignment, db: ClauseDb) -> DSequent:
-    """Move to a smaller subspace r, dropping constraint clauses r satisfies."""
-    q = s.cond()
-    if not (assignment_subsumes(q, r) and len(r) > len(q)):
-        raise NotSubsumingAssignment("r must strictly extend the conditional")
-    keep = frozenset(c for c in s.constraint if not clause_satisfied(db.clause(c).lits, r))
-    return DSequent.make(s.target, r, keep, "strengthen")
-
-
-def relax_order(target_dseq: DSequent, drop: int, pool: Sequence[DSequent]) -> DSequent:
-    """Remove one clause from the structure constraint without adding new ones.
-
-    Repeatedly substitutes records from the pool; any clause pulled in that
-    was not already in the constraint is substituted away in turn. With a
-    pool whose numbering respects the order constraints this terminates.
-    """
-    if drop not in target_dseq.constraint:
-        return target_dseq
-    by_target = {}
-    for ds in pool:
-        by_target.setdefault(ds.target, ds)
-    allowed = target_dseq.constraint - {drop}
-    current = target_dseq
-    guard = 0
-    while True:
-        extra = sorted(current.constraint - allowed)
-        if not extra:
-            return replace(current, rule="relax")
-        cid = extra[0]
-        helper = by_target.get(cid)
-        if helper is None:
-            raise ChainBroken(f"no pool record for clause {cid}")
-        try:
-            current = substitute(current, helper)
-        except IncompatibleConditionals as e:
-            raise ChainBroken(str(e)) from None
-        guard += 1
-        if guard > 10 * (len(pool) + len(target_dseq.constraint) + 1):
-            raise ChainBroken("substitution chain does not settle; pool order inconsistent")
-
-
-# --- reuse predicates ------------------------------------------------------
-
-
-def is_applicable(s: DSequent, live_formula: Iterable[int]) -> bool:
-    live = set(live_formula)
-    return s.target in live and s.constraint <= live
-
-
-def is_active(s: DSequent, r: Assignment, live_formula: Iterable[int]) -> bool:
-    return assignment_subsumes(s.cond(), r) and is_applicable(s, live_formula)
 
 
 def unit_deactivating_assignment(s: DSequent, r: Assignment) -> Optional[Tuple[int, int]]:
@@ -366,6 +312,3 @@ class DSequentStore:
 
     def records_for(self, target: int) -> Sequence[DSequent]:
         return self.by_target.get(target, ())
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.by_target.values())

@@ -131,11 +131,6 @@ def assignments_compatible(q1: Assignment, q2: Assignment) -> bool:
     return True
 
 
-def assignment_subsumes(q: Assignment, r: Assignment) -> bool:
-    """True iff every assignment of q is present in r."""
-    return all(r.get(var) == val for var, val in q.items())
-
-
 def assignments_resolvable(q1: Assignment, q2: Assignment) -> Optional[int]:
     """The unique variable assigned opposite values, if exactly one exists."""
     clash = [var for var, val in q1.items() if q2.get(var, val) != val]
@@ -259,10 +254,6 @@ class ClauseDb:
 
     def is_active(self, cid: int) -> bool:
         return self._active[cid]
-
-    def find_active(self, lits: Iterable[int]) -> Optional[Clause]:
-        cid = self._dedup.get(canonical_lits(lits))
-        return self._clauses[cid] if cid is not None else None
 
     def find_any(self, lits: Iterable[int]) -> Optional[Clause]:
         """Match against every stored clause, live or soft-deleted."""

@@ -95,13 +95,6 @@ class TruthTableQe:
     y_vars: Tuple[int, ...]
     rows: int  # bit j set iff the j-th assignment to y_vars admits a model
 
-    def row(self, y_assign: Assignment) -> bool:
-        j = 0
-        for i, v in enumerate(self.y_vars):
-            if y_assign[v]:
-                j |= 1 << i
-        return bool(self.rows >> j & 1)
-
 
 def enumerate_qe(
     clauses: Sequence[Sequence[int]],
@@ -226,45 +219,6 @@ def verify_dsequent(
         if not check_redundant_in_subspace(w, xs, w_ids.index(target_index), q, y_vars):
             return False
     return True
-
-
-def find_boundary_points(
-    clauses: Sequence[Sequence[int]],
-    x_vars: Iterable[int],
-    c_index: int,
-    y_vars: Optional[Iterable[int]] = None,
-) -> List[Tuple[Assignment, bool]]:
-    """Full assignments falsifying only the clause under test.
-
-    A point is removable iff some free-variable clause implied by the formula
-    is falsified by it; that holds exactly when the formula is unsatisfiable
-    under the point's free-variable part (the disjunction of that part's
-    negated literals is then such a clause, and conversely any such clause
-    witnesses unsatisfiability). The clause is redundancy-certified iff no
-    removable point exists.
-    """
-    xs = set(x_vars)
-    ys = set(y_vars) if y_vars is not None else _collect_vars(clauses) - xs
-    sp = _Space(xs, ys)
-    masks = _mask_clauses(clauses, sp.index)
-    cm = [masks[c_index]]
-    rest = masks[:c_index] + masks[c_index + 1 :]
-    unsat_memo: Dict[int, bool] = {}
-    out: List[Tuple[Assignment, bool]] = []
-    order = sp.x_order + sp.y_order
-    for bits in range(1 << (sp.nx + sp.ny)):
-        if _sat_under(cm, bits, sp.full) or not _sat_under(rest, bits, sp.full):
-            continue
-        yb = bits & ~((1 << sp.nx) - 1)
-        if yb not in unsat_memo:
-            unsat_memo[yb] = not sp.exists_x(masks, yb)
-        point = {v: bits >> sp.index[v] & 1 for v in order}
-        out.append((point, unsat_memo[yb]))
-    return out
-
-
-def redundancy_certified(points: Sequence[Tuple[Assignment, bool]]) -> bool:
-    return not any(removable for _, removable in points)
 
 
 def cnf_satisfiable(clauses: Sequence[Sequence[int]]) -> bool:

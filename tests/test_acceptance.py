@@ -21,8 +21,6 @@ from pqe.dsequent import (
     check_consistency,
     falsified_clause_dsequent,
     join,
-    relax_order,
-    strengthen_by_satisfied,
     substitute,
 )
 from pqe.formula import Clause, ClauseDb, EcnfProblem, PqeError, canonical_lits
@@ -187,12 +185,12 @@ class _CalculusArena:
 def test_calculus_closure_1000_each():
     """Randomized closure: combining valid records only yields valid records."""
     rng = random.Random(606)
-    quotas = {"join": 0, "substitute": 0, "strengthen": 0, "relax": 0}
+    quotas = {"join": 0, "substitute": 0}
     goal = 1000
     validated = {}
 
     def check(arena, ds, tag):
-        key = (id(arena), ds.key())
+        key = (id(arena), ds.target, ds.conditional, ds.constraint)
         if key not in validated:
             validated[key] = arena.verify(ds)
         assert validated[key], (tag, ds, arena.clauses)
@@ -235,37 +233,6 @@ def test_calculus_closure_1000_each():
                         out = substitute(s1, s2)
                         check(arena, out, "substitute")
                         quotas["substitute"] += 1
-        # strengthen: move to a smaller subspace
-        for records in by_target.values():
-            for s in records:
-                if quotas["strengthen"] >= goal:
-                    break
-                r = s.cond()
-                free = [v for v in arena.xs + arena.ys if v not in r]
-                if not free:
-                    continue
-                for v in rng.sample(free, rng.randint(1, len(free))):
-                    r[v] = rng.randrange(2)
-                out = strengthen_by_satisfied(s, r, arena.db)
-                check(arena, out, "strengthen")
-                quotas["strengthen"] += 1
-        # relax: drop a constraint clause through a substitution chain
-        for records in list(by_target.values()):
-            for s1 in records:
-                for cid in sorted(s1.constraint):
-                    helpers = [
-                        h for h in by_target.get(cid, [])
-                        if isinstance(check_consistency([s1, h]), Consistent)
-                        and not h.constraint
-                    ]
-                    if not helpers or quotas["relax"] >= goal:
-                        continue
-                    out = relax_order(s1, cid, helpers[:1])
-                    assert cid not in out.constraint
-                    assert out.constraint <= s1.constraint - {cid}
-                    assert set(s1.cond().items()) <= set(out.cond().items())
-                    check(arena, out, "relax")
-                    quotas["relax"] += 1
     report(f"calculus-closure ({quotas}, 100%)")
 
 

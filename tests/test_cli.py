@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from pqe import harness
 from pqe.cli import GOLDEN_INSTANCE, main
 
 
@@ -155,6 +156,22 @@ class TestGen:
         run(capsys, "gen", "circuit", "--inputs", "3", "--gates", "5", "--seed", "2", "-o", str(a))
         run(capsys, "gen", "circuit", "--inputs", "3", "--gates", "5", "--seed", "2", "-o", str(b))
         assert a.read_text() == b.read_text()
+
+    def test_gen_circuit_simulates_once(self, capsys, tmp_path, monkeypatch):
+        # every sink is an output, so one simulation per output would make
+        # generation quadratic in the gate count
+        calls = []
+        simulate = harness.simulate
+
+        def counting(circuit, inputs):
+            calls.append(len(circuit.outputs))
+            return simulate(circuit, inputs)
+
+        monkeypatch.setattr(harness, "simulate", counting)
+        code, _, _ = run(capsys, "gen", "circuit", "--inputs", "4", "--gates", "12",
+                         "-o", str(tmp_path / "c.pqe"))
+        assert code == 0
+        assert len(calls) == 1 and calls[0] > 1
 
     def test_gen_satred(self, capsys, tmp_path):
         out_file = tmp_path / "s.pqe"

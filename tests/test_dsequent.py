@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from pqe.dsequent import (
-    ChainBroken,
     Consistent,
     DSequent,
     DSequentStore,
@@ -12,7 +11,6 @@ from pqe.dsequent import (
     NoImplication,
     NotInConstraint,
     NotSatisfying,
-    NotSubsumingAssignment,
     TargetMismatch,
     TargetNotXClause,
     atomic_first_kind,
@@ -20,11 +18,7 @@ from pqe.dsequent import (
     atomic_third_kind,
     check_consistency,
     falsified_clause_dsequent,
-    is_active,
-    is_applicable,
     join,
-    relax_order,
-    strengthen_by_satisfied,
     substitute,
     trace_line,
     unit_deactivating_assignment,
@@ -143,79 +137,7 @@ class TestUpdateSubstituteStrengthen:
         with pytest.raises(IncompatibleConditionals):
             substitute(ds(30, {1: 0}, {31}), ds(31, {1: 1}, ()))
 
-    def test_strengthen_drops_satisfied(self):
-        db = ClauseDb()
-        c1 = db.add((3, 1), "f2-initial")  # y v x1
-        c2 = db.add((1, 2), "f2-initial")  # x1 v x2
-        tgt = db.add((-1, 2), "f1-initial")
-        s = ds(tgt.id, {3: 0}, {c1.id, c2.id})
-        out = strengthen_by_satisfied(s, {3: 0, 1: 1}, db)
-        assert out.cond() == {3: 0, 1: 1}
-        assert out.constraint == frozenset()
-
-    def test_strengthen_keeps_untouched(self):
-        db = ClauseDb()
-        c1 = db.add((3, 1), "f2-initial")
-        tgt = db.add((-1, 2), "f1-initial")
-        s = ds(tgt.id, {3: 0}, {c1.id})
-        out = strengthen_by_satisfied(s, {3: 0, 4: 1}, db)
-        assert out.constraint == {c1.id}
-
-    def test_strengthen_requires_strict_extension(self):
-        db = ClauseDb()
-        tgt = db.add((-1, 2), "f1-initial")
-        s = ds(tgt.id, {3: 0}, ())
-        with pytest.raises(NotSubsumingAssignment):
-            strengthen_by_satisfied(s, {3: 0}, db)
-        with pytest.raises(NotSubsumingAssignment):
-            strengthen_by_satisfied(s, {3: 1, 4: 0}, db)
-
-
-class TestRelaxOrder:
-    def test_identity_when_absent(self):
-        s = ds(40, {1: 0}, {41})
-        assert relax_order(s, 99, []) == s
-
-    def test_single_step(self):
-        s = ds(40, {1: 0}, {41})
-        helper = ds(41, {2: 1}, ())
-        out = relax_order(s, 41, [helper])
-        assert out.constraint == frozenset()
-        assert out.cond() == {1: 0, 2: 1}
-
-    def test_chain(self):
-        # constraint chain 41 <- 42 <- 43; dropping 41 must not add 42/43
-        s = ds(40, {}, {41})
-        pool = [ds(41, {1: 1}, {42}), ds(42, {2: 1}, {43}), ds(43, {3: 1}, ())]
-        out = relax_order(s, 41, pool)
-        assert out.constraint == frozenset()
-        assert out.cond() == {1: 1, 2: 1, 3: 1}
-
-    def test_chain_broken(self):
-        s = ds(40, {}, {41})
-        with pytest.raises(ChainBroken):
-            relax_order(s, 41, [ds(41, {}, {42})])
-
-    def test_no_new_clauses(self):
-        s = ds(40, {}, {41, 44})
-        pool = [ds(41, {}, {44})]
-        out = relax_order(s, 41, pool)
-        assert out.constraint == {44}
-
-
 class TestReusePredicates:
-    def test_applicable(self):
-        s = ds(3, {}, {2})
-        assert is_applicable(s, {2, 3, 4})
-        assert not is_applicable(s, {3, 4})
-        assert is_applicable(ds(3, {}, ()), {3})
-
-    def test_active(self):
-        s = ds(3, {6: 0, 5: 1}, ())
-        assert is_active(s, {6: 0, 5: 1, 2: 0}, {3})
-        assert not is_active(s, {6: 0}, {3})
-        assert not is_active(ds(3, {6: 0}, {9}), {6: 0}, {3})
-
     def test_unit_deactivating(self):
         s = ds(3, {6: 0, 5: 1}, ())
         assert unit_deactivating_assignment(s, {6: 0}) == (5, 0)
@@ -308,18 +230,18 @@ class TestRetentionAndStore:
         assert store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
         assert store.records_for(self.tgt.id) == [first]
         assert store.consider(ds(self.tgt.id, {5: 1}, ()), 0, self.x_vars, self.db)
-        assert len(store) == 2
+        assert len(store.records_for(self.tgt.id)) == 2
 
     def test_deeper_than_k_dropped(self):
         store = DSequentStore(2)
         assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 3, self.x_vars, self.db)
         assert store.consider(ds(self.tgt.id, {5: 0}, ()), 2, self.x_vars, self.db)
-        assert len(store) == 1
+        assert len(store.records_for(self.tgt.id)) == 1
 
     def test_no_learning(self):
         store = DSequentStore(-1)
         assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
-        assert len(store) == 0
+        assert len(store.records_for(self.tgt.id)) == 0
 
     def test_free_clauses_always_stripped(self):
         # at k >= 1 the duplicate test ignores free-variable-only clauses
@@ -340,14 +262,14 @@ class TestRetentionAndStore:
         assert store.consider(s, 0, self.x_vars, self.db)
         # an equivalent record is already retained: reported, not re-added
         assert store.consider(s, 0, self.x_vars, self.db)
-        assert len(store) == 1
+        assert len(store.records_for(self.tgt.id)) == 1
         assert store.records_for(self.tgt.id) == [s]
 
     def test_store_rejects_by_depth(self):
         store = DSequentStore(0)
         s = ds(self.tgt.id, {5: 0}, ())
         assert not store.consider(s, 1, self.x_vars, self.db)
-        assert len(store) == 0
+        assert len(store.records_for(self.tgt.id)) == 0
 
 
 def test_trace_line_format():

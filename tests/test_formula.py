@@ -166,7 +166,6 @@ class TestClauseDb:
         a = db.add((1, 2), "f1-initial")
         db.deactivate(a.id)
         assert not db.is_active(a.id)
-        assert db.find_active((1, 2)) is None
         assert db.find_any((1, 2)).id == a.id
         # a new twin gets a fresh id while the original is out
         b = db.add((1, 2), "f2-initial")
@@ -226,7 +225,7 @@ class TestPropagationState:
                     lits = db.clause(cid).lits
                     if db.is_active(cid):
                         db.deactivate(cid)
-                    elif db.find_active(lits) is None:
+                    elif all(db.clause(c).lits != lits for c in db.active_ids()):
                         db.reactivate(cid)
                 active = db.active_ids()
                 asg = db.values

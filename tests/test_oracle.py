@@ -5,8 +5,6 @@ from pqe.oracle import (
     check_redundant_in_subspace,
     cnf_satisfiable,
     enumerate_qe,
-    find_boundary_points,
-    redundancy_certified,
     verify_dsequent,
     verify_pqe_solution,
 )
@@ -23,16 +21,17 @@ Y = (3,)
 class TestEnumerateQe:
     def test_basic_rows(self):
         tt = enumerate_qe([C1, C2, C3], X, Y)
-        assert tt.row({3: 1}) is True
-        assert tt.row({3: 0}) is False
+        # bit j is the j-th assignment to y_vars: bit 0 is y3=0, bit 1 is y3=1
+        assert tt.y_vars == (3,)
+        assert tt.rows == 0b10
 
     def test_empty_formula(self):
         tt = enumerate_qe([], X, Y)
-        assert tt.row({3: 0}) and tt.row({3: 1})
+        assert tt.rows == 0b11
 
     def test_empty_clause(self):
         tt = enumerate_qe([()], X, Y)
-        assert not tt.row({3: 0}) and not tt.row({3: 1})
+        assert tt.rows == 0
 
     def test_cap(self):
         with pytest.raises(TooLarge):
@@ -90,24 +89,6 @@ class TestVerifyDsequent:
         clauses = [(1, i) for i in range(2, 18)]
         with pytest.raises(TooLarge):
             verify_dsequent(clauses, range(1, 18), 0, {}, [])
-
-
-class TestBoundaryPoints:
-    def test_no_removable_with_cover(self):
-        pts = find_boundary_points([C1, C2, C3, C4], X, 0, Y)
-        assert redundancy_certified(pts)
-
-    def test_removable_point_without_cover(self):
-        pts = find_boundary_points([C1, C2, C3], X, 0, Y)
-        removable = [p for p, r in pts if r]
-        assert {1: 1, 2: 0, 3: 0} in removable
-        assert not redundancy_certified(pts)
-
-    def test_unfalsifiable_clause_has_no_points(self):
-        # the clause (1) cannot be falsified while (1, 2) and (1, -2) hold... it can;
-        # use a clause whose negation contradicts the rest: c = (1), rest forces 1=1
-        pts = find_boundary_points([(1,), (1, 2), (1, -2), (1, 3), (1, -3)], X, 0, Y)
-        assert pts == [] or all(not r for _, r in pts)
 
 
 class TestInternalAgreement:

@@ -20,7 +20,7 @@ def make_engine(x_vars, y_vars, f1, f2, **cfg):
 
 def start_proof(engine, primary_lits):
     engine._reset_search()
-    primary = engine.db.find_active(primary_lits)
+    primary = engine.db.find_any(primary_lits)
     engine.primary = primary.id
     engine.target = primary.id
     return primary
@@ -87,7 +87,7 @@ class TestLearnSatisfiedTarget:
     def test_outcome(self):
         eng = make_engine([1, 2], [3], f1=[(1, 2)], f2=[(3, 1)])
         target = start_proof(eng, (1, 2))
-        helper = eng.db.find_active((3, 1))
+        helper = eng.db.find_any((3, 1))
         eng._apply(3, 0, None, level_start=True)
         eng._apply(1, 1, helper.id, level_start=False)
         out = eng._round_condition()
@@ -103,7 +103,7 @@ class TestLearnBlockedTarget:
     def test_outcome(self):
         eng = make_engine([1, 2, 3], [4], f1=[(2, 3)], f2=[(4, 1), (1, -2)])
         target = start_proof(eng, (2, 3))
-        c1 = eng.db.find_active((4, 1))
+        c1 = eng.db.find_any((4, 1))
         eng._apply(4, 0, None, level_start=True)
         eng._apply(1, 1, c1.id, level_start=False)
         out = eng._bcp()
@@ -129,9 +129,9 @@ class TestLearnFalsifiedNonTarget:
     def test_chain_of_joins(self):
         eng = self.setup_engine((1, 4))
         target = start_proof(eng, (1, 4))
-        c1 = eng.db.find_active((5, -1, 2))
-        c2 = eng.db.find_active((-1, 3))
-        c3 = eng.db.find_active((-2, -3))
+        c1 = eng.db.find_any((5, -1, 2))
+        c2 = eng.db.find_any((-1, 3))
+        c3 = eng.db.find_any((-2, -3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
         eng._apply(5, 0, None, level_start=True)
         eng._apply(1, 1, stored, level_start=True)
@@ -149,15 +149,15 @@ class TestLearnFalsifiedTarget:
     def test_record_and_clause(self):
         eng = make_engine([1, 2, 3], [5], f1=[(-2, -3)], f2=[(5, -1, 2), (-1, 3)])
         target = start_proof(eng, (-2, -3))
-        c1 = eng.db.find_active((5, -1, 2))
-        c2 = eng.db.find_active((-1, 3))
+        c1 = eng.db.find_any((5, -1, 2))
+        c2 = eng.db.find_any((-1, 3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
         eng._apply(5, 0, None, level_start=True)
         eng._apply(1, 1, stored, level_start=True)
         eng._apply(2, 1, c1.id, level_start=False)
         eng._apply(3, 1, c2.id, level_start=False)
         out = eng._lrn_falsified(target.id)
-        helper = eng.db.find_active((-1, 5))
+        helper = eng.db.find_any((-1, 5))
         assert helper is not None
         assert helper.is_f1_side()
         assert isinstance(out, DSequent)
@@ -171,8 +171,8 @@ class TestLearnActivatedRecord:
     def test_joins_through_reasons(self):
         eng = make_engine([1, 2, 4], [3], f1=[(4,)], f2=[(3, 1), (3, 2)])
         target = start_proof(eng, (4,))
-        c1 = eng.db.find_active((3, 1))
-        c2 = eng.db.find_active((3, 2))
+        c1 = eng.db.find_any((3, 1))
+        c2 = eng.db.find_any((3, 2))
         stored = DSequent.make(target.id, {1: 1, 2: 1}, (), "derived")
         eng._apply(3, 0, None, level_start=True)
         eng._apply(1, 1, c1.id, level_start=False)
@@ -192,7 +192,7 @@ class TestTargetStackWalkthrough:
             f1=[(5, 1)],
             f2=[(-1, 2), (-2, 3, 4), (-5, -3), (3, -4)],
         )
-        ids = {lits: eng.db.find_active(lits).id for lits in
+        ids = {lits: eng.db.find_any(lits).id for lits in
                [(5, 1), (-1, 2), (-2, 3, 4), (-5, -3), (3, -4)]}
         return eng, ids
 
@@ -314,7 +314,7 @@ class TestStoredRecordPropagation:
         # a support clause the trail satisfies does not stand in for it
         eng = make_engine([1, 4], [3], f1=[(1, 3)], f2=[(4, -3)])
         target = start_proof(eng, (1, 3))
-        helper = eng.db.find_active((4, -3))
+        helper = eng.db.find_any((4, -3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)
@@ -326,7 +326,7 @@ class TestStoredRecordPropagation:
     def test_unusable_record_skipped_when_support_gone(self):
         eng = make_engine([1], [2, 3], f1=[(1, 2)], f2=[(1, 3)])
         target = start_proof(eng, (1, 2))
-        helper = eng.db.find_active((1, 3))
+        helper = eng.db.find_any((1, 3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)

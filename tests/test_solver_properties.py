@@ -217,7 +217,7 @@ class TestSearchDiscipline:
         eng = Engine(EcnfProblem.make([1, 4], [3], [(1, 3)], [(4, -3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
-        helper = eng.db.find_active((4, -3))
+        helper = eng.db.find_any((4, -3))
         rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng._apply(3, 0, None, level_start=True)
