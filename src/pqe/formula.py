@@ -109,16 +109,6 @@ def clashing_vars(lits1: Sequence[int], lits2: Sequence[int]) -> Tuple[int, ...]
     return tuple(sorted(abs(l) for l in lits1 if -l in other))
 
 
-def resolve(c1: "Clause | Sequence[int]", c2: "Clause | Sequence[int]", v: int) -> Lits:
-    """Resolvent on v; the clauses must clash on exactly v and nothing else."""
-    l1 = c1.lits if isinstance(c1, Clause) else tuple(c1)
-    l2 = c2.lits if isinstance(c2, Clause) else tuple(c2)
-    clash = clashing_vars(l1, l2)
-    if clash != (v,):
-        raise NotResolvable(f"clash vars {clash}, wanted ({v},)")
-    return canonical_lits([l for l in l1 if abs(l) != v] + [l for l in l2 if abs(l) != v])
-
-
 def resolvable_on(lits1: Sequence[int], lits2: Sequence[int], v: int) -> bool:
     clash = clashing_vars(lits1, lits2)
     return clash == (v,)

@@ -21,7 +21,9 @@ from typing import List, NoReturn, Sequence, Tuple
 from .formula import EcnfProblem, Lits, PqeError, TautologyError, canonical_lits
 
 
-class PqeSyntaxError(PqeError):
+class PositionedError(PqeError):
+    """An input error at a 1-based line and column."""
+
     def __init__(self, line: int, col: int, message: str):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
@@ -29,12 +31,12 @@ class PqeSyntaxError(PqeError):
         self.message = message
 
 
-class PqeSemanticError(PqeError):
-    def __init__(self, line: int, col: int, message: str):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
-        self.message = message
+class PqeSyntaxError(PositionedError):
+    """The text is not in the instance format."""
+
+
+class PqeSemanticError(PositionedError):
+    """Well-formed text that states an impossible instance."""
 
 
 def _content_lines(text: str):

@@ -19,7 +19,9 @@ and key variable. Its pending targets are not stored: ``_partners``
 recomputes them, the live clauses resolvable with the key on that variable,
 whenever the next one is picked. A clause proved redundant at a live level
 is soft-deleted, and its record lives only in that level's ``done`` map
-until ``_drop_tlevel`` pops the level and restores the clause.
+until the level ends and restores the clause. A level ends with its key
+assignment: ``_pop_suffix`` drops every top level whose key it unassigns
+(``_handle_duplicate`` alone also drops those whose key it leaves).
 
 The primary target is the bottom of that stack: with no target level left,
 the target is the primary, its point of origin lies before the first trail
@@ -34,6 +36,9 @@ Learning happens where a condition is found. Each detector (satisfied,
 falsified or blocked target, falsified clause, reusable stored record)
 learns from it at once and returns a record for the current target or a
 conflict clause, and ``prove_redundant`` hands that to the rule above.
+A conflict clause comes from one downward walk of the trail
+(``_conflict_walk``), resolving at each entry whose false literal the
+resolvent holds.
 
 Propagation state
 -----------------
@@ -91,7 +96,6 @@ from .formula import (
     clause_satisfied,
     falsifying_assignment,
     is_blocked,
-    resolve,
     satisfying_value,
     unit_literal,
 )
@@ -126,7 +130,6 @@ class TrailEntry:
 class TargetLevel:
     key_clause: int
     key_var: int
-    key_pos: int  # trail index of the key variable's assignment
     done: Dict[int, DSequent] = field(default_factory=dict)
 
 
@@ -151,11 +154,6 @@ _STAT_KEYS = (
     "max_target_depth",
     "primaries_proved",
 )
-
-# ``Engine._pick`` until the record check picks a branch variable
-# (variables are positive; a pick of None means nothing is left to pick)
-_NOT_PICKED = 0
-
 
 class Engine:
     """Search state for one problem; drives the whole elimination."""
@@ -193,7 +191,6 @@ class Engine:
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
-        self._pick: Optional[int] = _NOT_PICKED
         self._deadline: Optional[float] = None
         self._next_f1 = 0  # f1_ids before it are proved or have no quantified literal
         self._rule_keys: Dict[str, str] = {}  # record rule -> its stats key
@@ -273,8 +270,6 @@ class Engine:
             pending = self._bcktr_dseq(learned)
 
     def _reset_search(self) -> None:
-        while self.tlevels:
-            self._drop_tlevel()
         self._pop_suffix(0)
         self._pending = None
 
@@ -306,6 +301,9 @@ class Engine:
             del self.pos[e.var]
         while len(self.level_start) > 1 and self.level_start[-1] >= len(self.trail):
             self.level_start.pop()
+        # a target level ends with its key assignment
+        while self.tlevels and self.tlevels[-1].key_var not in self.pos:
+            self._drop_tlevel()
         if self.config.check_invariants:
             self._audit_trail()
 
@@ -315,8 +313,7 @@ class Engine:
         self._pop_suffix(self.level_start[level + 1])
 
     def _decide(self) -> None:
-        # the record check just before may have picked in this same state
-        var = self._pick if self._pick != _NOT_PICKED else self._pick_branch_var()
+        var = self._pick_branch_var()
         if var is None:
             raise AssertionError("nothing to decide and no backtracking condition")
         self.stats["decisions"] += 1
@@ -419,9 +416,11 @@ class Engine:
         empty stack means the primary is the target; the pending variable
         is unassigned."""
         assert self.tlevels or self.target == self.primary
+        below = -1  # _pop_suffix relies on assigned keys in stack order
         for lv in self.tlevels:
-            assert lv.key_pos < len(self.trail)
-            assert self.trail[lv.key_pos].var == lv.key_var
+            assert lv.key_var in self.pos, f"key {lv.key_var} of a live level is unassigned"
+            assert self.pos[lv.key_var] > below, f"key {lv.key_var} lies below the key under it"
+            below = self.pos[lv.key_var]
             assert lv.key_var in self.x_vars
             for cid in lv.done:
                 assert not self.db.is_active(cid)
@@ -438,11 +437,11 @@ class Engine:
         variables would reshape the search tree, and on bad days cost more
         than the record saves.
         """
-        self._pick = _NOT_PICKED
         records = self.store.records_for(self.target)
         if not records:
             return None
         db, assign = self.db, self.assign
+        pick = None  # found at the first hint; one exists, as a hint is unassigned
         for rec in records:
             if self.config.check_invariants and self.config.learn_depth_k == 0:
                 assert all(db.is_active(cid) for cid in rec.constraint), rec
@@ -457,9 +456,9 @@ class Engine:
             if subsumed:
                 self.stats["dseq_reused"] += 1
                 return self._rewrite(rec)
-            if self._pick == _NOT_PICKED:
-                self._pick = self._pick_branch_var()
-            if hint[0] != self._pick:
+            if pick is None:
+                pick = self._pick_branch_var()
+            if hint[0] != pick:
                 continue
             self.stats["deactivation_hints"] += 1
             self._pending = (hint[0], hint[1], rec)
@@ -515,7 +514,7 @@ class Engine:
         return self._advance_target()
 
     def _push_tlevel(self, key_cid: int, key_var: int) -> None:
-        self.tlevels.append(TargetLevel(key_cid, key_var, self.pos[key_var]))
+        self.tlevels.append(TargetLevel(key_cid, key_var))
         if len(self.tlevels) > self.stats["max_target_depth"]:
             self.stats["max_target_depth"] = len(self.tlevels)
 
@@ -556,8 +555,7 @@ class Engine:
         record = self._third_kind(key, top.key_var, partners)
         if record is None:
             return self._handle_duplicate()
-        self._drop_tlevel()
-        self._pop_suffix(top.key_pos)
+        self._pop_suffix(self.pos[top.key_var])  # ends the level
         self.target = top.key_clause
         return self._rewrite(record)
 
@@ -630,24 +628,26 @@ class Engine:
     def _conflict_walk(self, start_cid: int) -> Tuple[Lits, bool, bool]:
         """Resolve the falsified clause backwards through clause reasons.
 
-        Stops at a real decision (a conflict clause has been built) or at a
+        Walks the trail down once, as ``satcore._Solver._analyze`` does (a
+        reason's other literals lie below its entry). Stops at a real
+        decision (a conflict clause has been built) or at a
         D-sequent-derived assignment (clause learning is impossible there).
         Returns the resolvent, whether F1 took part, and whether a record stopped it.
         """
         start = self.db.clause(start_cid)
-        work: Lits = start.lits
+        work = set(start.lits)  # all false
         f1_side = start.is_f1_side()
-        while work:
-            pos, _ = max((self.pos[abs(l)], l) for l in work)
-            entry = self.trail[pos]
-            if entry.reason is None:
-                return work, f1_side, False
-            if isinstance(entry.reason, DSequent):
-                return work, f1_side, True
+        for entry in reversed(self.trail):
+            lit = -entry.var if entry.val else entry.var
+            if lit not in work:
+                continue
+            if entry.reason is None or isinstance(entry.reason, DSequent):
+                return tuple(sorted(work, key=abs)), f1_side, entry.reason is not None
             reason = self.db.clause(entry.reason)
             f1_side = f1_side or reason.is_f1_side()
-            work = resolve(work, reason.lits, entry.var)
-        return work, f1_side, False
+            work.remove(lit)
+            work.update(l for l in reason.lits if l != -lit)
+        return (), f1_side, False
 
     def _rewrite(self, ds: DSequent) -> DSequent:
         """Eliminate derived assignments from the conditional, latest first.
@@ -754,7 +754,7 @@ class Engine:
         """
         self._pending = None
         if self.tlevels:
-            poo = self.tlevels[-1].key_pos
+            poo = self.pos[self.tlevels[-1].key_var]
             floor = self.trail[poo].level
         else:
             poo, floor = -1, 0
@@ -786,17 +786,15 @@ class Engine:
 
         Jumps to the clause's second-deepest level and asserts its deepest
         literal: clauses persist in the formula and re-propagate on arrival.
-        Any target level whose key variable gets unassigned is dissolved,
-        its proved clauses returning to the formula (the new clause covers
-        the whole subspace by itself).
+        The jump ends every target level whose key variable it unassigns
+        (``_pop_suffix``), its proved clauses returning to the formula (the
+        new clause covers the whole subspace by itself).
         """
         old_level = self.tlevels[-1] if self.tlevels else None
         levels = sorted((self.trail[self.pos[abs(l)]].level, abs(l), l) for l in clause.lits)
         _, _, asserting = levels[-1]
         self._backtrack_to_level(levels[-2][0] if len(levels) > 1 else 0)
         self._pending = (abs(asserting), satisfying_value(asserting), clause.id)
-        while self.tlevels and self.tlevels[-1].key_pos >= len(self.trail):
-            self._drop_tlevel()
         if self.tlevels and self.tlevels[-1] is old_level:
             return None  # same level, same target
         return self._advance_target()
@@ -817,6 +815,7 @@ class Engine:
         while self.trail and self.trail[-1].var in self.x_vars:
             self._pop_suffix(len(self.trail) - 1)
         self._pending = None
+        # a key may still be assigned below a free-variable entry
         while self.tlevels:
             self._drop_tlevel()
         self.target = self.primary

@@ -1,14 +1,17 @@
 """Every module-level function and class of ``src/pqe`` has a caller outside the tests.
 
 A name counts as used when, outside its own definition, it is imported by
-name from its module, read as a bare name in its own module, or appears as
-an attribute or a string constant in ``src/pqe``, ``tools`` or ``perfbench``
-(not ``perfbench/tests``). The string case covers the names that the
-benchmark's tracer patches by attribute. Methods are out of scope: attribute
-names collide across classes and modules (``ClauseDb.is_active`` against a
-module-level ``is_active``), so an attribute read cannot say whose method it
-calls. The same collision counts every ``str.join`` call as a use of
-``dsequent.join``.
+name from its module, read as a bare name in its own module, read as an
+attribute of its module, or appears as a string constant in ``src/pqe``,
+``tools`` or ``perfbench`` (not ``perfbench/tests``). An attribute read
+counts only when its base is a ``pqe`` module: an alias bound by
+``from . import x as y``, ``from pqe import x`` or ``import pqe.x as y``,
+or a ``pqe.x`` chain. So ``Path.resolve()`` or ``",".join(...)`` keep no
+name alive. The string case covers the names that the benchmark's tracer
+patches by attribute (``perfbench/tracing.py`` ``SITES``); it also keeps
+``dsequent.join`` alive through the rule name ``"join"`` that records
+carry. Methods are out of scope: an attribute read of an object cannot say
+whose method it calls.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pqe"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 SCANNED = [*PACKAGE.glob("*.py"), *(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -27,6 +31,34 @@ ALLOWED = {
 }
 
 
+def _module_aliases(tree: ast.Module, in_package: bool):
+    """Local name -> the ``pqe`` module it is bound to."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = in_package and node.level == 1 and node.module is None
+            if relative or (node.level == 0 and node.module == "pqe"):
+                for a in node.names:
+                    if a.name in MODULES:
+                        aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                package, _, module = a.name.partition(".")
+                if package == "pqe" and module in MODULES and a.asname:
+                    aliases[a.asname] = module
+    return aliases
+
+
+def _base_module(node: ast.expr, aliases):
+    """The ``pqe`` module an attribute base names, or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.value.id == "pqe" and node.attr in MODULES:
+            return node.attr
+    return None
+
+
 def _unused():
     defined = {
         (path.stem, stmt.name)
@@ -35,10 +67,12 @@ def _unused():
         if isinstance(stmt, DEFS)
     }
     used = set()  # (module, name)
-    words = set()  # (attribute or string, (module, definition) it appears in)
+    strings = set()  # (string, (module, definition) it appears in)
     for path in SCANNED:
         module = path.stem if path.parent == PACKAGE else None
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree, module is not None)
+        for stmt in tree.body:
             where = (module, stmt.name if isinstance(stmt, DEFS) else None)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.ImportFrom) and node.module:
@@ -47,13 +81,15 @@ def _unused():
                     if module and (module, node.id) != where:
                         used.add((module, node.id))
                 elif isinstance(node, ast.Attribute):
-                    words.add((node.attr, where))
+                    base = _base_module(node.value, aliases)
+                    if base and (base, node.attr) != where:
+                        used.add((base, node.attr))
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    words.add((node.value, where))
+                    strings.add((node.value, where))
     return {
         f"{module}.{name}"
         for module, name in defined - used
-        if not any(word == name and where != (module, name) for word, where in words)
+        if not any(s == name and where != (module, name) for s, where in strings)
     }
 
 

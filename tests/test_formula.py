@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, strategies as st
 from pqe.formula import (
     ClauseDb,
     EcnfProblem,
-    NotResolvable,
     SATISFIED,
     TautologyError,
     assignments_resolvable,
@@ -16,7 +14,6 @@ from pqe.formula import (
     clause_satisfied,
     cofactor_clause,
     is_blocked,
-    resolve,
     unit_literal,
 )
 
@@ -69,43 +66,6 @@ class TestCofactor:
         step = cofactor_clause(lits, q)
         twice = SATISFIED if step is SATISFIED else cofactor_clause(step, r)
         assert once == twice or (once is SATISFIED and twice is SATISFIED)
-
-
-class TestResolve:
-    def test_basic(self):
-        # y=3
-        assert resolve((3, 1), (-1, 2), 1) == (2, 3)
-
-    def test_no_opposite_pair(self):
-        with pytest.raises(NotResolvable):
-            resolve((3, 1), (3, -2), 1)
-
-    def test_two_opposite_pairs(self):
-        with pytest.raises(NotResolvable):
-            resolve((1, 2), (-1, -2), 1)
-
-    def test_resolvent_implied(self, rng):
-        # truth-table check on small random resolvable pairs
-        checked = 0
-        while checked < 60:
-            nv = rng.randint(2, 6)
-            mk = lambda: tuple(
-                v if rng.randrange(2) else -v
-                for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv)))
-            )
-            try:
-                c1, c2 = canonical_lits(mk()), canonical_lits(mk())
-            except TautologyError:
-                continue
-            clash = [v for v in range(1, nv + 1) if v in map(abs, c1) and -([l for l in c1 if abs(l) == v][0]) in c2]
-            if len(clash) != 1:
-                continue
-            r = resolve(c1, c2, clash[0])
-            for bits in itertools.product((0, 1), repeat=nv):
-                asg = {v: bits[v - 1] for v in range(1, nv + 1)}
-                if clause_satisfied(c1, asg) and clause_satisfied(c2, asg):
-                    assert clause_satisfied(r, asg) or not r
-            checked += 1
 
 
 class TestBlocked:

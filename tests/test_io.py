@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqe.io import (
+    PositionedError,
     PqeSemanticError,
     PqeSyntaxError,
     parse_pqe,
@@ -69,6 +70,19 @@ class TestParse:
         with pytest.raises(PqeSyntaxError) as e:
             parse_pqe("p pqe 2 1 0\ne 1 0\n1 x 0\n")
         assert (e.value.line, e.value.col) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "text, kind, where",
+        [("p pqe 2 1 0\ne 1 0\n1 x 0\n", PqeSyntaxError, (3, 3)),
+         ("p pqe 2 1 0\ne 1 0\n1 -3 0\n", PqeSemanticError, (3, 3))],
+        ids=["syntax", "semantic"],
+    )
+    def test_errors_share_a_positioned_base(self, text, kind, where):
+        with pytest.raises(PositionedError) as e:
+            parse_pqe(text)
+        assert type(e.value) is kind
+        assert (e.value.line, e.value.col) == where
+        assert str(e.value) == f"line {where[0]}, col {where[1]}: {e.value.message}"
 
     def test_duplicate_quantifier_column(self):
         with pytest.raises(PqeSemanticError) as e:

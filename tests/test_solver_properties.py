@@ -1,15 +1,14 @@
 """Randomized semantic properties of the engine, checked against the oracle."""
 
-import itertools
 import random
 
 import pytest
 
 from pqe import harness
 from pqe.dsequent import DSequent
-from pqe.formula import EcnfProblem, clause_satisfied
+from pqe.formula import EcnfProblem
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
-from pqe.solver import Engine, SolverConfig, solve_pqe
+from pqe.solver import Engine, SolverConfig, TargetLevel, solve_pqe
 from tests.conftest import rand_cnf, rand_problem
 
 
@@ -56,23 +55,24 @@ class TestSoundness:
 
 class TestDerivedClausesImplied:
     def test_every_added_clause_follows_from_the_input(self):
-        rng = random.Random(5150)
-        for _ in range(60):
-            problem = rand_problem(rng, max_x=4, max_y=3, max_clauses=10, require_x_target=True)
-            eng = Engine(problem, SolverConfig(max_seconds=10))
-            eng.solve()
-            initial = list(problem.f1) + list(problem.f2)
-            all_vars = sorted({abs(l) for c in initial for l in c} | set(problem.all_vars()))
-            derived = [
-                eng.db.clause(cid).lits
-                for cid in eng.db.all_ids()
-                if eng.db.clause(cid).origin.startswith("derived")
-            ]
-            for lits in derived:
-                for bits in itertools.product((0, 1), repeat=len(all_vars)):
-                    asg = dict(zip(all_vars, bits))
-                    if all(clause_satisfied(c, asg) for c in initial):
-                        assert clause_satisfied(lits, asg) or not lits, (problem, lits)
+        # a derived-f2 clause is a resolvent of F2 clauses alone, so F2
+        # implies it; a derived-f1 clause (a resolvent using F1, or the
+        # negated core of a SAT call) follows from F1 and F2
+        rng = random.Random(6060)
+        checked = {"derived-f2": 0, "derived-f1": 0}
+        for _ in range(300):
+            problem = rand_problem(rng, require_x_target=True)
+            premises = {"derived-f2": list(problem.f2), "derived-f1": list(problem.f1 + problem.f2)}
+            for check in (False, True):
+                eng = Engine(problem, SolverConfig(max_seconds=10, check_invariants=check))
+                eng.solve()
+                for cid in eng.db.all_ids():
+                    clause = eng.db.clause(cid)
+                    if clause.origin in premises:
+                        negated = [(-l,) for l in clause.lits]
+                        assert not cnf_satisfiable(premises[clause.origin] + negated), (problem, clause)
+                        checked[clause.origin] += 1
+        assert checked["derived-f2"] > 40 and checked["derived-f1"] > 100, checked
 
 
 class TestEmittedRecordsValid:
@@ -181,6 +181,47 @@ class TestSearchDiscipline:
         eng._pending = (var, 1, None)
         with pytest.raises(AssertionError):
             eng._audit_stack()
+
+    def test_audit_catches_level_with_unassigned_key(self):
+        # _pop_suffix ends a level with its key, so a live key is assigned
+        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        eng._apply(1, 0, eng.target, level_start=True)
+        eng._push_tlevel(eng.target, 1)
+        eng._audit_stack()
+        eng.tlevels.append(TargetLevel(eng.target, 2))  # key 2 is unassigned
+        with pytest.raises(AssertionError, match="unassigned"):
+            eng._audit_stack()
+
+    def test_audit_catches_keys_out_of_trail_order(self):
+        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        eng._apply(1, 0, None, level_start=True)
+        eng._apply(2, 0, None, level_start=True)
+        eng.tlevels = [TargetLevel(eng.target, 2), TargetLevel(eng.target, 1)]
+        with pytest.raises(AssertionError, match="below"):
+            eng._audit_stack()
+
+    def test_pop_suffix_ends_levels_with_their_keys(self):
+        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        eng._apply(1, 0, None, level_start=True)
+        eng._push_tlevel(eng.target, 1)
+        eng._apply(2, 0, None, level_start=True)
+        eng._push_tlevel(eng.target, 2)
+        proved = max(eng.db.all_ids())
+        eng.tlevels[-1].done[proved] = None
+        eng.db.deactivate(proved)
+        eng._pop_suffix(eng.pos[2] + 1)  # keeps key 2: both levels live
+        assert [lv.key_var for lv in eng.tlevels] == [1, 2]
+        eng._pop_suffix(eng.pos[2])  # unassigns key 2: its level ends
+        assert [lv.key_var for lv in eng.tlevels] == [1]
+        assert eng.db.is_active(proved)  # restored with its level
+        eng._pop_suffix(0)
+        assert eng.tlevels == []
 
     def test_audit_catches_secondary_target_without_level(self):
         # with no target level on the stack the primary is the target

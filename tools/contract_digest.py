@@ -22,7 +22,7 @@ right answers, not only of unchanged ones.
 Batch: the first 120 instances of the perfbench workloads circuit-wide,
 circuit-cone and satred at seed 13, and 300 ``tests.conftest.rand_problem``
 instances drawn from ``Random(2024)``, each under the four configs of
-CONFIGS. It takes about 40 seconds on one core.
+CONFIGS. It takes about 80 seconds on one core.
 """
 
 import dataclasses
