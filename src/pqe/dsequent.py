@@ -149,18 +149,15 @@ def atomic_third_kind(
     """The target is blocked at quantified variable v given records for all partners."""
     if v not in x_vars or c.lit_on(v) is None:
         raise TargetNotXClause(f"{v} is not a quantified variable of clause {c.id}")
-    merged: Assignment = {}
-    for ds in resolvable_dseqs:
-        q = ds.cond()
-        if not assignments_compatible(merged, q):
-            raise IncompatibleConditionals("clashing conditionals among inputs")
-        merged.update(q)
     res = check_consistency(resolvable_dseqs)
     if isinstance(res, Inconsistent):
+        if res.incompatible is not None:
+            raise IncompatibleConditionals(f"clashing conditionals among inputs: {res}")
         raise InconsistentInputs(f"inputs admit no application order: {res}")
-    constraint = frozenset().union(*(ds.constraint for ds in resolvable_dseqs)) if resolvable_dseqs else frozenset()
-    if c.id in constraint:
-        raise InconsistentInputs(f"target {c.id} occurs in a partner constraint")
+    merged: Assignment = {}
+    for ds in resolvable_dseqs:
+        merged.update(ds.conditional)
+    constraint = frozenset().union(*(ds.constraint for ds in resolvable_dseqs))
     return DSequent.make(c.id, merged, constraint, "atomic3")
 
 
@@ -239,10 +236,11 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
     targets = [ds.target for ds in dseqs]
     if len(set(targets)) != n:
         raise ValueError("records must target distinct clauses")
-    conds = [ds.cond() for ds in dseqs]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not assignments_compatible(conds[i], conds[j]):
+    first: Dict[int, Tuple[int, int]] = {}  # var -> (first record assigning it, its value)
+    for j, ds in enumerate(dseqs):
+        for v, b in ds.conditional:
+            i, val = first.setdefault(v, (j, b))
+            if val != b:
                 return Inconsistent(incompatible=(i, j))
     pos = {t: i for i, t in enumerate(targets)}
     succs = [[pos[t] for t in sorted(ds.constraint) if t in pos] for ds in dseqs]

@@ -67,6 +67,11 @@ asserts that they agree and that the pending variable is unassigned.
 
 Records
 -------
+``_rewrite`` joins a learned record back through the trail in one downward
+walk from the conditional's top entry, as ``_conflict_walk`` does: a join
+adds only assignments below the entry it eliminates. A record reason joins
+only if its other assignments lie below its entry; a clause reason joins
+untested, as BCP applied it when its other literals were false below it.
 Every derived D-sequent is counted in ``stats`` (``_emit``). The records
 ``_rewrite`` passes through on the way to its result are built only when
 something observes them (a ``trace`` or ``on_dsequent`` callback); without
@@ -357,18 +362,16 @@ class Engine:
                 if learned is not None or self._pending is None:
                     return learned
                 continue
-            if isinstance(reason, DSequent):
-                self._apply(var, val, reason, level_start=True)
-            elif reason == self.target and var in self.x_vars:
+            if reason == self.target and var in self.x_vars:
                 res = self._bcp_star(var, val, reason)
                 if res is not None:
                     return res
                 # None: a new target was picked; re-examine it
-            elif reason == self.target:
-                # unit target on a free variable: branch-steering assignment
-                self._apply(var, val, reason, level_start=True)
             else:
-                self._apply(var, val, reason, level_start=False)
+                # a record's flip and the target's unit on a free variable
+                # steer the search, not follow from it: each starts a level
+                level_start = isinstance(reason, DSequent) or reason == self.target
+                self._apply(var, val, reason, level_start=level_start)
 
     def _round_condition(self) -> Union[None, DSequent, Clause]:
         if self.config.check_invariants:
@@ -657,12 +660,12 @@ class Engine:
         targets, and key-variable assignments of live target levels (unless
         a satisfied-target join can remove them for free).
 
-        Each step joins the record with a partner record on the latest
-        assignment: the deactivation record that made it, a record for the
-        subspace falsifying its reason clause, or the target's own
-        satisfied-clause record. The working record is a conditional dict
-        and a constraint set, updated in place; the intermediate records
-        are built only for the observers (``_emit``).
+        Walks the trail down once (see Records). Each step joins the record
+        with a partner record on the entry: the deactivation record that
+        made it, a record for the subspace falsifying its reason clause, or
+        the target's own satisfied-clause record. The working record is a
+        conditional dict and a constraint set, updated in place; the
+        intermediate records are built only for the observers (``_emit``).
         """
         assign, pos, trail = self.assign, self.pos, self.trail
         if not all(assign.get(v) == b for v, b in ds.conditional):
@@ -674,21 +677,28 @@ class Engine:
         cond = dict(ds.conditional)
         constraint = set(ds.constraint)
         joined = False
-        while cond:
-            var = max(cond, key=pos.__getitem__)
-            b = cond[var]
-            limit = pos[var]
-            reason = trail[limit].reason
+        for limit in range(max(map(pos.__getitem__, cond), default=-1), -1, -1):
+            entry = trail[limit]
+            var = entry.var
+            if var not in cond:
+                continue
+            b, reason = entry.val, entry.reason
             if reason is None:
                 break
             partner = None  # (conditional items, constraint, rule; None: a stored record)
             if isinstance(reason, DSequent):
-                if reason.target == target:
+                if self.config.check_invariants:
+                    assert (var, 1 - b) in reason.conditional, f"record of {var} does not flip it"
+                if reason.target == target and self._below(reason.conditional, var, limit):
                     partner = (reason.conditional, reason.constraint, None)
             elif reason != target and live_keys.get(reason) != var:
                 falsifying = falsifying_assignment(self.db.clause(reason).lits)
+                if self.config.check_invariants:
+                    assert falsifying.get(var) == 1 - b and self._below(
+                        falsifying.items(), var, limit
+                    ), f"reason clause {reason} of {var} is not false below it"
                 partner = (falsifying.items(), (reason,), "atomic2")
-            if partner is None or not self._joins_at(partner[0], var, b, limit):
+            if partner is None:
                 # satisfied-target escape: free of charge, and the only way
                 # out for key-variable assignments (their reason clause must
                 # never enter a constraint its own certificate depends on)
@@ -711,30 +721,16 @@ class Engine:
             self._count("join")
             if observed:
                 self._show(DSequent.make(target, cond, constraint, "join"))
+            if not cond:
+                break
         return DSequent.make(target, cond, constraint, "join") if joined else ds
 
-    def _joins_at(self, items: Iterable[Tuple[int, int]], var: int, b: int, limit: int) -> bool:
-        """Whether a partner conditional joins the working one on var=b.
-
-        It must clash with it on var alone, and its other assignments must
-        be on the trail below position ``limit``, the one being eliminated.
-        The working conditional lies on the trail, so a partner assignment
-        that agrees with the trail never clashes with it. This rejects
-        joins whose result mentions assignments the search has left, or
-        assignments above the one being eliminated (no progress;
-        convoluted backtracking histories can reassign a record's context
-        higher up).
-        """
+    def _below(self, items: Iterable[Tuple[int, int]], var: int, limit: int) -> bool:
+        """Whether a record's assignments other than var are on the trail
+        below position ``limit``: convoluted backtracking histories can
+        leave a record's context, or reassign it above the entry."""
         assign, pos = self.assign, self.pos
-        clash = False
-        for v, val in items:
-            if v == var:
-                if val == b:
-                    return False
-                clash = True
-            elif assign.get(v) != val or pos[v] >= limit:
-                return False
-        return clash
+        return all(v == var or (assign.get(v) == val and pos[v] < limit) for v, val in items)
 
     # ------------------------------------------------------------------
     # backtracking

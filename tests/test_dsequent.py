@@ -8,6 +8,7 @@ from pqe.dsequent import (
     DSequentStore,
     IncompatibleConditionals,
     Inconsistent,
+    InconsistentInputs,
     NoImplication,
     NotInConstraint,
     NotSatisfying,
@@ -93,6 +94,14 @@ class TestAtomicThirdKind:
     def test_clash_rejected(self):
         with pytest.raises(IncompatibleConditionals):
             atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())])
+
+    def test_support_cycle_rejected(self):
+        with pytest.raises(InconsistentInputs, match="application order"):
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})])
+
+    def test_target_in_partner_constraint_rejected(self):
+        with pytest.raises(InconsistentInputs, match="own constraint"):
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 1}, {11})])
 
 
 class TestJoin:
@@ -188,6 +197,12 @@ class TestConsistency:
         res = check_consistency([ds(1, {5: 0}, ()), ds(2, {5: 1}, ())])
         assert isinstance(res, Inconsistent)
         assert res.incompatible == (0, 1)
+
+    def test_incompatible_pair_after_a_compatible_record(self):
+        # record 0 clashes with neither; the clash is reported in input order
+        res = check_consistency([ds(1, {4: 0}, ()), ds(2, {5: 0, 4: 0}, ()), ds(3, {5: 1}, ())])
+        assert isinstance(res, Inconsistent)
+        assert res.incompatible == (1, 2)
 
     def test_order_is_valid_application_order(self, rng):
         for _ in range(100):

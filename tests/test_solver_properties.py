@@ -204,6 +204,36 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError, match="below"):
             eng._audit_stack()
 
+    def test_rewrite_audit_catches_reason_clause_not_false_below(self):
+        # _rewrite joins a clause reason untested: BCP made its other
+        # literals false below its entry
+        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        reason = eng.db.find_any((-1, 2)).id
+        record = DSequent.make(eng.target, {1: 0}, (), "derived")
+        eng._apply(2, 0, None, level_start=True)
+        eng._apply(1, 0, reason, level_start=False)
+        joined = eng._rewrite(record)
+        assert joined.cond() == {2: 0} and joined.constraint == {reason}
+        eng._pop_suffix(0)
+        eng._apply(1, 0, reason, level_start=True)  # 2 is not false below it
+        with pytest.raises(AssertionError, match="not false below"):
+            eng._rewrite(record)
+
+    def test_rewrite_audit_catches_record_reason_without_flip(self):
+        # a record-derived assignment is the flip of its record's conditional
+        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        record = DSequent.make(eng.target, {1: 0}, (), "derived")
+        eng._apply(1, 0, DSequent.make(eng.target, {1: 1}, (), "derived"), level_start=True)
+        assert eng._rewrite(record).conditional == ()
+        eng._pop_suffix(0)
+        eng._apply(1, 0, record, level_start=True)  # a record asks for its own value
+        with pytest.raises(AssertionError, match="does not flip"):
+            eng._rewrite(record)
+
     def test_pop_suffix_ends_levels_with_their_keys(self):
         eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
