@@ -12,7 +12,7 @@ import sys
 import time
 from typing import List, Optional
 
-from . import harness, io as pqeio, oracle
+from . import dsequent, harness, io as pqeio, oracle
 from .formula import EcnfProblem, PqeError
 from .satcore import ResourceLimit
 from .solver import SolverConfig, solve_pqe
@@ -50,8 +50,11 @@ def _emit_stats(stats: dict, mode: str, out) -> None:
 
 def _cmd_solve(args) -> int:
     problem = _read_problem(args.file)
-    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    result = solve_pqe(problem, _config_from_args(args), trace=trace)
+
+    def show(ds, live):
+        print(dsequent.trace_line(ds), file=sys.stderr)
+
+    result = solve_pqe(problem, _config_from_args(args), show if args.trace else None)
     sys.stdout.write(pqeio.write_solution(result.f1_star))
     if args.stats is not None:
         _emit_stats(result.stats, args.stats, sys.stderr)

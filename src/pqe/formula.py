@@ -154,7 +154,7 @@ class Clause:
 
 
 class ClauseDb:
-    """Id-addressed clause store with liveness flags and active-dedup.
+    """Id-addressed clause store with liveness flags; one clause per literal set.
 
     Clauses are never physically removed: D-sequent structure constraints
     keep referring to ids of clauses proved redundant, and those clauses
@@ -182,12 +182,10 @@ class ClauseDb:
     """
 
     def __init__(self) -> None:
-        self._clauses: Dict[int, Clause] = {}
-        self._active: Dict[int, bool] = {}
-        self._dedup: Dict[Lits, int] = {}  # canonical lits -> active id
-        self._any: Dict[Lits, int] = {}  # canonical lits -> last id ever
+        self._clauses: List[Optional[Clause]] = [None]  # by id (ids start at 1)
+        self._active: List[bool] = [False]  # by id
+        self._ids: Dict[Lits, int] = {}  # canonical lits -> id, live or not
         self._occ: Dict[int, List[int]] = {}  # literal -> ids containing it, ascending
-        self._next_id = 1
         self.values: Assignment = {}
         self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
         self._open: List[int] = [0]  # by id: literals not false under values
@@ -198,21 +196,19 @@ class ClauseDb:
         self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
 
     def add(self, lits: Iterable[int], origin: str) -> Clause:
-        """Insert a clause; a duplicate of an active clause returns the existing one."""
+        """Insert a clause; a duplicate returns the stored one, live or not."""
         return self.add_canonical(canonical_lits(lits), origin)
 
     def add_canonical(self, key: Lits, origin: str) -> Clause:
         """``add`` for literals already in ``canonical_lits`` form."""
-        hit = self._dedup.get(key)
+        hit = self._ids.get(key)
         if hit is not None:
             return self._clauses[hit]
-        cid = self._next_id
-        self._next_id += 1
+        cid = len(self._clauses)
         clause = Clause(cid, key, origin)
-        self._clauses[cid] = clause
-        self._active[cid] = True
-        self._dedup[key] = cid
-        self._any[key] = cid
+        self._clauses.append(clause)
+        self._active.append(True)
+        self._ids[key] = cid
         true = open_ = open_sum = 0
         values, occ = self.values, self._occ
         for l in key:
@@ -247,34 +243,27 @@ class ClauseDb:
 
     def find_any(self, lits: Iterable[int]) -> Optional[Clause]:
         """Match against every stored clause, live or soft-deleted."""
-        cid = self._any.get(canonical_lits(lits))
+        cid = self._ids.get(canonical_lits(lits))
         return self._clauses[cid] if cid is not None else None
 
     def deactivate(self, cid: int) -> None:
         if not self._active[cid]:
             raise ValueError(f"clause {cid} already inactive")
         self._active[cid] = False
-        key = self._clauses[cid].lits
-        if self._dedup.get(key) == cid:
-            del self._dedup[key]
         self.falsified.discard(cid)
         self.units.discard(cid)
 
     def reactivate(self, cid: int) -> None:
         if self._active[cid]:
             raise ValueError(f"clause {cid} already active")
-        key = self._clauses[cid].lits
-        if key in self._dedup:
-            raise ValueError(f"an active duplicate of clause {cid} exists")
         self._active[cid] = True
-        self._dedup[key] = cid
         self._track(cid)
 
     def active_ids(self) -> Tuple[int, ...]:
-        return tuple(cid for cid in sorted(self._clauses) if self._active[cid])
+        return tuple(cid for cid, on in enumerate(self._active) if on)
 
     def all_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._clauses))
+        return tuple(range(1, len(self._clauses)))
 
     def occurrences(self, lit: int) -> Sequence[int]:
         """Ids of all clauses (any liveness) containing exactly this literal,
@@ -382,7 +371,7 @@ class ClauseDb:
         return self._open_sum[cid]
 
     def __len__(self) -> int:
-        return len(self._clauses)
+        return len(self._clauses) - 1
 
 
 def is_blocked(db: ClauseDb, c: Clause, v: int) -> bool:
@@ -426,6 +415,10 @@ class EcnfProblem:
         f1: Iterable[Sequence[int]],
         f2: Iterable[Sequence[int]],
     ) -> "EcnfProblem":
+        x_vars, y_vars = tuple(x_vars), tuple(y_vars)
+        for v in x_vars + y_vars:
+            if v <= 0:
+                raise ValueError(f"declared variable {v} is not positive")
         xs = frozenset(x_vars)
         ys = frozenset(y_vars)
         if xs & ys:

@@ -232,13 +232,5 @@ def sat_solve(clauses: Sequence[Sequence[int]], assumptions: Sequence[int] = ())
         if amap.get(abs(a), a) != a:
             return SatResult(False, core=frozenset({a, -a}))
         amap[abs(a)] = a
-    solver = _Solver(clauses)
-    res = solver.solve([amap[v] for v in sorted(amap)])
-    if res.satisfiable:
-        model = dict(res.model or {})
-        for v in solver.vars:
-            model.setdefault(v, 0)
-        for a in assumptions:
-            model.setdefault(abs(a), 1 if a > 0 else 0)
-        return SatResult(True, model=model)
-    return res
+    # the solver answers SAT only once every clause and assumption variable is assigned
+    return _Solver(clauses).solve([amap[v] for v in sorted(amap)])

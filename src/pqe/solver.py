@@ -74,9 +74,10 @@ only if its other assignments lie below its entry; a clause reason joins
 untested, as BCP applied it when its other literals were false below it.
 Every derived D-sequent is counted in ``stats`` (``_emit``). The records
 ``_rewrite`` passes through on the way to its result are built only when
-something observes them (a ``trace`` or ``on_dsequent`` callback); without
-an observer it carries the conditional and constraint as plain mutable
-values and builds one record at the end.
+an ``on_dsequent`` observer sees them; without one it carries the
+conditional and constraint as plain mutable values and builds one record at
+the end. The observer gets the live formula as a function, ``live``, so the
+sorted copy of every live clause is made only for an observer that reads it.
 Records are stored as derived (``DSequentStore``). A stored record is
 reused, or gives a branch hint, only while every clause of its constraint
 is active. At k = 0 that always holds: records exist only for the
@@ -167,13 +168,11 @@ class Engine:
         self,
         problem: EcnfProblem,
         config: Optional[SolverConfig] = None,
-        on_dsequent: Optional[Callable[[DSequent, tuple], None]] = None,
-        trace: Optional[Callable[[str], None]] = None,
+        on_dsequent: Optional[Callable[[DSequent, Callable[[], tuple]], None]] = None,
     ):
         self.problem = problem
         self.config = config or SolverConfig()
         self.on_dsequent = on_dsequent
-        self.trace = trace
         self.x_vars = problem.x_vars
         self.y_vars = problem.y_vars
         self.db = ClauseDb()
@@ -543,11 +542,8 @@ class Engine:
         key = self.db.clause(top.key_clause)
         partners = self._partners(key, top.key_var)
         for cid in partners:
-            if (
-                self.db.is_active(cid)
-                and cid not in top.done
-                and not self.db.is_satisfied(cid)
-            ):
+            # a clause done at this level is soft-deleted (``_bcktr_dseq``)
+            if self.db.is_active(cid) and not self.db.is_satisfied(cid):
                 self.target = cid
                 return None
         # key clause blocked at its key variable: certify while everything the
@@ -673,7 +669,7 @@ class Engine:
         target = ds.target
         tgt = self.db.clause(target)
         live_keys = {lv.key_clause: lv.key_var for lv in self.tlevels}
-        observed = self.trace is not None or self.on_dsequent is not None
+        observed = self.on_dsequent is not None
         cond = dict(ds.conditional)
         constraint = set(ds.constraint)
         joined = False
@@ -870,25 +866,26 @@ class Engine:
         self.stats[key] = self.stats.get(key, 0) + 1
 
     def _show(self, ds: DSequent) -> None:
-        if self.trace is not None:
-            self.trace(dsq.trace_line(ds))
         if self.on_dsequent is not None:
-            live = set(self.db.active_ids()) | {cid for lv in self.tlevels for cid in lv.done}
-            snapshot = tuple((cid, self.db.clause(cid).lits) for cid in sorted(live))
-            self.on_dsequent(ds, snapshot)
-        return ds
+            self.on_dsequent(ds, self._live_formula)
+
+    def _live_formula(self) -> tuple:
+        """((id, lits), ...) of the active clauses and those proved at live levels."""
+        live = set(self.db.active_ids()) | {cid for lv in self.tlevels for cid in lv.done}
+        return tuple((cid, self.db.clause(cid).lits) for cid in sorted(live))
 
 
 def solve_pqe(
     problem: EcnfProblem,
     config: Optional[SolverConfig] = None,
-    on_dsequent: Optional[Callable[[DSequent, tuple], None]] = None,
-    trace: Optional[Callable[[str], None]] = None,
+    on_dsequent: Optional[Callable[[DSequent, Callable[[], tuple]], None]] = None,
 ) -> PqeResult:
     """Take the first block out of the scope of the quantifiers.
 
     Returns the free-variable clauses equivalent to the first block under
     the quantified remainder, plus run statistics. Raises ResourceLimit if
     a configured budget is exhausted; no partial answer is ever returned.
+    ``on_dsequent(ds, live)`` sees every derived record; ``live()``, valid
+    only inside the call, returns the formula the record was derived in.
     """
-    return Engine(problem, config, on_dsequent, trace).solve()
+    return Engine(problem, config, on_dsequent).solve()

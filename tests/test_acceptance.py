@@ -107,7 +107,7 @@ def test_dsequent_validity_on_traces():
         solve_pqe(
             problem,
             SolverConfig(max_conflicts=10**6),
-            on_dsequent=lambda ds, snap: records.append((ds, snap)),
+            on_dsequent=lambda ds, live: records.append((ds, live())),
         )
         for ds, snap in records:
             ids = [cid for cid, _ in snap]

@@ -127,10 +127,9 @@ class TestClauseDb:
         db.deactivate(a.id)
         assert not db.is_active(a.id)
         assert db.find_any((1, 2)).id == a.id
-        # a new twin gets a fresh id while the original is out
-        b = db.add((1, 2), "f2-initial")
-        assert b.id != a.id
-        db.deactivate(b.id)
+        # re-adding its literals returns the stored clause, still out
+        assert db.add((2, 1), "f2-initial") is a
+        assert not db.is_active(a.id) and len(db) == 1
         db.reactivate(a.id)
         assert db.is_active(a.id)
 
@@ -182,10 +181,9 @@ class TestPropagationState:
                     db.unassign(order.pop())
                 else:
                     cid = rng.choice(ids)
-                    lits = db.clause(cid).lits
                     if db.is_active(cid):
                         db.deactivate(cid)
-                    elif all(db.clause(c).lits != lits for c in db.active_ids()):
+                    else:
                         db.reactivate(cid)
                 active = db.active_ids()
                 asg = db.values
@@ -203,6 +201,17 @@ class TestEcnfProblem:
     def test_undeclared_var_rejected(self):
         with pytest.raises(ValueError):
             EcnfProblem.make([1], [2], [(3,)], [])
+
+    def test_non_positive_quantified_var_rejected(self):
+        with pytest.raises(ValueError, match="-2"):
+            EcnfProblem.make([1, -2], [3], [(1, 3)], [])
+        with pytest.raises(ValueError, match="variable 0 "):
+            EcnfProblem.make([0], [3], [(3,)], [])
+
+    def test_non_positive_free_var_rejected(self):
+        # declared -3 used to reach the engine, which decided it and crashed
+        with pytest.raises(ValueError, match="-3"):
+            EcnfProblem.make([1], [2, 3, 4, -3], [(1, -2), (-1, 2, 4)], [(1, 3), (-1, 2, -3)])
 
     def test_shared_clause_lands_in_f2(self):
         p = EcnfProblem.make([1], [2], [(1, 2)], [(1, 2), (2,)])

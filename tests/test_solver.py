@@ -248,7 +248,7 @@ class TestTargetStackWalkthrough:
     def test_full_proof_and_final_flip(self):
         eng, ids = self.build()
         seen = []
-        eng.on_dsequent = lambda ds, snap: seen.append(ds)
+        eng.on_dsequent = lambda ds, live: seen.append(ds)
         final = eng.prove_redundant(ids[(5, 1)])
         assert final.cond() == {}
         conds = [(ds.target, tuple(ds.conditional)) for ds in seen]

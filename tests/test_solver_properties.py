@@ -5,8 +5,8 @@ import random
 import pytest
 
 from pqe import harness
-from pqe.dsequent import DSequent
-from pqe.formula import EcnfProblem
+from pqe.dsequent import DSequent, trace_line
+from pqe.formula import ClauseDb, EcnfProblem
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, TargetLevel, solve_pqe
 from tests.conftest import rand_cnf, rand_problem
@@ -85,7 +85,7 @@ class TestEmittedRecordsValid:
             solve_pqe(
                 problem,
                 SolverConfig(max_seconds=10),
-                on_dsequent=lambda ds, snap: records.append((ds, snap)),
+                on_dsequent=lambda ds, live: records.append((ds, live())),
             )
             for ds, snap in records:
                 ids = [cid for cid, _ in snap]
@@ -145,13 +145,38 @@ class TestSearchDiscipline:
         # without one the search, its answers and its counters are the same
         config = SolverConfig(learn_depth_k=learn_k)
         for problem in benchmark_family_instances():
-            lines, records = [], []
+            lines = []
+
+            def show(ds, live):
+                lines.append(trace_line(ds))
+                live()
+
             plain = solve_pqe(problem, config)
-            traced = solve_pqe(problem, config, trace=lines.append)
-            observed = solve_pqe(problem, config, on_dsequent=lambda ds, _: records.append(ds))
-            assert plain.f1_star == traced.f1_star == observed.f1_star
-            assert counters(plain) == counters(traced) == counters(observed)
-            assert len(lines) == len(records) == plain.stats["dseq_generated"]
+            observed = solve_pqe(problem, config, show)
+            assert plain.f1_star == observed.f1_star
+            assert counters(plain) == counters(observed)
+            assert len(lines) == plain.stats["dseq_generated"]
+
+    def test_live_formula_is_built_only_when_read(self, monkeypatch):
+        calls = [0]
+        active_ids = ClauseDb.active_ids
+
+        def counted(db):
+            calls[0] += 1
+            return active_ids(db)
+
+        monkeypatch.setattr(ClauseDb, "active_ids", counted)
+
+        def active_ids_calls(problem, on_dsequent=None):
+            calls[0] = 0
+            res = solve_pqe(problem, None, on_dsequent)
+            return calls[0], res.stats["dseq_generated"]
+
+        for problem in benchmark_family_instances():
+            plain, generated = active_ids_calls(problem)
+            assert active_ids_calls(problem, lambda ds, live: None)[0] == plain
+            read = active_ids_calls(problem, lambda ds, live: live())[0]
+            assert read == plain + generated > plain
 
     def test_audit_catches_stale_propagation_state(self):
         problem = rand_problem(random.Random(1), require_x_target=True)

@@ -10,10 +10,11 @@ lines. Two commits whose engines answer, count and learn alike print the
 same digest, so a refactor that must not change behaviour is checked by
 running this script on both commits.
 
-Each pair is solved three times: with a ``trace`` callback, with no
-observer, and with an ``on_dsequent`` callback. The script exits 1 if the
-answers or counters of the three runs differ, since the observers must not
-steer the search. It also exits 1 on a wrong answer, naming the instance
+Each pair is solved twice: with an ``on_dsequent`` observer that formats
+each record's ``DS`` line and reads the live formula (``live()``) it was
+derived in, and with no observer. The script exits 1 if the answers or
+counters of the two runs differ, since an observer must not steer the
+search. It also exits 1 on a wrong answer, naming the instance
 and config: a workload answer is checked against the perfbench reference
 (``workloads.answer_ok``), a random one by the enumeration oracle
 (``oracle.verify_pqe_solution``). A digest that prints is therefore one of
@@ -22,7 +23,7 @@ right answers, not only of unchanged ones.
 Batch: the first 120 instances of the perfbench workloads circuit-wide,
 circuit-cone and satred at seed 13, and 300 ``tests.conftest.rand_problem``
 instances drawn from ``Random(2024)``, each under the four configs of
-CONFIGS. It takes about 80 seconds on one core.
+CONFIGS. It takes about 50 seconds on one core.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
+from pqe import dsequent  # noqa: E402
 from pqe import io as pqeio  # noqa: E402
 from pqe import oracle  # noqa: E402
 from pqe.solver import SolverConfig, solve_pqe  # noqa: E402
@@ -74,9 +76,9 @@ def batch():
         yield f"random:{i}", problem, functools.partial(_oracle_ok, problem)
 
 
-def observable(problem, config, **observers):
+def observable(problem, config, on_dsequent=None):
     """The answer, and its text with the kv stats lines, of one solve."""
-    res = solve_pqe(problem, config, **observers)
+    res = solve_pqe(problem, config, on_dsequent)
     kv = "".join(f"{k}={v}\n" for k, v in sorted(res.stats.items()) if k != "wall_time_s")
     return res.f1_star, pqeio.write_solution(res.f1_star) + kv
 
@@ -87,16 +89,17 @@ def main() -> int:
     for name, problem, check in batch():
         for label, config in CONFIGS.items():
             lines = []
-            answer, traced = observable(problem, config, trace=lines.append)
+
+            def show(ds, live):
+                lines.append(dsequent.trace_line(ds))
+                live()
+
+            answer, traced = observable(problem, config, show)
             if not check(answer):
                 print(f"{name} {label}: wrong answer", file=sys.stderr)
                 return 1
-            runs = (
-                observable(problem, config)[1],
-                observable(problem, config, on_dsequent=lambda ds, snapshot: None)[1],
-            )
-            if any(run != traced for run in runs):
-                print(f"{name} {label}: observers changed the search", file=sys.stderr)
+            if observable(problem, config)[1] != traced:
+                print(f"{name} {label}: the observer changed the search", file=sys.stderr)
                 return 1
             ds = "".join(line + "\n" for line in lines)
             digest.update(f"{name} {label}\n{traced}{ds}".encode())
