@@ -138,7 +138,9 @@ def _cmd_compare(args) -> int:
             print(f"{name:8} {'-':>8} {'inapplicable':>9} {dt:9.3f}")
         else:
             shortest = min((len(c) for c in g), default="-")
-            print(f"{name:8} {len(g):>8} {shortest!s:>9} {dt:9.3f}")
+            # a baseline that reached the budget returned without a last SAT check
+            cut = "  stopped at --budget" if name != "pqe" and len(g) >= args.budget else ""
+            print(f"{name:8} {len(g):>8} {shortest!s:>9} {dt:9.3f}{cut}")
     return 0
 
 

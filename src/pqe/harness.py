@@ -200,7 +200,8 @@ def method1_blocking(inst: PqeInstance, clause_budget: int = 1000) -> List[Lits]
     A literal is dropped only while the partial assignment (shrunk inputs
     plus the witness's internal and output values) still satisfies every
     clause on its own, so every extension of the kept cube reaches the same
-    output vector.
+    output vector. At ``clause_budget`` clauses the list is returned as it
+    is, without a last SAT check, so it may be cut off.
     """
     cz, u_z, f2 = circuit_parts(inst)
     inputs = sorted(inst.problem.y_vars)
@@ -227,6 +228,8 @@ def method2_corelift(inst: PqeInstance, clause_budget: int = 1000):
 
     Works only when each input drives a unique output vector; otherwise the
     lift query is satisfiable and the method reports itself inapplicable.
+    At ``clause_budget`` clauses the list is returned as it is, without a
+    last SAT check, so it may be cut off.
     """
     cz, u_z, f2 = circuit_parts(inst)
     inputs = sorted(inst.problem.y_vars)

@@ -8,8 +8,11 @@ Besides ordinary decisions, two kinds of assignment start their own level:
 an assignment derived from the current target clause itself (it steers the
 search, it is not an implication), and a deactivating assignment derived
 from a D-sequent. Level-wise backtracking can therefore undo them cleanly.
-Decisions are applied when they are made; everything else is applied by
-BCP, one assignment per step (see Propagation state).
+Where nothing propagates, BCP branches (``_branch``) on the first
+unassigned variable of one static order, free variables ascending, then
+quantified ones. A stored record the trail subsumes is reused instead; a
+stored record unit on that variable gives it the flipped value with the
+record as its reason; otherwise it is decided 0.
 
 While proving one clause redundant the engine may need other clauses proved
 first; those secondary targets are tracked by a stack of target levels, one
@@ -29,8 +32,9 @@ entry and its floor is decision level 0. Every learned record and conflict
 clause, whichever target it is for, goes through one backtracking rule
 (``_bcktr_dseq``, ``_bcktr_clause``): flip the deepest assignment of the
 record's conditional that lies above the point of origin, or jump as the
-conflict clause asserts. The proof of the primary is finished when, with no
-target level left, a record has an empty conditional.
+conflict clause asserts. The proof of the primary is finished when a record
+for it has an empty conditional. With target levels live, only a learned
+empty clause gives one.
 
 Learning happens where a condition is found. Each detector (satisfied,
 falsified or blocked target, falsified clause, reusable stored record)
@@ -50,11 +54,12 @@ the sets of active falsified and active unit clause ids (see ``ClauseDb``).
 A round of BCP reads the target's counts and takes the lowest falsified id.
 Failing a condition, it makes one assignment, the first of: the pending
 one, the unit clause with the lowest id other than the target, and the
-target's own unit. The lowest id is the one a scan of the formula in id
-order would find first, and ``_bcp_star`` applies units by the same rule;
-a unit's free literal is its sum. The pending assignment is the one a
-backtrack or a record asks for: a record's flip or missing variable, a
-conflict clause's asserting literal or a stored record's hint. At most one
+target's own unit. With none of them, a target blocked at a quantified
+variable is a condition, and otherwise BCP branches. The lowest id is the
+one a scan of the formula in id order would find first, and ``_bcp_star``
+applies units by the same rule; a unit's free literal is its sum. The
+pending assignment is the one a backtrack asks for: a record's flip or
+missing variable, or a conflict clause's asserting literal. At most one
 exists, and backtracking replaces it. The target's unit comes last because
 it is no implication: on a free variable it steers the branch, on a
 quantified one it starts ``_bcp_star``.
@@ -189,8 +194,9 @@ class Engine:
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
         self.level_start: List[int] = [0]
-        # (var, value, reason) a backtrack or a record asks for; applied first
+        # (var, value, reason) a backtrack asks for; applied first
         self._pending: Optional[Tuple[int, int, object]] = None
+        self._order: Optional[List[int]] = None  # branching order, built at the first branch
         self.tlevels: List[TargetLevel] = []
         self.removed: Set[int] = set()
         self.primary = 0
@@ -249,27 +255,19 @@ class Engine:
             empty = self.db.clause(min(self.db.falsified))
             self.stats["dseq_final"] += 1
             return self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), empty))
-        pending: Optional[Union[DSequent, Clause]] = None
+        pending: Optional[DSequent] = None
         while True:
             self._check_budget()
-            learned, pending = pending, None
-            if learned is None:
-                learned = self._bcp()
-                if learned is None:
-                    self._decide()
-                    continue
+            learned = pending if pending is not None else self._bcp()
             if isinstance(learned, Clause):
                 if learned.lits:
                     pending = self._bcktr_clause(learned)
                     continue
                 # the search refuted the whole formula; everything is redundant
-                final = self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), learned))
-                self.stats["dseq_final"] += 1
-                self.store.consider(final, 0, self.x_vars, self.db)
-                return final
+                learned = self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), learned))
             self.stats["dseq_final"] += 1
             self.store.consider(learned, len(self.tlevels), self.x_vars, self.db)
-            if not self.tlevels and not learned.conditional:
+            if learned.target == primary and not learned.conditional:
                 return learned
             pending = self._bcktr_dseq(learned)
 
@@ -316,26 +314,20 @@ class Engine:
             return
         self._pop_suffix(self.level_start[level + 1])
 
-    def _decide(self) -> None:
-        var = self._pick_branch_var()
-        if var is None:
-            raise AssertionError("nothing to decide and no backtracking condition")
-        self.stats["decisions"] += 1
-        self._apply(var, 0, None, level_start=True)
-
     def _pick_branch_var(self) -> Optional[int]:
-        for pool in (self.y_vars, self.x_vars):
-            cands = [v for v in pool if v not in self.assign]
-            if cands:
-                return min(cands)
-        return None
+        """The first unassigned variable of the static order."""
+        if self._order is None:
+            self._order = sorted(self.y_vars) + sorted(self.x_vars)
+        assign = self.assign
+        return next((v for v in self._order if v not in assign), None)
 
     # ------------------------------------------------------------------
     # BCP
     # ------------------------------------------------------------------
 
-    def _bcp(self) -> Union[None, DSequent, Clause]:
-        """Propagate to a condition and learn from it; None: decide next."""
+    def _bcp(self) -> Union[DSequent, Clause]:
+        """Propagate to a condition and learn from it, branching wherever
+        nothing propagates."""
         db = self.db
         while True:
             learned = self._round_condition()
@@ -354,11 +346,8 @@ class Engine:
                 v = self._blocked_var()
                 if v is not None:
                     return self._lrn_blocked(v)
-                # consult learned records exactly where a decision would be
-                # made: reuse then only ever replaces exploration, it never
-                # preempts a condition the search was about to find anyway
-                learned = self._stored_record_check()
-                if learned is not None or self._pending is None:
+                learned = self._branch()
+                if learned is not None:
                     return learned
                 continue
             if reason == self.target and var in self.x_vars:
@@ -431,39 +420,41 @@ class Engine:
         assert len(done) == len(set(done))
         assert self._pending is None or self._pending[0] not in self.assign
 
-    def _stored_record_check(self) -> Optional[DSequent]:
-        """Active and unit learned records for the current target.
+    def _branch(self) -> Optional[DSequent]:
+        """Reuse a stored record the trail subsumes, or assign the branch
+        variable at a level of its own.
 
-        Consulted at decision points only. A unit record steers the branch
-        variable the decision heuristic was about to pick; steering other
-        variables would reshape the search tree, and on bad days cost more
-        than the record saves.
+        Records are consulted only where nothing propagates: reuse then
+        replaces exploration, it never preempts a condition the search was
+        about to find anyway. A record unit on the branch variable gives it
+        the flipped value, the first such record stored being the reason;
+        steering other variables would reshape the search tree, and on bad
+        days cost more than the record saves. Without one the variable is
+        decided 0.
         """
-        records = self.store.records_for(self.target)
-        if not records:
-            return None
+        var = self._pick_branch_var()
+        if var is None:
+            raise AssertionError("nothing to branch on and no backtracking condition")
         db, assign = self.db, self.assign
-        pick = None  # found at the first hint; one exists, as a hint is unassigned
-        for rec in records:
+        val, reason = 0, None
+        for rec in self.store.records_for(self.target):
             if self.config.check_invariants and self.config.learn_depth_k == 0:
                 assert all(db.is_active(cid) for cid in rec.constraint), rec
             # the conditional first: it rules out most records at once
-            subsumed = all(assign.get(v) == b for v, b in rec.conditional)
-            if not subsumed:
-                hint = dsq.unit_deactivating_assignment(rec, assign)
-                if hint is None or self._pending is not None:
-                    continue  # the first hint wins
-            if not all(db.is_active(cid) for cid in rec.constraint):
-                continue
-            if subsumed:
-                self.stats["dseq_reused"] += 1
-                return self._rewrite(rec)
-            if pick is None:
-                pick = self._pick_branch_var()
-            if hint[0] != pick:
-                continue
-            self.stats["deactivation_hints"] += 1
-            self._pending = (hint[0], hint[1], rec)
+            if all(assign.get(v) == b for v, b in rec.conditional):
+                if all(db.is_active(cid) for cid in rec.constraint):
+                    self.stats["dseq_reused"] += 1
+                    return self._rewrite(rec)
+            elif reason is None:
+                flip = dsq.unit_deactivating_assignment(rec, assign)
+                if flip is not None and flip[0] == var and all(
+                    db.is_active(cid) for cid in rec.constraint
+                ):
+                    val, reason = flip[1], rec
+                    self.stats["deactivation_hints"] += 1
+        if reason is None:
+            self.stats["decisions"] += 1
+        self._apply(var, val, reason, level_start=True)
         return None
 
     def _blocked_var(self) -> Optional[int]:

@@ -10,8 +10,12 @@ or a ``pqe.x`` chain. So ``Path.resolve()`` or ``",".join(...)`` keep no
 name alive. The string case covers the names that the benchmark's tracer
 patches by attribute (``perfbench/tracing.py`` ``SITES``); it also keeps
 ``dsequent.join`` alive through the rule name ``"join"`` that records
-carry. Methods are out of scope: an attribute read of an object cannot say
-whose method it calls.
+carry.
+
+A class method cannot be traced to its callers that way: an attribute read
+of an object does not say whose method it calls. So a method counts as used
+when any attribute read of its name in the same scanned files lies outside
+its own definition. Dunder methods are exempt; Python calls them.
 """
 
 import ast
@@ -98,3 +102,33 @@ def test_every_module_level_name_has_a_non_test_caller():
     assert sorted(unused - ALLOWED) == []
     # an allowed name that gained a caller leaves the allowance
     assert sorted(ALLOWED - unused) == []
+
+
+def _unused_methods():
+    reads = {}  # attribute name -> [(path, line)]
+    for path in SCANNED:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unused = set()
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                outside = [
+                    (p, line)
+                    for p, line in reads.get(fn.name, ())
+                    if p != path or not fn.lineno <= line <= fn.end_lineno
+                ]
+                if not outside:
+                    unused.add(f"{path.stem}.{cls.name}.{fn.name}")
+    return unused
+
+
+def test_every_class_method_has_a_non_test_caller():
+    assert sorted(_unused_methods()) == []

@@ -225,6 +225,21 @@ class TestCompare:
         assert len(lines) == 4  # header + three rows
         assert lines[1].startswith("pqe") and lines[2].startswith("m1")
 
+    def test_baseline_stopped_at_budget_is_marked(self, capsys, tmp_path):
+        # the baselines return what they have at --budget without a last
+        # SAT check, so their rows may be cut off; the engine's never is
+        path = tmp_path / "c.pqe"
+        run(capsys, "gen", "circuit", "--inputs", "7", "--gates", "45", "--seed", "3",
+            "-o", str(path))
+        code, out, _ = run(capsys, "compare", str(path), "--budget", "1")
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+        assert rows["pqe"][0] == "2" and "--budget" not in rows["pqe"]
+        for name in ("m1", "m2"):
+            assert rows[name][0] == "1" and rows[name][-3:] == ["stopped", "at", "--budget"]
+        code, out, _ = run(capsys, "compare", str(path))
+        assert code == 0 and "--budget" not in out
+
     def test_inapplicable_row(self, capsys, tmp_path):
         # output gate completely unconstrained: the lift query is satisfiable
         text = "p pqe 4 1 2\ne 3 4 0\n-4 0\n-1 3 0\n-2 3 0\n"

@@ -199,9 +199,8 @@ class TestTargetStackWalkthrough:
     def test_stack_shape_and_blocked_condition(self):
         eng, ids = self.build()
         start_proof(eng, (5, 1))
-        assert eng._bcp() is None
-        eng._decide()
-        out = eng._bcp()
+        out = eng._bcp()  # branches on y5 = 0 on the way
+        assert eng.stats["decisions"] == 1 and eng.trail[0].reason is None
         # two target levels, keyed by the unit chain, and the new target
         assert [(lv.key_clause, lv.key_var) for lv in eng.tlevels] == [
             (ids[(5, 1)], 1),
@@ -222,8 +221,6 @@ class TestTargetStackWalkthrough:
     def test_special_backtracking_sequence(self):
         eng, ids = self.build()
         start_proof(eng, (5, 1))
-        eng._bcp()
-        eng._decide()
         out = eng._bcp()
         assert out.cond() == {5: 0} and not out.constraint
         trail_before = [(e.var, e.val) for e in eng.trail]
@@ -266,9 +263,10 @@ class TestUnitOrder:
                           f2=[(3, 4), (-4, 5), (3, 6), (-1, 7)])
         start_proof(eng, (1, 2))
         eng._apply(3, 0, None, level_start=True)
-        assert eng._bcp() is None
-        assert [(e.var, e.val, e.reason) for e in eng.trail] == [
-            (3, 0, None), (4, 1, 2), (5, 1, 3), (6, 1, 4)
+        eng._bcp()
+        # the units come first, then the branch on the lowest free variable
+        assert [(e.var, e.val, e.reason) for e in eng.trail[:5]] == [
+            (3, 0, None), (4, 1, 2), (5, 1, 3), (6, 1, 4), (2, 0, None)
         ]
 
     def test_target_unit_applied_last(self):
@@ -286,17 +284,50 @@ class TestUnitOrder:
 
 
 class TestStoredRecordPropagation:
-    def test_unit_record_sets_pending_deactivation(self):
-        # x5 is the next branch variable; the unit record flips its polarity
+    """Records consulted where the search branches (``_branch``)."""
+
+    def branch_engine(self, *conds):
+        # x5 is the next branch variable once y6 = 0 is on the trail
         eng = make_engine([5, 7], [6], f1=[(5, 7)], f2=[(6, 5, 7)])
         target = start_proof(eng, (5, 7))
-        rec = DSequent.make(target.id, {6: 0, 5: 1}, (), "derived")
-        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        recs = [DSequent.make(target.id, cond, (), "derived") for cond in conds]
+        for rec in recs:
+            eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng._apply(6, 0, None, level_start=True)
         assert eng._round_condition() is None
-        assert eng._stored_record_check() is None
-        assert eng._pending[:2] == (5, 0)
+        return eng, recs
+
+    def test_unit_record_steers_branch_variable(self):
+        # the unit record flips the branch variable's polarity at a new level
+        eng, (rec,) = self.branch_engine({6: 0, 5: 1})
+        assert eng._branch() is None
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason, e.level) == (5, 0, rec, 2)
+        assert eng._pending is None
+        assert (eng.stats["deactivation_hints"], eng.stats["decisions"]) == (1, 0)
+
+    def test_record_unit_off_the_branch_variable_does_not_steer(self):
+        eng, _ = self.branch_engine({6: 0, 7: 1})
+        assert eng._branch() is None
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason, e.level) == (5, 0, None, 2)
+        assert (eng.stats["deactivation_hints"], eng.stats["decisions"]) == (0, 1)
+
+    def test_first_stored_hint_gives_value_and_reason(self):
+        eng, (first, _) = self.branch_engine({6: 0, 5: 1}, {5: 0})
+        assert eng._branch() is None
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (5, 0, first)
         assert eng.stats["deactivation_hints"] == 1
+
+    def test_later_subsumed_record_wins_over_hint(self):
+        # the hint found first is counted, but the reuse is returned and
+        # the trail is left as it was
+        eng, (_, reused) = self.branch_engine({6: 0, 5: 1}, {6: 0})
+        assert eng._branch() is reused
+        assert [(e.var, e.val) for e in eng.trail] == [(6, 0)]
+        assert (eng.stats["dseq_reused"], eng.stats["deactivation_hints"]) == (1, 1)
+        assert eng.stats["decisions"] == 0
 
     def test_active_record_reported(self):
         eng = make_engine([1, 2, 5], [6], f1=[(1, 2)], f2=[(6, 5)])
@@ -304,10 +335,11 @@ class TestStoredRecordPropagation:
         rec = DSequent.make(target.id, {6: 0}, (), "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng._apply(6, 0, None, level_start=True)
-        out = eng._stored_record_check()
+        out = eng._branch()
         assert isinstance(out, DSequent)
         assert out.cond() == {6: 0}
         assert eng.stats["dseq_reused"] == 1
+        assert len(eng.trail) == 1
 
     def test_record_skipped_when_support_inactive_though_satisfied(self):
         # a record applies only while its whole constraint is in the formula;
@@ -320,8 +352,10 @@ class TestStoredRecordPropagation:
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None, level_start=True)  # satisfies the helper via -3
         assert eng.db.is_satisfied(helper.id)
-        assert eng._stored_record_check() is None
+        assert eng._branch() is None
         assert eng.stats["dseq_reused"] == 0
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (1, 0, None)
 
     def test_unusable_record_skipped_when_support_gone(self):
         eng = make_engine([1], [2, 3], f1=[(1, 2)], f2=[(1, 3)])
@@ -331,25 +365,40 @@ class TestStoredRecordPropagation:
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None, level_start=True)  # helper neither live nor satisfied
-        assert eng._stored_record_check() is None
+        assert eng._branch() is None
         assert eng.stats["dseq_reused"] == 0
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason) == (2, 0, None)
 
 
 class TestDecide:
     def test_free_vars_first(self):
         eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
         start_proof(eng, (1, 3))
-        eng._decide()
+        assert eng._branch() is None
         e = eng.trail[-1]
         assert (e.var, e.val, e.reason) == (3, 0, None)
+        assert eng.stats["decisions"] == 1
 
     def test_quantified_when_free_exhausted(self):
         eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(2,)])
         start_proof(eng, (1, 3))
         eng._apply(3, 0, None, level_start=True)
-        eng._decide()
+        assert eng._branch() is None
         e = eng.trail[-1]
         assert (e.var, e.val, e.reason) == (1, 0, None)
+
+    def test_order_is_static(self):
+        # the pick skips assigned variables, whatever order they were set in
+        eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
+        start_proof(eng, (1, 3))
+        eng._apply(4, 0, None, level_start=True)
+        assert eng._pick_branch_var() == 3
+        eng._apply(3, 0, None, level_start=True)
+        eng._apply(1, 0, None, level_start=True)
+        assert eng._pick_branch_var() == 2
+        eng._pop_suffix(1)
+        assert eng._pick_branch_var() == 3
 
 
 class TestDuplicateRecovery:

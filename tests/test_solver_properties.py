@@ -317,12 +317,12 @@ class TestSearchDiscipline:
         rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng._apply(3, 0, None, level_start=True)
-        assert eng._stored_record_check() is rec
+        assert eng._branch() is rec
         eng._pop_suffix(0)
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None, level_start=True)
         with pytest.raises(AssertionError, match="DSequent"):
-            eng._stored_record_check()
+            eng._branch()
 
     def test_termination_without_budget(self):
         rng = random.Random(404)
