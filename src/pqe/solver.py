@@ -4,10 +4,11 @@ at a time, learning D-sequents and clauses along the way.
 Search layout
 -------------
 The trail holds (var, value, reason) entries grouped into decision levels.
-Besides ordinary decisions, two kinds of assignment start their own level:
-an assignment derived from the current target clause itself (it steers the
-search, it is not an implication), and a deactivating assignment derived
-from a D-sequent. Level-wise backtracking can therefore undo them cleanly.
+``_apply`` reads from the reason alone whether an entry starts a level: it
+does if the reason is ``None`` (a decision), a D-sequent (a record's flip or
+hint) or the current target clause (the target's own unit). These steer the
+search; every other entry is a clause implication at the level below it.
+Level-wise backtracking can therefore undo the steering entries cleanly.
 Where nothing propagates, BCP branches (``_branch``) on the first
 unassigned variable of one static order, free variables ascending, then
 quantified ones. A stored record the trail subsumes is reused instead; a
@@ -52,23 +53,23 @@ the clause store, which keeps per clause a count of true literals, a count
 of non-false ones and the sum of the non-false ones, and from the counts
 the sets of active falsified and active unit clause ids (see ``ClauseDb``).
 A round of BCP reads the target's counts and takes the lowest falsified id.
-Failing a condition, it makes one assignment, the first of: the pending
-one, the unit clause with the lowest id other than the target, and the
-target's own unit. With none of them, a target blocked at a quantified
+Failing a condition, it applies the unit clause with the lowest id, the
+target's own unit last. With no unit, a target blocked at a quantified
 variable is a condition, and otherwise BCP branches. The lowest id is the
 one a scan of the formula in id order would find first, and ``_bcp_star``
 applies units by the same rule; a unit's free literal is its sum. The
-pending assignment is the one a backtrack asks for: a record's flip or
-missing variable, or a conflict clause's asserting literal. At most one
-exists, and backtracking replaces it. The target's unit comes last because
-it is no implication: on a free variable it steers the branch, on a
-quantified one it starts ``_bcp_star``.
+target's unit comes last because it is no implication: on a free variable
+it steers the branch, on a quantified one it starts ``_bcp_star``. A
+backtrack applies the assignment it asserts itself, a record's flip or a
+conflict clause's asserting literal, so BCP looks for the next condition
+with it on the trail.
 The blocked-clause test reads the store's partner index: per (clause,
 literal) the ascending ids of the clauses resolvable with it, extended
 when derived clauses arrive, and the partners' liveness and true counts.
 ``SolverConfig.check_invariants`` re-derives the sets, the free literals,
 the partner lists and the blocked test by scans at every round, and
-asserts that they agree and that the pending variable is unassigned.
+asserts that they agree and that every trail entry lies at the level the
+rule above gives it.
 
 Records
 -------
@@ -92,6 +93,7 @@ primary, the target only while no target level is live.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -194,8 +196,6 @@ class Engine:
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
         self.level_start: List[int] = [0]
-        # (var, value, reason) a backtrack asks for; applied first
-        self._pending: Optional[Tuple[int, int, object]] = None
         self._order: Optional[List[int]] = None  # branching order, built at the first branch
         self.tlevels: List[TargetLevel] = []
         self.removed: Set[int] = set()
@@ -219,7 +219,7 @@ class Engine:
                 break
             self.prove_redundant(cid)
             self.stats["primaries_proved"] += 1
-            self._reset_search()
+            self._pop_suffix(0)
             self.db.deactivate(cid)
             self.removed.add(cid)
         f1_star = tuple(
@@ -247,7 +247,7 @@ class Engine:
 
     def prove_redundant(self, primary: int) -> DSequent:
         """Drive the search until the primary target is unconditionally redundant."""
-        self._reset_search()
+        self._pop_suffix(0)
         self.primary = primary
         self.target = primary
         if self.db.falsified:
@@ -271,10 +271,6 @@ class Engine:
                 return learned
             pending = self._bcktr_dseq(learned)
 
-    def _reset_search(self) -> None:
-        self._pop_suffix(0)
-        self._pending = None
-
     def _check_budget(self) -> None:
         mc = self.config.max_conflicts
         if mc is not None and self.stats["conflicts"] > mc:
@@ -286,8 +282,10 @@ class Engine:
     # assignments and trail
     # ------------------------------------------------------------------
 
-    def _apply(self, var: int, val: int, reason: object, level_start: bool) -> None:
-        if level_start:
+    def _apply(self, var: int, val: int, reason: object) -> None:
+        # a decision, a record's flip or the target's own unit steers the
+        # search, it does not follow from it: each starts a level
+        if reason is None or isinstance(reason, DSequent) or reason == self.target:
             self.level_start.append(len(self.trail))
         entry = TrailEntry(var, val, reason, len(self.level_start) - 1)
         self.pos[var] = len(self.trail)
@@ -326,23 +324,15 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _bcp(self) -> Union[DSequent, Clause]:
-        """Propagate to a condition and learn from it, branching wherever
-        nothing propagates."""
+        """Propagate to a condition and learn from it: each round applies
+        one unit, the target's own last (on a quantified variable it starts
+        ``_bcp_star``), and where nothing propagates it branches."""
         db = self.db
         while True:
             learned = self._round_condition()
             if learned is not None:
                 return learned
-            if self._pending is not None:
-                var, val, reason = self._pending
-                self._pending = None
-            elif db.units:
-                cid = min(db.units)
-                if cid == self.target and len(db.units) > 1:
-                    cid = min(c for c in db.units if c != cid)  # the target's goes last
-                ul = db.free_literal(cid)
-                var, val, reason = abs(ul), satisfying_value(ul), cid
-            else:
+            if not db.units:
                 v = self._blocked_var()
                 if v is not None:
                     return self._lrn_blocked(v)
@@ -350,16 +340,18 @@ class Engine:
                 if learned is not None:
                     return learned
                 continue
-            if reason == self.target and var in self.x_vars:
-                res = self._bcp_star(var, val, reason)
-                if res is not None:
-                    return res
+            cid = min(db.units)
+            if cid == self.target and len(db.units) > 1:
+                cid = min(c for c in db.units if c != cid)  # the target's goes last
+            ul = db.free_literal(cid)
+            var, val = abs(ul), satisfying_value(ul)
+            if cid == self.target and var in self.x_vars:
+                learned = self._bcp_star(var, val, cid)
+                if learned is not None:
+                    return learned
                 # None: a new target was picked; re-examine it
             else:
-                # a record's flip and the target's unit on a free variable
-                # steer the search, not follow from it: each starts a level
-                level_start = isinstance(reason, DSequent) or reason == self.target
-                self._apply(var, val, reason, level_start=level_start)
+                self._apply(var, val, cid)
 
     def _round_condition(self) -> Union[None, DSequent, Clause]:
         if self.config.check_invariants:
@@ -379,14 +371,19 @@ class Engine:
         return None
 
     def _audit_trail(self) -> None:
-        """Trail, assignment and propagation state agree (check_invariants)."""
+        """Trail, assignment and propagation state agree, and every entry
+        lies at the level the level rule gives it (check_invariants)."""
         assert len(self.trail) == len(self.assign) == len(self.pos)
-        assert self.level_start[0] == 0
+        starts = self.level_start
+        assert starts[0] == 0
         # level 0 may be empty (implications only); others may not
-        assert all(a < b for a, b in zip(self.level_start[1:], self.level_start[2:]))
+        assert all(a < b for a, b in zip(starts[1:], starts[2:] + [len(self.trail)]))
         for i, e in enumerate(self.trail):
             assert self.pos[e.var] == i
             assert self.assign[e.var] == e.val
+            assert e.level == bisect_right(starts, i) - 1, f"entry {i} lies off its level"
+            if e.reason is None or isinstance(e.reason, DSequent):
+                assert starts[e.level] == i, f"entry {i} steers but does not start its level"
         db = self.db
         for cid in db.all_ids():
             lits = db.clause(cid).lits
@@ -404,8 +401,7 @@ class Engine:
 
     def _audit_stack(self) -> None:
         """Target levels match the trail and the soft-deleted clauses; an
-        empty stack means the primary is the target; the pending variable
-        is unassigned."""
+        empty stack means the primary is the target."""
         assert self.tlevels or self.target == self.primary
         below = -1  # _pop_suffix relies on assigned keys in stack order
         for lv in self.tlevels:
@@ -418,7 +414,6 @@ class Engine:
         # a proved clause is done at one level only, so its record is unique
         done = [cid for lv in self.tlevels for cid in lv.done]
         assert len(done) == len(set(done))
-        assert self._pending is None or self._pending[0] not in self.assign
 
     def _branch(self) -> Optional[DSequent]:
         """Reuse a stored record the trail subsumes, or assign the branch
@@ -451,10 +446,8 @@ class Engine:
                     db.is_active(cid) for cid in rec.constraint
                 ):
                     val, reason = flip[1], rec
-                    self.stats["deactivation_hints"] += 1
-        if reason is None:
-            self.stats["decisions"] += 1
-        self._apply(var, val, reason, level_start=True)
+        self.stats["decisions" if reason is None else "deactivation_hints"] += 1
+        self._apply(var, val, reason)
         return None
 
     def _blocked_var(self) -> Optional[int]:
@@ -491,7 +484,7 @@ class Engine:
         Every unit clause found here opens a target level: its resolvable
         partners must be proved redundant for the chain above to collapse.
         """
-        self._apply(seed_var, seed_val, seed_reason, level_start=True)
+        self._apply(seed_var, seed_val, seed_reason)
         self._push_tlevel(seed_reason, seed_var)
         db = self.db
         while db.units or db.falsified:
@@ -499,7 +492,7 @@ class Engine:
                 return self._lrn_falsified(min(db.falsified))
             cid = min(db.units)
             ul = db.free_literal(cid)
-            self._apply(abs(ul), satisfying_value(ul), cid, level_start=False)
+            self._apply(abs(ul), satisfying_value(ul), cid)
             if abs(ul) in self.x_vars:
                 # redundancy branches only on quantified variables;
                 # free-variable units are plain implications
@@ -732,19 +725,22 @@ class Engine:
         assignment, backing up no further than that. This is chronological
         on purpose: a jump below other branch points would discard steering
         that only a stored record could re-derive, losing the tree
-        discipline that bounds the search. Otherwise mark the target done
-        and move on.
+        discipline that bounds the search. A variable of the conditional
+        that is unassigned goes first: the lowest one is flipped where the
+        trail stands. The flip is applied at once, with the record as its
+        reason, at a level of its own. Otherwise mark the target done and
+        move on.
         """
-        self._pending = None
         if self.tlevels:
             poo = self.pos[self.tlevels[-1].key_var]
             floor = self.trail[poo].level
         else:
             poo, floor = -1, 0
         cond = ds.cond()
-        missing = sorted(v for v in cond if v not in self.assign)
+        missing = [v for v in cond if v not in self.assign]
         if missing:
-            self._pending = (missing[0], 1 - cond[missing[0]], ds)
+            var = min(missing)
+            self._apply(var, 1 - cond[var], ds)
             return None
         above = [v for v in cond if self.pos[v] > poo]
         if above:
@@ -754,7 +750,7 @@ class Engine:
             self._backtrack_to_level(max([floor, here - 1] + rest))
             if var in self.assign:
                 raise AssertionError("record not asserting within the backtrack scope")
-            self._pending = (var, 1 - cond[var], ds)
+            self._apply(var, 1 - cond[var], ds)
             return None
         # proved up to the point of origin; an empty conditional for the
         # primary ended its proof before this, so a level is there to pop
@@ -767,17 +763,19 @@ class Engine:
     def _bcktr_clause(self, clause: Clause) -> Optional[DSequent]:
         """Backtrack on a conflict clause for the current target.
 
-        Jumps to the clause's second-deepest level and asserts its deepest
-        literal: clauses persist in the formula and re-propagate on arrival.
-        The jump ends every target level whose key variable it unassigns
-        (``_pop_suffix``), its proved clauses returning to the formula (the
-        new clause covers the whole subspace by itself).
+        Jumps to the clause's second-deepest level and applies its deepest
+        literal there, with the clause as its reason: clauses persist in the
+        formula and re-propagate on arrival. The jump ends every target
+        level whose key variable it unassigns (``_pop_suffix``), its proved
+        clauses returning to the formula (the new clause covers the whole
+        subspace by itself); the next target is then picked with the
+        asserted literal on the trail.
         """
         old_level = self.tlevels[-1] if self.tlevels else None
         levels = sorted((self.trail[self.pos[abs(l)]].level, abs(l), l) for l in clause.lits)
         _, _, asserting = levels[-1]
         self._backtrack_to_level(levels[-2][0] if len(levels) > 1 else 0)
-        self._pending = (abs(asserting), satisfying_value(asserting), clause.id)
+        self._apply(abs(asserting), satisfying_value(asserting), clause.id)
         if self.tlevels and self.tlevels[-1] is old_level:
             return None  # same level, same target
         return self._advance_target()
@@ -797,7 +795,6 @@ class Engine:
         self.stats["duplicates"] += 1
         while self.trail and self.trail[-1].var in self.x_vars:
             self._pop_suffix(len(self.trail) - 1)
-        self._pending = None
         # a key may still be assigned below a free-variable entry
         while self.tlevels:
             self._drop_tlevel()

@@ -19,7 +19,7 @@ def make_engine(x_vars, y_vars, f1, f2, **cfg):
 
 
 def start_proof(engine, primary_lits):
-    engine._reset_search()
+    engine._pop_suffix(0)
     primary = engine.db.find_any(primary_lits)
     engine.primary = primary.id
     engine.target = primary.id
@@ -88,8 +88,8 @@ class TestLearnSatisfiedTarget:
         eng = make_engine([1, 2], [3], f1=[(1, 2)], f2=[(3, 1)])
         target = start_proof(eng, (1, 2))
         helper = eng.db.find_any((3, 1))
-        eng._apply(3, 0, None, level_start=True)
-        eng._apply(1, 1, helper.id, level_start=False)
+        eng._apply(3, 0, None)
+        eng._apply(1, 1, helper.id)
         out = eng._round_condition()
         assert isinstance(out, DSequent)
         assert out.target == target.id
@@ -104,8 +104,8 @@ class TestLearnBlockedTarget:
         eng = make_engine([1, 2, 3], [4], f1=[(2, 3)], f2=[(4, 1), (1, -2)])
         target = start_proof(eng, (2, 3))
         c1 = eng.db.find_any((4, 1))
-        eng._apply(4, 0, None, level_start=True)
-        eng._apply(1, 1, c1.id, level_start=False)
+        eng._apply(4, 0, None)
+        eng._apply(1, 1, c1.id)
         out = eng._bcp()
         assert eng.stats["dseq_atomic3"] == 1
         assert isinstance(out, DSequent)
@@ -133,10 +133,10 @@ class TestLearnFalsifiedNonTarget:
         c2 = eng.db.find_any((-1, 3))
         c3 = eng.db.find_any((-2, -3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
-        eng._apply(5, 0, None, level_start=True)
-        eng._apply(1, 1, stored, level_start=True)
-        eng._apply(2, 1, c1.id, level_start=False)
-        eng._apply(3, 1, c2.id, level_start=False)
+        eng._apply(5, 0, None)
+        eng._apply(1, 1, stored)
+        eng._apply(2, 1, c1.id)
+        eng._apply(3, 1, c2.id)
         out = eng._lrn_falsified(c3.id)
         assert isinstance(out, DSequent)
         assert out.cond() == {5: 0}
@@ -152,10 +152,10 @@ class TestLearnFalsifiedTarget:
         c1 = eng.db.find_any((5, -1, 2))
         c2 = eng.db.find_any((-1, 3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
-        eng._apply(5, 0, None, level_start=True)
-        eng._apply(1, 1, stored, level_start=True)
-        eng._apply(2, 1, c1.id, level_start=False)
-        eng._apply(3, 1, c2.id, level_start=False)
+        eng._apply(5, 0, None)
+        eng._apply(1, 1, stored)
+        eng._apply(2, 1, c1.id)
+        eng._apply(3, 1, c2.id)
         out = eng._lrn_falsified(target.id)
         helper = eng.db.find_any((-1, 5))
         assert helper is not None
@@ -174,9 +174,9 @@ class TestLearnActivatedRecord:
         c1 = eng.db.find_any((3, 1))
         c2 = eng.db.find_any((3, 2))
         stored = DSequent.make(target.id, {1: 1, 2: 1}, (), "derived")
-        eng._apply(3, 0, None, level_start=True)
-        eng._apply(1, 1, c1.id, level_start=False)
-        eng._apply(2, 1, c2.id, level_start=False)
+        eng._apply(3, 0, None)
+        eng._apply(1, 1, c1.id)
+        eng._apply(2, 1, c2.id)
         out = eng._rewrite(stored)
         assert out.cond() == {3: 0}
         assert out.constraint == {c1.id, c2.id}
@@ -262,7 +262,7 @@ class TestUnitOrder:
         eng = make_engine([1], [2, 3, 4, 5, 6, 7], f1=[(1, 2)],
                           f2=[(3, 4), (-4, 5), (3, 6), (-1, 7)])
         start_proof(eng, (1, 2))
-        eng._apply(3, 0, None, level_start=True)
+        eng._apply(3, 0, None)
         eng._bcp()
         # the units come first, then the branch on the lowest free variable
         assert [(e.var, e.val, e.reason) for e in eng.trail[:5]] == [
@@ -275,7 +275,7 @@ class TestUnitOrder:
         # which steers the branch at a level of its own
         eng = make_engine([1], [2, 3, 4], f1=[(1, 2)], f2=[(1, 3), (-3, 4)])
         target = start_proof(eng, (1, 2))
-        eng._apply(1, 0, None, level_start=True)
+        eng._apply(1, 0, None)
         out = eng._bcp()
         assert isinstance(out, DSequent) and out.cond() == {2: 1}
         assert [(e.var, e.val, e.reason, e.level) for e in eng.trail] == [
@@ -293,7 +293,7 @@ class TestStoredRecordPropagation:
         recs = [DSequent.make(target.id, cond, (), "derived") for cond in conds]
         for rec in recs:
             eng.store.consider(rec, 0, eng.x_vars, eng.db)
-        eng._apply(6, 0, None, level_start=True)
+        eng._apply(6, 0, None)
         assert eng._round_condition() is None
         return eng, recs
 
@@ -303,7 +303,6 @@ class TestStoredRecordPropagation:
         assert eng._branch() is None
         e = eng.trail[-1]
         assert (e.var, e.val, e.reason, e.level) == (5, 0, rec, 2)
-        assert eng._pending is None
         assert (eng.stats["deactivation_hints"], eng.stats["decisions"]) == (1, 0)
 
     def test_record_unit_off_the_branch_variable_does_not_steer(self):
@@ -321,12 +320,12 @@ class TestStoredRecordPropagation:
         assert eng.stats["deactivation_hints"] == 1
 
     def test_later_subsumed_record_wins_over_hint(self):
-        # the hint found first is counted, but the reuse is returned and
-        # the trail is left as it was
+        # the reuse is returned, the trail is left as it was and the hint
+        # found first, never applied, is not counted
         eng, (_, reused) = self.branch_engine({6: 0, 5: 1}, {6: 0})
         assert eng._branch() is reused
         assert [(e.var, e.val) for e in eng.trail] == [(6, 0)]
-        assert (eng.stats["dseq_reused"], eng.stats["deactivation_hints"]) == (1, 1)
+        assert (eng.stats["dseq_reused"], eng.stats["deactivation_hints"]) == (1, 0)
         assert eng.stats["decisions"] == 0
 
     def test_active_record_reported(self):
@@ -334,7 +333,7 @@ class TestStoredRecordPropagation:
         target = start_proof(eng, (1, 2))
         rec = DSequent.make(target.id, {6: 0}, (), "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
-        eng._apply(6, 0, None, level_start=True)
+        eng._apply(6, 0, None)
         out = eng._branch()
         assert isinstance(out, DSequent)
         assert out.cond() == {6: 0}
@@ -350,7 +349,7 @@ class TestStoredRecordPropagation:
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)
-        eng._apply(3, 0, None, level_start=True)  # satisfies the helper via -3
+        eng._apply(3, 0, None)  # satisfies the helper via -3
         assert eng.db.is_satisfied(helper.id)
         assert eng._branch() is None
         assert eng.stats["dseq_reused"] == 0
@@ -364,7 +363,7 @@ class TestStoredRecordPropagation:
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
         eng.db.deactivate(helper.id)
-        eng._apply(3, 0, None, level_start=True)  # helper neither live nor satisfied
+        eng._apply(3, 0, None)  # helper neither live nor satisfied
         assert eng._branch() is None
         assert eng.stats["dseq_reused"] == 0
         e = eng.trail[-1]
@@ -383,7 +382,7 @@ class TestDecide:
     def test_quantified_when_free_exhausted(self):
         eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(2,)])
         start_proof(eng, (1, 3))
-        eng._apply(3, 0, None, level_start=True)
+        eng._apply(3, 0, None)
         assert eng._branch() is None
         e = eng.trail[-1]
         assert (e.var, e.val, e.reason) == (1, 0, None)
@@ -392,13 +391,51 @@ class TestDecide:
         # the pick skips assigned variables, whatever order they were set in
         eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
         start_proof(eng, (1, 3))
-        eng._apply(4, 0, None, level_start=True)
+        eng._apply(4, 0, None)
         assert eng._pick_branch_var() == 3
-        eng._apply(3, 0, None, level_start=True)
-        eng._apply(1, 0, None, level_start=True)
+        eng._apply(3, 0, None)
+        eng._apply(1, 0, None)
         assert eng._pick_branch_var() == 2
         eng._pop_suffix(1)
         assert eng._pick_branch_var() == 3
+
+
+class TestEagerBacktracking:
+    """A backtrack applies the assignment it asserts before it returns."""
+
+    def build(self):
+        # y3 = 0, x1 = 0 and x2 = 0 decided at levels 1, 2 and 3
+        eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(-1, 2), (-2, 3)],
+                          check_invariants=True)
+        target = start_proof(eng, (1, 3))
+        for var in (3, 1, 2):
+            eng._apply(var, 0, None)
+        return eng, target
+
+    def test_clause_applies_its_asserting_literal(self):
+        eng, _ = self.build()
+        clause = eng._add_derived_clause((1, 2, 3), True)
+        assert eng._bcktr_clause(clause) is None
+        assert [(e.var, e.val, e.reason, e.level) for e in eng.trail] == [
+            (3, 0, None, 1), (1, 0, None, 2), (2, 1, clause.id, 2)
+        ]
+
+    def test_record_flip_starts_a_level(self):
+        eng, target = self.build()
+        ds = DSequent.make(target.id, {3: 0, 1: 0}, (), "derived")
+        assert eng._bcktr_dseq(ds) is None
+        assert [(e.var, e.val, e.reason, e.level) for e in eng.trail] == [
+            (3, 0, None, 1), (1, 1, ds, 2)
+        ]
+        assert eng.level_start[-1] == len(eng.trail) - 1
+
+    def test_record_flips_its_lowest_unassigned_variable(self):
+        eng, target = self.build()
+        eng._pop_suffix(1)  # only y3 = 0 is left
+        ds = DSequent.make(target.id, {3: 0, 2: 1, 1: 1}, (), "derived")
+        assert eng._bcktr_dseq(ds) is None
+        e = eng.trail[-1]
+        assert (e.var, e.val, e.reason, e.level) == (1, 0, ds, 2)
 
 
 class TestDuplicateRecovery:
@@ -414,8 +451,8 @@ class TestDuplicateRecovery:
         # model independent of the second free variable: it leaves the witness
         eng = make_engine([1], [3, 4], f1=[(3, 1)], f2=[(1,), (-1, -3)])
         target = start_proof(eng, (3, 1))
-        eng._apply(3, 0, None, level_start=True)
-        eng._apply(4, 0, None, level_start=True)
+        eng._apply(3, 0, None)
+        eng._apply(4, 0, None)
         out = eng._handle_duplicate()
         assert out.rule in ("sat-witness", "join")
         assert 4 not in out.cond()
@@ -425,7 +462,7 @@ class TestDuplicateRecovery:
         eng = make_engine([1], [3], f1=[(3, 1)], f2=[(-1,), (1, -3, 3) if False else (1, 3)])
         # live clauses: target (3 v x1), (-x1), (x1 v y)
         target = start_proof(eng, (3, 1))
-        eng._apply(3, 0, None, level_start=True)
+        eng._apply(3, 0, None)
         out = eng._handle_duplicate()
         # under y=0 the formula is contradictory: (x1 v y) forces x1, (-x1) refutes
         assert isinstance(out, DSequent)

@@ -189,7 +189,7 @@ class TestSearchDiscipline:
     def test_audit_catches_stale_free_literal(self):
         eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2)], [(-1, 3)]),
                      SolverConfig(check_invariants=True))
-        eng._apply(2, 0, None, level_start=True)  # (1 2) is unit on 1
+        eng._apply(2, 0, None)  # (1 2) is unit on 1
         (cid,) = eng.db.units
         assert eng.db.free_literal(cid) == 1
         eng._audit_trail()
@@ -197,22 +197,25 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng._audit_trail()
 
-    def test_audit_catches_assigned_pending_variable(self):
-        problem = rand_problem(random.Random(1), require_x_target=True)
-        eng = Engine(problem, SolverConfig(check_invariants=True))
-        var = min(problem.x_vars)
-        eng._apply(var, 0, None, level_start=True)
-        eng._audit_stack()
-        eng._pending = (var, 1, None)
-        with pytest.raises(AssertionError):
-            eng._audit_stack()
+    def test_audit_checks_the_level_rule(self):
+        # an entry's level counts the level starts at or below it, and a
+        # decision or a record's flip is the first entry of its level
+        eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2, 3)], [(-1, 2)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        assert isinstance(eng._bcp(), DSequent)
+        assert [(e.reason, e.level) for e in eng.trail] == [(None, 1), (2, 1), (eng.target, 2)]
+        eng._audit_trail()
+        del eng.level_start[1]  # the decision's level
+        with pytest.raises(AssertionError, match="off its level"):
+            eng._audit_trail()
 
     def test_audit_catches_level_with_unassigned_key(self):
         # _pop_suffix ends a level with its key, so a live key is assigned
         eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
-        eng._apply(1, 0, eng.target, level_start=True)
+        eng._apply(1, 0, eng.target)
         eng._push_tlevel(eng.target, 1)
         eng._audit_stack()
         eng.tlevels.append(TargetLevel(eng.target, 2))  # key 2 is unassigned
@@ -223,8 +226,8 @@ class TestSearchDiscipline:
         eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
-        eng._apply(1, 0, None, level_start=True)
-        eng._apply(2, 0, None, level_start=True)
+        eng._apply(1, 0, None)
+        eng._apply(2, 0, None)
         eng.tlevels = [TargetLevel(eng.target, 2), TargetLevel(eng.target, 1)]
         with pytest.raises(AssertionError, match="below"):
             eng._audit_stack()
@@ -237,12 +240,12 @@ class TestSearchDiscipline:
         eng.primary = eng.target = min(eng.f1_ids)
         reason = eng.db.find_any((-1, 2)).id
         record = DSequent.make(eng.target, {1: 0}, (), "derived")
-        eng._apply(2, 0, None, level_start=True)
-        eng._apply(1, 0, reason, level_start=False)
+        eng._apply(2, 0, None)
+        eng._apply(1, 0, reason)
         joined = eng._rewrite(record)
         assert joined.cond() == {2: 0} and joined.constraint == {reason}
         eng._pop_suffix(0)
-        eng._apply(1, 0, reason, level_start=True)  # 2 is not false below it
+        eng._apply(1, 0, reason)  # 2 is not false below it
         with pytest.raises(AssertionError, match="not false below"):
             eng._rewrite(record)
 
@@ -252,10 +255,10 @@ class TestSearchDiscipline:
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         record = DSequent.make(eng.target, {1: 0}, (), "derived")
-        eng._apply(1, 0, DSequent.make(eng.target, {1: 1}, (), "derived"), level_start=True)
+        eng._apply(1, 0, DSequent.make(eng.target, {1: 1}, (), "derived"))
         assert eng._rewrite(record).conditional == ()
         eng._pop_suffix(0)
-        eng._apply(1, 0, record, level_start=True)  # a record asks for its own value
+        eng._apply(1, 0, record)  # a record asks for its own value
         with pytest.raises(AssertionError, match="does not flip"):
             eng._rewrite(record)
 
@@ -263,9 +266,9 @@ class TestSearchDiscipline:
         eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
-        eng._apply(1, 0, None, level_start=True)
+        eng._apply(1, 0, None)
         eng._push_tlevel(eng.target, 1)
-        eng._apply(2, 0, None, level_start=True)
+        eng._apply(2, 0, None)
         eng._push_tlevel(eng.target, 2)
         proved = max(eng.db.all_ids())
         eng.tlevels[-1].done[proved] = None
@@ -316,11 +319,11 @@ class TestSearchDiscipline:
         helper = eng.db.find_any((4, -3))
         rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
-        eng._apply(3, 0, None, level_start=True)
+        eng._apply(3, 0, None)
         assert eng._branch() is rec
         eng._pop_suffix(0)
         eng.db.deactivate(helper.id)
-        eng._apply(3, 0, None, level_start=True)
+        eng._apply(3, 0, None)
         with pytest.raises(AssertionError, match="DSequent"):
             eng._branch()
 

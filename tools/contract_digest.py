@@ -8,7 +8,10 @@ Prints ``<pairs> <sha256>``: the number of instance/config pairs solved and
 the SHA-256 of every pair's answer, ``--stats=kv`` lines and ``DS`` trace
 lines. Two commits whose engines answer, count and learn alike print the
 same digest, so a refactor that must not change behaviour is checked by
-running this script on both commits.
+running this script on both commits. Sixteen lines follow, one per batch
+section and config, ``<section> <config> <pairs> <sha256>``, each hashing
+the same text for that section's pairs alone: a diff of two outputs names
+the sections a change moved.
 
 Each pair is solved twice: with an ``on_dsequent`` observer that formats
 each record's ``DS`` line and reads the live formula (``live()``) it was
@@ -85,8 +88,10 @@ def observable(problem, config, on_dsequent=None):
 
 def main() -> int:
     digest = hashlib.sha256()
+    sections = {}  # (section, config) -> [pairs, sha256], in batch order
     pairs = 0
     for name, problem, check in batch():
+        section = name.split(":")[0]
         for label, config in CONFIGS.items():
             lines = []
 
@@ -102,9 +107,15 @@ def main() -> int:
                 print(f"{name} {label}: the observer changed the search", file=sys.stderr)
                 return 1
             ds = "".join(line + "\n" for line in lines)
-            digest.update(f"{name} {label}\n{traced}{ds}".encode())
+            text = f"{name} {label}\n{traced}{ds}".encode()
+            digest.update(text)
+            part = sections.setdefault((section, label), [0, hashlib.sha256()])
+            part[0] += 1
+            part[1].update(text)
             pairs += 1
     print(pairs, digest.hexdigest())
+    for (section, label), (n, part_digest) in sections.items():
+        print(section, label, n, part_digest.hexdigest())
     return 0
 
 
