@@ -43,7 +43,14 @@ learns from it at once and returns a record for the current target or a
 conflict clause, and ``prove_redundant`` hands that to the rule above.
 A conflict clause comes from one downward walk of the trail
 (``_conflict_walk``), resolving at each entry whose false literal the
-resolvent holds.
+resolvent holds. When the target is falsified and that resolvent is
+already stored, a second walk resolves only the quantified literals: the
+clause of free literals it leaves is false under the free assignment and
+carries the target's record, so the proof stays in the search. The SAT
+fallback (``_handle_duplicate``) is left for support cycles among partner
+records (``_third_kind``), for that walk meeting a quantified decision or
+record flip or ending in a stored but inactive clause, and for a stored
+resolvent of a falsified clause other than the target.
 
 Propagation state
 -----------------
@@ -592,37 +599,62 @@ class Engine:
 
     def _lrn_falsified(self, cid: int) -> Union[DSequent, Clause]:
         """Learn from a falsified clause: a conflict clause, or a record for
-        the target when the walk stops at a record-derived assignment."""
+        the target when the walk stops at a record-derived assignment.
+
+        When the falsified clause is the target and the walk's resolvent is
+        already stored (typically the target itself, its last free literal
+        flipped by a record), a second walk keeps every free literal and
+        resolves only quantified ones. Its resolvent B, false under the
+        free assignment alone, carries the record. The SAT fallback
+        (``_handle_duplicate``) is left for that walk meeting a quantified
+        decision or record flip, for B stored but inactive, and for a
+        stored resolvent of another clause.
+        """
         self.stats["conflicts"] += 1
         lits, f1_side, at_record = self._conflict_walk(cid)
         tgt = self.db.clause(self.target)
         if at_record and cid != self.target:
             seed = self._emit(dsq.falsified_clause_dsequent(tgt, self.db.clause(cid)))
             return self._rewrite(seed)
-        if self.db.find_any(lits) is not None:
+        if self.db.find_any(lits) is None:
+            clause = self._add_derived_clause(lits, f1_side)
+            if not at_record:
+                return clause
+        elif cid == self.target:
+            lits, f1_side, _ = self._conflict_walk(cid, keep_free=True)
+            if self.problem.is_x_clause(lits):
+                return self._handle_duplicate()
+            clause = self._add_derived_clause(lits, f1_side)
+            # B holds no quantified literal, so it is never the target
+            if not self.db.is_active(clause.id):
+                return self._handle_duplicate()
+            if self.config.check_invariants:
+                assert clause_falsified(lits, self.assign), f"free resolvent {lits} is not false"
+        else:
             return self._handle_duplicate()
-        clause = self._add_derived_clause(lits, f1_side)
-        if not at_record:
-            return clause
         # the falsified clause is the target itself: the record rests on the
         # derived clause, which stays in the formula as a helper
         return self._rewrite(self._emit(dsq.falsified_clause_dsequent(tgt, clause)))
 
-    def _conflict_walk(self, start_cid: int) -> Tuple[Lits, bool, bool]:
+    def _conflict_walk(self, start_cid: int, keep_free: bool = False) -> Tuple[Lits, bool, bool]:
         """Resolve the falsified clause backwards through clause reasons.
 
         Walks the trail down once, as ``satcore._Solver._analyze`` does (a
         reason's other literals lie below its entry). Stops at a real
         decision (a conflict clause has been built) or at a
         D-sequent-derived assignment (clause learning is impossible there).
+        With ``keep_free`` it passes over entries on free variables, so
+        their literals stay whatever their reasons: it stops only on a
+        quantified variable, and a walk to the bottom leaves free literals.
         Returns the resolvent, whether F1 took part, and whether a record stopped it.
         """
         start = self.db.clause(start_cid)
         work = set(start.lits)  # all false
         f1_side = start.is_f1_side()
+        x_vars = self.x_vars
         for entry in reversed(self.trail):
             lit = -entry.var if entry.val else entry.var
-            if lit not in work:
+            if lit not in work or (keep_free and entry.var not in x_vars):
                 continue
             if entry.reason is None or isinstance(entry.reason, DSequent):
                 return tuple(sorted(work, key=abs)), f1_side, entry.reason is not None
@@ -630,7 +662,7 @@ class Engine:
             f1_side = f1_side or reason.is_f1_side()
             work.remove(lit)
             work.update(l for l in reason.lits if l != -lit)
-        return (), f1_side, False
+        return tuple(sorted(work, key=abs)), f1_side, False
 
     def _rewrite(self, ds: DSequent) -> DSequent:
         """Eliminate derived assignments from the conditional, latest first.
@@ -785,8 +817,12 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _handle_duplicate(self) -> DSequent:
-        """A derived clause duplicates a stored one: decide the subspace semantically.
+        """Decide the subspace semantically where the search cannot go on.
 
+        Reached by a support cycle among partner records (``_third_kind``),
+        by a falsified target whose walk keeping free literals meets a
+        quantified decision or record flip or ends in a stored but inactive
+        clause, and by a stored resolvent of another falsified clause.
         Back out of all quantified-variable assignments and secondary targets,
         then ask a SAT check whether the formula holds under the remaining
         free-variable assignments; either a blocking free-variable clause or a

@@ -6,8 +6,9 @@ import pytest
 
 from pqe.dsequent import DSequent
 from pqe.formula import EcnfProblem
+from pqe.cli import main
 from pqe.io import parse_pqe
-from pqe.oracle import enumerate_qe, verify_pqe_solution
+from pqe.oracle import cnf_satisfiable, enumerate_qe, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, solve_pqe
 
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
@@ -438,13 +439,79 @@ class TestEagerBacktracking:
         assert (e.var, e.val, e.reason, e.level) == (1, 0, ds, 2)
 
 
-class TestDuplicateRecovery:
-    def test_free_unit_instance_uses_recovery(self):
+class TestFreeVariableWalk:
+    """A falsified target whose resolvent is stored: the walk that keeps
+    free literals closes it, or the SAT fallback does."""
+
+    def build(self, x1_reason="clause", **cfg):
+        # target (-x1 v y4); y3 = 0 decided, x1 = 1 by (y3 v x1) or as given,
+        # y4 = 0 flipped by a record: the target is falsified
+        eng = make_engine([1], [3, 4], f1=[(-1, 4)], f2=[(3, 1)], **cfg)
+        target = start_proof(eng, (-1, 4))
+        reasons = {
+            "clause": eng.db.find_any((3, 1)).id,
+            "decision": None,
+            "record": DSequent.make(target.id, {1: 0}, (), "derived"),
+        }
+        eng._apply(3, 0, None)
+        eng._apply(1, 1, reasons[x1_reason])
+        eng._apply(4, 0, DSequent.make(target.id, {4: 1}, (), "derived"))
+        return eng, target
+
+    def test_closes_by_search(self):
+        eng, target = self.build(check_invariants=True)
+        out = eng._lrn_falsified(target.id)
+        assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 0
+        assert len(eng.trail) == 3  # the search stays where it is
+        b = eng.db.find_any((3, 4))
+        assert b is not None and b.origin == "derived-f1" and eng.db.is_active(b.id)
+        assert isinstance(out, DSequent)
+        assert out.cond() == {3: 0}
+        assert out.constraint == {b.id}
+        # B is implied: the input and B's negation are unsatisfiable
+        problem = eng.problem
+        assert not cnf_satisfiable(list(problem.f1 + problem.f2) + [(-l,) for l in b.lits])
+
+    @pytest.mark.parametrize("x1_reason", ["decision", "record"])
+    def test_quantified_decision_or_record_falls_back(self, x1_reason):
+        eng, target = self.build(x1_reason)
+        eng._lrn_falsified(target.id)
+        assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 1
+
+    def test_inactive_stored_resolvent_falls_back(self):
+        eng, target = self.build()
+        b = eng.db.add((3, 4), "derived-f1")
+        eng.db.deactivate(b.id)
+        eng._lrn_falsified(target.id)
+        assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 1
+
+    def test_free_unit_instance_closes_by_search(self):
+        # the target's free unit is flipped by a record; the walk keeping
+        # free literals resolves x1 through (x1) and learns (y2)
         problem = EcnfProblem.make([1], [2], [(2, -1)], [(1,)])
         eng = Engine(problem, SolverConfig())
         res = eng.solve()
-        assert eng.stats["duplicates"] >= 1
-        assert eng.stats["sat_calls"] >= 1
+        assert res.f1_star == ((2,),)
+        assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 0
+        derived = [eng.db.clause(cid) for cid in eng.db.all_ids()
+                   if eng.db.clause(cid).origin.startswith("derived")]
+        assert [(c.lits, c.origin) for c in derived] == [((2,), "derived-f1")]
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+
+
+class TestDuplicateRecovery:
+    def test_support_cycles_reach_recovery(self, tmp_path, capsys):
+        # the walk keeping free literals cannot close a support cycle among
+        # partner records: this instance meets two, each counted
+        path = str(tmp_path / "satred-4.pqe")
+        assert main(["gen", "satred", "--vars", "12", "--clauses", "51", "--seed", "4",
+                     "-o", path]) == 0
+        capsys.readouterr()
+        with open(path, encoding="utf-8") as fh:
+            problem = parse_pqe(fh.read())
+        res = solve_pqe(problem, SolverConfig(check_invariants=True))
+        assert res.stats["duplicates"] == res.stats["sat_calls"] == 2
+        assert res.stats["consistency_recoveries"] == 2
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
 
     def test_satisfiable_shrink_drops_irrelevant_free_var(self):
@@ -476,7 +543,7 @@ class TestRegressionCorpus:
     CASES = [
         # unit-chain target levels keyed by free variables (not allowed)
         ([1, 2, 3, 4], [5], [(1, -4, -5), (4,), (-4, 5)], []),
-        # free-variable-unit target forcing the duplicate recovery
+        # free-variable-unit target that once forced the duplicate recovery
         ([1], [2], [(-1,), (-1, 2)], [(-1, -2), (1, -2)]),
         # sibling branches once evicted each other's steering forever
         ([1, 2], [3, 4], [(-2,)], [(1,), (-2, -3, -4), (-2, 3, 4), (2, -3, -4), (1, 4), (-2, 3)]),

@@ -75,6 +75,40 @@ class TestDerivedClausesImplied:
         assert checked["derived-f2"] > 40 and checked["derived-f1"] > 100, checked
 
 
+class TestCircuitsCloseBySearch:
+    def test_free_variable_walks_are_sound(self, monkeypatch):
+        # small circuits reach the walk that keeps free literals; under the
+        # audits every answer is right, every derived clause follows from
+        # F1 and F2, and no proof needs the SAT fallback
+        walks = []
+        walk = Engine._conflict_walk
+
+        def counted(self, cid, keep_free=False):
+            walks.append(keep_free)
+            return walk(self, cid, keep_free)
+
+        monkeypatch.setattr(Engine, "_conflict_walk", counted)
+        rng = random.Random(5)
+        for seed in range(30):
+            circuit = harness.gen_circuit(seed, 4, 10)
+            x = {v: rng.randrange(2) for v in circuit.inputs}
+            z = {v: harness.simulate(circuit, x)[v] for v in circuit.outputs}
+            problem = harness.circuit_to_pqe(circuit, z).problem
+            eng = Engine(problem, SolverConfig(check_invariants=True))
+            res = eng.solve()
+            assert verify_pqe_solution(
+                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
+            ), seed
+            assert res.stats["duplicates"] == 0, seed
+            premises = list(problem.f1 + problem.f2)
+            for cid in eng.db.all_ids():
+                clause = eng.db.clause(cid)
+                if clause.origin.startswith("derived"):
+                    negated = [(-l,) for l in clause.lits]
+                    assert not cnf_satisfiable(premises + negated), (seed, clause)
+        assert walks.count(True) > 30
+
+
 class TestEmittedRecordsValid:
     def test_records_pass_member_formula_check(self):
         rng = random.Random(31337)
@@ -261,6 +295,24 @@ class TestSearchDiscipline:
         eng._apply(1, 0, record)  # a record asks for its own value
         with pytest.raises(AssertionError, match="does not flip"):
             eng._rewrite(record)
+
+    def test_free_walk_audit_catches_resolvent_not_false(self, monkeypatch):
+        # the walk keeping free literals must end in a clause the free
+        # assignment falsifies, or the record resting on it is unfounded
+        eng = Engine(EcnfProblem.make([1], [3, 4], [(-1, 4)], [(3, 1)]),
+                     SolverConfig(check_invariants=True))
+        eng.primary = eng.target = min(eng.f1_ids)
+        eng._apply(3, 0, None)
+        eng._apply(1, 1, eng.db.find_any((3, 1)).id)
+        eng._apply(4, 0, DSequent.make(eng.target, {4: 1}, (), "derived"))
+        walk = Engine._conflict_walk
+
+        def wrong(self, cid, keep_free=False):
+            return ((3, -4), True, False) if keep_free else walk(self, cid)
+
+        monkeypatch.setattr(Engine, "_conflict_walk", wrong)
+        with pytest.raises(AssertionError, match="not false"):
+            eng._lrn_falsified(eng.target)
 
     def test_pop_suffix_ends_levels_with_their_keys(self):
         eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
