@@ -18,14 +18,15 @@ record as its reason; otherwise it is decided 0.
 While proving one clause redundant the engine may need other clauses proved
 first; those secondary targets are tracked by a stack of target levels, one
 per unit-clause assignment made while processing a target-derived
-assignment (clause-only propagation). A target level records its key clause
-and key variable. Its pending targets are not stored: ``_partners``
-recomputes them, the live clauses resolvable with the key on that variable,
-whenever the next one is picked. A clause proved redundant at a live level
-is soft-deleted, and its record lives only in that level's ``done`` map
-until the level ends and restores the clause. A level ends with its key
-assignment: ``_pop_suffix`` drops every top level whose key it unassigns
-(``_handle_duplicate`` alone also drops those whose key it leaves).
+assignment (clause-only propagation). A target level is marked on that
+assignment's trail entry, its key: the entry's reason is the key clause and
+its variable the key variable. Its pending targets are not stored:
+``_partners`` recomputes them, the live clauses resolvable with the key on
+that variable, whenever the next one is picked. A clause proved redundant
+at a live level is soft-deleted, and its record lives only in the key
+entry's ``done`` map until the level ends and restores the clause. A level
+ends when ``_pop_suffix`` pops its key entry (``_handle_duplicate`` alone
+also ends those whose key entry it leaves).
 
 The primary target is the bottom of that stack: with no target level left,
 the target is the primary, its point of origin lies before the first trail
@@ -49,8 +50,8 @@ clause of free literals it leaves is false under the free assignment and
 carries the target's record, so the proof stays in the search. The SAT
 fallback (``_handle_duplicate``) is left for support cycles among partner
 records (``_third_kind``), for that walk meeting a quantified decision or
-record flip or ending in a stored but inactive clause, and for a stored
-resolvent of a falsified clause other than the target.
+record flip, and for a stored resolvent of a falsified clause other than
+the target.
 
 Propagation state
 -----------------
@@ -101,7 +102,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import dsequent as dsq
@@ -144,13 +145,8 @@ class TrailEntry:
     val: int
     reason: object  # None: decision; int: clause id; DSequent: deactivation
     level: int
-
-
-@dataclass
-class TargetLevel:
-    key_clause: int
-    key_var: int
-    done: Dict[int, DSequent] = field(default_factory=dict)
+    # set only on the key entry of a live target level: the clauses proved at it
+    done: Optional[Dict[int, DSequent]] = None
 
 
 @dataclass
@@ -204,7 +200,7 @@ class Engine:
         self.pos: Dict[int, int] = {}
         self.level_start: List[int] = [0]
         self._order: Optional[List[int]] = None  # branching order, built at the first branch
-        self.tlevels: List[TargetLevel] = []
+        self.tlevels: List[TrailEntry] = []  # the key entries of the live target levels
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
@@ -306,11 +302,10 @@ class Engine:
             e = self.trail.pop()
             self.db.unassign(e.var)
             del self.pos[e.var]
+            if e.done is not None:  # a target level ends with its key
+                self._drop_tlevel()
         while len(self.level_start) > 1 and self.level_start[-1] >= len(self.trail):
             self.level_start.pop()
-        # a target level ends with its key assignment
-        while self.tlevels and self.tlevels[-1].key_var not in self.pos:
-            self._drop_tlevel()
         if self.config.check_invariants:
             self._audit_trail()
 
@@ -407,20 +402,21 @@ class Engine:
             assert db.free_literal(cid) == unit_literal(db.clause(cid).lits, self.assign), cid
 
     def _audit_stack(self) -> None:
-        """Target levels match the trail and the soft-deleted clauses; an
-        empty stack means the primary is the target."""
+        """Target levels match the soft-deleted clauses; an empty stack
+        means the primary is the target."""
         assert self.tlevels or self.target == self.primary
-        below = -1  # _pop_suffix relies on assigned keys in stack order
-        for lv in self.tlevels:
-            assert lv.key_var in self.pos, f"key {lv.key_var} of a live level is unassigned"
-            assert self.pos[lv.key_var] > below, f"key {lv.key_var} lies below the key under it"
-            below = self.pos[lv.key_var]
-            assert lv.key_var in self.x_vars
-            for cid in lv.done:
+        for key in self.tlevels:
+            assert key.var in self.x_vars
+            for cid in key.done:
                 assert not self.db.is_active(cid)
         # a proved clause is done at one level only, so its record is unique
-        done = [cid for lv in self.tlevels for cid in lv.done]
+        done = [cid for key in self.tlevels for cid in key.done]
         assert len(done) == len(set(done))
+        # only primaries and targets are soft-deleted, each with a quantified literal
+        db = self.db
+        for cid in db.all_ids():
+            free_only = not self.problem.is_x_clause(db.clause(cid).lits)
+            assert db.is_active(cid) or not free_only, f"free-only clause {cid} is inactive"
 
     def _branch(self) -> Optional[DSequent]:
         """Reuse a stored record the trail subsumes, or assign the branch
@@ -492,7 +488,7 @@ class Engine:
         partners must be proved redundant for the chain above to collapse.
         """
         self._apply(seed_var, seed_val, seed_reason)
-        self._push_tlevel(seed_reason, seed_var)
+        self._push_tlevel()
         db = self.db
         while db.units or db.falsified:
             if db.falsified:
@@ -503,11 +499,14 @@ class Engine:
             if abs(ul) in self.x_vars:
                 # redundancy branches only on quantified variables;
                 # free-variable units are plain implications
-                self._push_tlevel(cid, abs(ul))
+                self._push_tlevel()
         return self._advance_target()
 
-    def _push_tlevel(self, key_cid: int, key_var: int) -> None:
-        self.tlevels.append(TargetLevel(key_cid, key_var))
+    def _push_tlevel(self) -> None:
+        """Open a target level keyed by the last trail entry."""
+        key = self.trail[-1]
+        key.done = {}
+        self.tlevels.append(key)
         if len(self.tlevels) > self.stats["max_target_depth"]:
             self.stats["max_target_depth"] = len(self.tlevels)
 
@@ -530,8 +529,8 @@ class Engine:
             self.target = self.primary
             return None
         top = self.tlevels[-1]
-        key = self.db.clause(top.key_clause)
-        partners = self._partners(key, top.key_var)
+        key = self.db.clause(top.reason)
+        partners = self._partners(key, top.var)
         for cid in partners:
             # a clause done at this level is soft-deleted (``_bcktr_dseq``)
             if self.db.is_active(cid) and not self.db.is_satisfied(cid):
@@ -542,17 +541,19 @@ class Engine:
         # Entries above the key assignment are re-derivable (implications) or
         # re-decidable (decisions); if the certificate mentions them, the
         # caller steers into the complementary subspace instead.
-        record = self._third_kind(key, top.key_var, partners)
+        record = self._third_kind(key, top.var, partners)
         if record is None:
             return self._handle_duplicate()
-        self._pop_suffix(self.pos[top.key_var])  # ends the level
-        self.target = top.key_clause
+        self._pop_suffix(self.pos[top.var])  # ends the level
+        self.target = top.reason
         return self._rewrite(record)
 
     def _drop_tlevel(self) -> None:
-        """Pop the top target level and restore the clauses proved at it."""
-        for cid in sorted(self.tlevels.pop().done):
+        """End the top target level: restore the clauses proved at it, unmark its key."""
+        key = self.tlevels.pop()
+        for cid in sorted(key.done):
             self.db.reactivate(cid)
+        key.done = None
 
     def _third_kind(self, clause: Clause, v: int, partners: Sequence[int]) -> Optional[DSequent]:
         """Certify a clause blocked at v from one record per partner on v.
@@ -572,7 +573,7 @@ class Engine:
                 rec = self._emit(dsq.atomic_first_kind(partner, sv, sval))
             else:
                 rec = next(
-                    (lv.done[cid] for lv in reversed(self.tlevels) if cid in lv.done), None
+                    (key.done[cid] for key in reversed(self.tlevels) if cid in key.done), None
                 )
                 if rec is None:
                     raise AssertionError(f"partner {cid} is gone without a record")
@@ -607,8 +608,8 @@ class Engine:
         resolves only quantified ones. Its resolvent B, false under the
         free assignment alone, carries the record. The SAT fallback
         (``_handle_duplicate``) is left for that walk meeting a quantified
-        decision or record flip, for B stored but inactive, and for a
-        stored resolvent of another clause.
+        decision or record flip and for a stored resolvent of another
+        clause.
         """
         self.stats["conflicts"] += 1
         lits, f1_side, at_record = self._conflict_walk(cid)
@@ -624,10 +625,9 @@ class Engine:
             lits, f1_side, _ = self._conflict_walk(cid, keep_free=True)
             if self.problem.is_x_clause(lits):
                 return self._handle_duplicate()
+            # B holds no quantified literal: it is never the target, and a
+            # stored B is active (``_audit_stack``)
             clause = self._add_derived_clause(lits, f1_side)
-            # B holds no quantified literal, so it is never the target
-            if not self.db.is_active(clause.id):
-                return self._handle_duplicate()
             if self.config.check_invariants:
                 assert clause_falsified(lits, self.assign), f"free resolvent {lits} is not false"
         else:
@@ -684,7 +684,6 @@ class Engine:
             return ds  # conditional left the trail subspace; nothing to do
         target = ds.target
         tgt = self.db.clause(target)
-        live_keys = {lv.key_clause: lv.key_var for lv in self.tlevels}
         observed = self.on_dsequent is not None
         cond = dict(ds.conditional)
         constraint = set(ds.constraint)
@@ -703,7 +702,7 @@ class Engine:
                     assert (var, 1 - b) in reason.conditional, f"record of {var} does not flip it"
                 if reason.target == target and self._below(reason.conditional, var, limit):
                     partner = (reason.conditional, reason.constraint, None)
-            elif reason != target and live_keys.get(reason) != var:
+            elif reason != target and entry.done is None:
                 falsifying = falsifying_assignment(self.db.clause(reason).lits)
                 if self.config.check_invariants:
                     assert falsifying.get(var) == 1 - b and self._below(
@@ -764,10 +763,10 @@ class Engine:
         move on.
         """
         if self.tlevels:
-            poo = self.pos[self.tlevels[-1].key_var]
-            floor = self.trail[poo].level
+            top = self.tlevels[-1]
+            poo, floor = self.pos[top.var], top.level
         else:
-            poo, floor = -1, 0
+            top, poo, floor = None, -1, 0
         cond = ds.cond()
         missing = [v for v in cond if v not in self.assign]
         if missing:
@@ -786,7 +785,6 @@ class Engine:
             return None
         # proved up to the point of origin; an empty conditional for the
         # primary ended its proof before this, so a level is there to pop
-        top = self.tlevels[-1]
         self._pop_suffix(poo + 1)
         top.done[ds.target] = ds
         self.db.deactivate(ds.target)
@@ -821,8 +819,8 @@ class Engine:
 
         Reached by a support cycle among partner records (``_third_kind``),
         by a falsified target whose walk keeping free literals meets a
-        quantified decision or record flip or ends in a stored but inactive
-        clause, and by a stored resolvent of another falsified clause.
+        quantified decision or record flip, and by a stored resolvent of
+        another falsified clause.
         Back out of all quantified-variable assignments and secondary targets,
         then ask a SAT check whether the formula holds under the remaining
         free-variable assignments; either a blocking free-variable clause or a
@@ -831,7 +829,7 @@ class Engine:
         self.stats["duplicates"] += 1
         while self.trail and self.trail[-1].var in self.x_vars:
             self._pop_suffix(len(self.trail) - 1)
-        # a key may still be assigned below a free-variable entry
+        # a key entry may still lie below a free-variable entry
         while self.tlevels:
             self._drop_tlevel()
         self.target = self.primary
@@ -895,7 +893,7 @@ class Engine:
 
     def _live_formula(self) -> tuple:
         """((id, lits), ...) of the active clauses and those proved at live levels."""
-        live = set(self.db.active_ids()) | {cid for lv in self.tlevels for cid in lv.done}
+        live = set(self.db.active_ids()) | {cid for key in self.tlevels for cid in key.done}
         return tuple((cid, self.db.clause(cid).lits) for cid in sorted(live))
 
 

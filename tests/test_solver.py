@@ -8,7 +8,7 @@ from pqe.dsequent import DSequent
 from pqe.formula import EcnfProblem
 from pqe.cli import main
 from pqe.io import parse_pqe
-from pqe.oracle import cnf_satisfiable, enumerate_qe, verify_pqe_solution
+from pqe.oracle import cnf_satisfiable, enumerate_qe, verify_dsequent, verify_pqe_solution
 from pqe.solver import Engine, SolverConfig, solve_pqe
 
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
@@ -203,14 +203,15 @@ class TestTargetStackWalkthrough:
         out = eng._bcp()  # branches on y5 = 0 on the way
         assert eng.stats["decisions"] == 1 and eng.trail[0].reason is None
         # two target levels, keyed by the unit chain, and the new target
-        assert [(lv.key_clause, lv.key_var) for lv in eng.tlevels] == [
+        assert [(key.reason, key.var) for key in eng.tlevels] == [
             (ids[(5, 1)], 1),
             (ids[(-1, 2)], 2),
         ]
+        assert eng.tlevels == [e for e in eng.trail if e.done is not None]
         live_partners = [
-            tuple(cid for cid in eng._partners(eng.db.clause(lv.key_clause), lv.key_var)
+            tuple(cid for cid in eng._partners(eng.db.clause(key.reason), key.var)
                   if eng.db.is_active(cid))
-            for lv in eng.tlevels
+            for key in eng.tlevels
         ]
         assert live_partners == [(ids[(-1, 2)],), (ids[(-2, 3, 4)],)]
         assert eng.target == ids[(-2, 3, 4)]
@@ -240,7 +241,7 @@ class TestTargetStackWalkthrough:
         assert res2.target == ids[(5, 1)]
         assert res2.cond() == {5: 0} and not res2.constraint
         assert eng.tlevels == []
-        assert [(e.var, e.val) for e in eng.trail] == [(5, 0)]
+        assert [(e.var, e.val, e.done) for e in eng.trail] == [(5, 0, None)]
         assert eng.db.is_active(ids[(-1, 2)])
 
     def test_full_proof_and_final_flip(self):
@@ -478,12 +479,15 @@ class TestFreeVariableWalk:
         eng._lrn_falsified(target.id)
         assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 1
 
-    def test_inactive_stored_resolvent_falls_back(self):
-        eng, target = self.build()
+    def test_audit_catches_inactive_free_only_clause(self):
+        # only primaries and targets are soft-deleted, and each holds a
+        # quantified literal: a stored free-only resolvent is always active
+        eng, target = self.build(check_invariants=True)
+        eng._audit_stack()
         b = eng.db.add((3, 4), "derived-f1")
         eng.db.deactivate(b.id)
-        eng._lrn_falsified(target.id)
-        assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 1
+        with pytest.raises(AssertionError, match="free-only"):
+            eng._audit_stack()
 
     def test_free_unit_instance_closes_by_search(self):
         # the target's free unit is flipped by a record; the walk keeping
@@ -500,6 +504,40 @@ class TestFreeVariableWalk:
 
 
 class TestDuplicateRecovery:
+    def test_ends_levels_whose_keys_lie_below_a_free_entry(self):
+        # x1 keys a level; (-1, 2) is proved at it, and y4 = 1 then lies
+        # above the key. Recovery backs out of quantified entries only from
+        # the top, so it ends that level by hand
+        eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(-1, 4), (-1, 2)],
+                          check_invariants=True)
+        primary = start_proof(eng, (1, 3))
+        proved, unit = eng.db.find_any((-1, 2)).id, eng.db.find_any((-1, 4)).id
+        eng._apply(3, 0, None)
+        out = eng._bcp_star(1, 1, primary.id)  # applies the free unit y4 = 1 above x1
+        assert [(e.var, e.reason) for e in eng.trail] == [(3, None), (1, primary.id), (4, unit)]
+        assert out.target == proved
+        assert eng._bcktr_dseq(out) is None  # (-1, 2) done at x1's level
+        key = eng.trail[eng.pos[1]]
+        assert eng.tlevels == [key] and list(key.done) == [proved]
+        assert not eng.db.is_active(proved)
+        eng._bcp()  # the new target's own unit reassigns y4 above the key
+        assert eng.trail[-1].var == 4 and eng.tlevels == [key]
+        record = eng._handle_duplicate()
+        assert eng.tlevels == [] and eng.target == primary.id
+        assert eng.trail[eng.pos[1]] is key and key.done is None
+        assert eng.db.is_active(proved)
+        live = eng.db.active_ids()
+        idx = {cid: k for k, cid in enumerate(live)}
+        assert record.target == primary.id
+        assert verify_dsequent(
+            [eng.db.clause(cid).lits for cid in live],
+            eng.problem.x_vars,
+            idx[record.target],
+            record.cond(),
+            [idx[cid] for cid in record.constraint],
+            eng.problem.y_vars,
+        )
+
     def test_support_cycles_reach_recovery(self, tmp_path, capsys):
         # the walk keeping free literals cannot close a support cycle among
         # partner records: this instance meets two, each counted

@@ -8,7 +8,7 @@ from pqe import harness
 from pqe.dsequent import DSequent, trace_line
 from pqe.formula import ClauseDb, EcnfProblem
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
-from pqe.solver import Engine, SolverConfig, TargetLevel, solve_pqe
+from pqe.solver import Engine, SolverConfig, solve_pqe
 from tests.conftest import rand_cnf, rand_problem
 
 
@@ -244,28 +244,6 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError, match="off its level"):
             eng._audit_trail()
 
-    def test_audit_catches_level_with_unassigned_key(self):
-        # _pop_suffix ends a level with its key, so a live key is assigned
-        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
-                     SolverConfig(check_invariants=True))
-        eng.primary = eng.target = min(eng.f1_ids)
-        eng._apply(1, 0, eng.target)
-        eng._push_tlevel(eng.target, 1)
-        eng._audit_stack()
-        eng.tlevels.append(TargetLevel(eng.target, 2))  # key 2 is unassigned
-        with pytest.raises(AssertionError, match="unassigned"):
-            eng._audit_stack()
-
-    def test_audit_catches_keys_out_of_trail_order(self):
-        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
-                     SolverConfig(check_invariants=True))
-        eng.primary = eng.target = min(eng.f1_ids)
-        eng._apply(1, 0, None)
-        eng._apply(2, 0, None)
-        eng.tlevels = [TargetLevel(eng.target, 2), TargetLevel(eng.target, 1)]
-        with pytest.raises(AssertionError, match="below"):
-            eng._audit_stack()
-
     def test_rewrite_audit_catches_reason_clause_not_false_below(self):
         # _rewrite joins a clause reason untested: BCP made its other
         # literals false below its entry
@@ -319,16 +297,18 @@ class TestSearchDiscipline:
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         eng._apply(1, 0, None)
-        eng._push_tlevel(eng.target, 1)
+        eng._push_tlevel()
         eng._apply(2, 0, None)
-        eng._push_tlevel(eng.target, 2)
+        eng._push_tlevel()
+        key2 = eng.trail[-1]
         proved = max(eng.db.all_ids())
-        eng.tlevels[-1].done[proved] = None
+        key2.done[proved] = None
         eng.db.deactivate(proved)
         eng._pop_suffix(eng.pos[2] + 1)  # keeps key 2: both levels live
-        assert [lv.key_var for lv in eng.tlevels] == [1, 2]
+        assert [key.var for key in eng.tlevels] == [1, 2]
         eng._pop_suffix(eng.pos[2])  # unassigns key 2: its level ends
-        assert [lv.key_var for lv in eng.tlevels] == [1]
+        assert [key.var for key in eng.tlevels] == [1]
+        assert key2.done is None  # its mark goes with it
         assert eng.db.is_active(proved)  # restored with its level
         eng._pop_suffix(0)
         assert eng.tlevels == []
