@@ -221,16 +221,17 @@ class Consistent:
 
 @dataclass(frozen=True)
 class Inconsistent:
-    cycle: Optional[Tuple[int, ...]] = None  # indices forming a constraint cycle
+    cycle: Optional[Tuple[int, ...]] = None  # indices of the records no order can place
     incompatible: Optional[Tuple[int, int]] = None  # indices with clashing conditionals
 
 
 def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsistent]:
     """Is there an order applying every record while it is still applicable?
 
-    Records must target distinct clauses. Edge i -> j whenever the target of
-    j appears in the constraint of i (i must be applied first); an order
-    exists iff this digraph is acyclic, and a topological order is returned.
+    Records must target distinct clauses. Record i goes before record j
+    whenever the target of j appears in the constraint of i. Peeling takes
+    in turn each record that no record left must go before; an order exists
+    iff every record is taken, and the order taken is returned.
     """
     n = len(dseqs)
     targets = [ds.target for ds in dseqs]
@@ -243,37 +244,21 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
             if val != b:
                 return Inconsistent(incompatible=(i, j))
     pos = {t: i for i, t in enumerate(targets)}
-    succs = [[pos[t] for t in sorted(ds.constraint) if t in pos] for ds in dseqs]
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    order: List[int] = []
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, iter(succs[root]))]
-        state[root] = 1
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    k = path.index(nxt)
-                    return Inconsistent(cycle=tuple(path[k:]))
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                path.pop()
-                order.append(node)
-                stack.pop()
-                if stack:
-                    node, _ = stack[-1]
-        # post-order gives successors first; reverse at the end
-    order.reverse()
+    waits = [0] * n  # per record, the records not yet taken that must go before it
+    for ds in dseqs:
+        for t in ds.constraint:
+            if t in pos:
+                waits[pos[t]] += 1
+    order = [j for j in range(n) if not waits[j]]
+    for i in order:  # grows as records are freed
+        for t in dseqs[i].constraint:
+            j = pos.get(t)
+            if j is not None:
+                waits[j] -= 1
+                if not waits[j]:
+                    order.append(j)
+    if len(order) < n:
+        return Inconsistent(cycle=tuple(j for j in range(n) if waits[j]))
     return Consistent(tuple(order))
 
 

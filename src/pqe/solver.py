@@ -3,12 +3,14 @@ at a time, learning D-sequents and clauses along the way.
 
 Search layout
 -------------
-The trail holds (var, value, reason) entries grouped into decision levels.
-``_apply`` reads from the reason alone whether an entry starts a level: it
-does if the reason is ``None`` (a decision), a D-sequent (a record's flip or
-hint) or the current target clause (the target's own unit). These steer the
-search; every other entry is a clause implication at the level below it.
-Level-wise backtracking can therefore undo the steering entries cleanly.
+The trail holds (var, value, reason, level) entries, and their levels are
+the only record of the decision levels. ``_apply`` gives a new entry the
+level of the entry below it, one more if the entry steers, which it reads
+from the reason alone: the reason is ``None`` (a decision), a D-sequent (a
+record's flip or hint) or the current target clause (the target's own
+unit). Every other entry is a clause implication at the level of the entry
+below it. Level-wise backtracking, which pops the entries above a level,
+can therefore undo the steering entries cleanly.
 Where nothing propagates, BCP branches (``_branch``) on the first
 unassigned variable of one static order, free variables ascending, then
 quantified ones. A stored record the trail subsumes is reused instead; a
@@ -28,7 +30,10 @@ entry's ``done`` map until the level ends and restores the clause. A level
 ends when ``_pop_suffix`` pops its key entry (``_handle_duplicate`` alone
 also ends those whose key entry it leaves).
 
-The primary target is the bottom of that stack: with no target level left,
+The primaries are the F1 clauses with a quantified literal, proved in the
+order of ``f1_ids``. ``solve`` walks that list in place, so an F1 clause
+derived during one proof becomes a primary later in the same walk. The
+primary target is the bottom of the target stack: with no target level left,
 the target is the primary, its point of origin lies before the first trail
 entry and its floor is decision level 0. Every learned record and conflict
 clause, whichever target it is for, goes through one backtracking rule
@@ -101,7 +106,6 @@ primary, the target only while no target level is live.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -198,14 +202,12 @@ class Engine:
         self.assign: Assignment = self.db.values
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
-        self.level_start: List[int] = [0]
         self._order: Optional[List[int]] = None  # branching order, built at the first branch
         self.tlevels: List[TrailEntry] = []  # the key entries of the live target levels
         self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
         self._deadline: Optional[float] = None
-        self._next_f1 = 0  # f1_ids before it are proved or have no quantified literal
         self._rule_keys: Dict[str, str] = {}  # record rule -> its stats key
 
     # ------------------------------------------------------------------
@@ -216,10 +218,13 @@ class Engine:
         t0 = time.monotonic()
         if self.config.max_seconds is not None:
             self._deadline = t0 + self.config.max_seconds
-        while True:
-            cid = self._next_primary()
-            if cid is None:
-                break
+        # derived F1 clauses are appended as they arrive and get their turn
+        # here; between proofs only the proved primaries are inactive
+        for cid in self.f1_ids:
+            if not self.problem.is_x_clause(self.db.clause(cid).lits):
+                continue
+            if self.config.check_invariants:
+                assert self.db.is_active(cid), f"primary {cid} is inactive before its turn"
             self.prove_redundant(cid)
             self.stats["primaries_proved"] += 1
             self._pop_suffix(0)
@@ -232,17 +237,6 @@ class Engine:
         )
         self.stats["wall_time_s"] = time.monotonic() - t0
         return PqeResult(f1_star, dict(self.stats))
-
-    def _next_primary(self) -> Optional[int]:
-        # between proofs only the proved primaries are inactive, and they
-        # never return, so the clauses passed over stay passed over
-        ids = self.f1_ids
-        while self._next_f1 < len(ids):
-            cid = ids[self._next_f1]
-            if self.db.is_active(cid) and self.problem.is_x_clause(self.db.clause(cid).lits):
-                return cid
-            self._next_f1 += 1
-        return None
 
     # ------------------------------------------------------------------
     # the per-clause proof loop
@@ -288,11 +282,11 @@ class Engine:
     def _apply(self, var: int, val: int, reason: object) -> None:
         # a decision, a record's flip or the target's own unit steers the
         # search, it does not follow from it: each starts a level
+        level = self.trail[-1].level if self.trail else 0
         if reason is None or isinstance(reason, DSequent) or reason == self.target:
-            self.level_start.append(len(self.trail))
-        entry = TrailEntry(var, val, reason, len(self.level_start) - 1)
+            level += 1
         self.pos[var] = len(self.trail)
-        self.trail.append(entry)
+        self.trail.append(TrailEntry(var, val, reason, level))
         self.db.assign(var, val)
         if self.config.check_invariants:
             self._audit_trail()
@@ -304,15 +298,15 @@ class Engine:
             del self.pos[e.var]
             if e.done is not None:  # a target level ends with its key
                 self._drop_tlevel()
-        while len(self.level_start) > 1 and self.level_start[-1] >= len(self.trail):
-            self.level_start.pop()
         if self.config.check_invariants:
             self._audit_trail()
 
     def _backtrack_to_level(self, level: int) -> None:
-        if level >= len(self.level_start) - 1:
-            return
-        self._pop_suffix(self.level_start[level + 1])
+        """Pop every entry above the level."""
+        n = len(self.trail)
+        while n and self.trail[n - 1].level > level:
+            n -= 1
+        self._pop_suffix(n)
 
     def _pick_branch_var(self) -> Optional[int]:
         """The first unassigned variable of the static order."""
@@ -348,7 +342,7 @@ class Engine:
             ul = db.free_literal(cid)
             var, val = abs(ul), satisfying_value(ul)
             if cid == self.target and var in self.x_vars:
-                learned = self._bcp_star(var, val, cid)
+                learned = self._bcp_star(var, val)
                 if learned is not None:
                     return learned
                 # None: a new target was picked; re-examine it
@@ -376,16 +370,14 @@ class Engine:
         """Trail, assignment and propagation state agree, and every entry
         lies at the level the level rule gives it (check_invariants)."""
         assert len(self.trail) == len(self.assign) == len(self.pos)
-        starts = self.level_start
-        assert starts[0] == 0
-        # level 0 may be empty (implications only); others may not
-        assert all(a < b for a, b in zip(starts[1:], starts[2:] + [len(self.trail)]))
+        below = 0  # level 0 may be empty (implications only); others may not
         for i, e in enumerate(self.trail):
             assert self.pos[e.var] == i
             assert self.assign[e.var] == e.val
-            assert e.level == bisect_right(starts, i) - 1, f"entry {i} lies off its level"
+            assert below <= e.level <= below + 1, f"entry {i} lies off its level"
             if e.reason is None or isinstance(e.reason, DSequent):
-                assert starts[e.level] == i, f"entry {i} steers but does not start its level"
+                assert e.level == below + 1, f"entry {i} steers but does not start its level"
+            below = e.level
         db = self.db
         for cid in db.all_ids():
             lits = db.clause(cid).lits
@@ -479,15 +471,13 @@ class Engine:
         e = self.trail[min(hits)]
         return e.var, e.val
 
-    def _bcp_star(
-        self, seed_var: int, seed_val: int, seed_reason: int
-    ) -> Union[None, DSequent, Clause]:
-        """Clause-only propagation of a target-derived assignment.
+    def _bcp_star(self, seed_var: int, seed_val: int) -> Union[None, DSequent, Clause]:
+        """Clause-only propagation of the target's unit assignment.
 
         Every unit clause found here opens a target level: its resolvable
         partners must be proved redundant for the chain above to collapse.
         """
-        self._apply(seed_var, seed_val, seed_reason)
+        self._apply(seed_var, seed_val, self.target)
         self._push_tlevel()
         db = self.db
         while db.units or db.falsified:

@@ -2,15 +2,17 @@
 
 A name counts as used when, outside its own definition, it is imported by
 name from its module, read as a bare name in its own module, read as an
-attribute of its module, or appears as a string constant in ``src/pqe``,
-``tools`` or ``perfbench`` (not ``perfbench/tests``). An attribute read
-counts only when its base is a ``pqe`` module: an alias bound by
-``from . import x as y``, ``from pqe import x`` or ``import pqe.x as y``,
-or a ``pqe.x`` chain. So ``Path.resolve()`` or ``",".join(...)`` keep no
-name alive. The string case covers the names that the benchmark's tracer
-patches by attribute (``perfbench/tracing.py`` ``SITES``); it also keeps
-``dsequent.join`` alive through the rule name ``"join"`` that records
-carry.
+attribute of its module, or patched on its module by the benchmark's tracer.
+The scanned files are ``src/pqe``, ``tools`` and ``perfbench`` (not
+``perfbench/tests``). An attribute read counts only when its base is a
+``pqe`` module: an alias bound by ``from . import x as y``, ``from pqe
+import x`` or ``import pqe.x as y``, or a ``pqe.x`` chain. So
+``Path.resolve()`` or ``",".join(...)`` keep no name alive. The tracer
+(``perfbench/tracing.py``) replaces functions by attribute name; the
+``(owner, name)`` pairs it patches are read from its ``_sites(...)`` and
+``Site(...)`` calls. A string constant keeps nothing alive: the string
+``"cnf_satisfiable"`` in the tracer names ``perfbench/reference``'s
+function, not ``oracle.cnf_satisfiable``.
 
 A class method cannot be traced to its callers that way: an attribute read
 of an object does not say whose method it calls. So a method counts as used
@@ -19,6 +21,7 @@ its own definition. Dunder methods are exempt; Python calls them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +35,30 @@ ALLOWED = {
     "oracle.verify_dsequent",
     # SAT by elimination, the entry point test_sat_reduction checks against the SAT core
     "harness.pqe_sat_verdict",
+    # the brute-force reference that test_satcore checks the SAT core against
+    "oracle.cnf_satisfiable",
 }
+
+
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _tracer_sites():
+    """The ``(owner, name)`` pairs the tracer patches, the owner as written
+    (``pqe.solver``, ``pqe.formula.ClauseDb``, ``workloads``)."""
+    sites = []
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "_sites":  # _sites(kind, owner, name_prefix, *attrs)
+            owner, attrs = node.args[1], node.args[3:]
+        elif node.func.id == "Site":  # Site(owner, attr, name, kind)
+            owner, attrs = node.args[0], node.args[1:2]
+        else:
+            continue
+        # the call inside ``_sites`` itself names no attribute
+        sites.extend((ast.unparse(owner), a.value) for a in attrs if isinstance(a, ast.Constant))
+    return sites
 
 
 def _module_aliases(tree: ast.Module, in_package: bool):
@@ -70,8 +96,11 @@ def _unused():
         for stmt in ast.parse(path.read_text()).body
         if isinstance(stmt, DEFS)
     }
-    used = set()  # (module, name)
-    strings = set()  # (string, (module, definition) it appears in)
+    used = {  # (module, name)
+        (owner[len("pqe."):], name)
+        for owner, name in _tracer_sites()
+        if owner.startswith("pqe.") and owner[len("pqe."):] in MODULES
+    }
     for path in SCANNED:
         module = path.stem if path.parent == PACKAGE else None
         tree = ast.parse(path.read_text())
@@ -88,13 +117,7 @@ def _unused():
                     base = _base_module(node.value, aliases)
                     if base and (base, node.attr) != where:
                         used.add((base, node.attr))
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    strings.add((node.value, where))
-    return {
-        f"{module}.{name}"
-        for module, name in defined - used
-        if not any(s == name and where != (module, name) for s, where in strings)
-    }
+    return {f"{module}.{name}" for module, name in defined - used}
 
 
 def test_every_module_level_name_has_a_non_test_caller():
@@ -102,6 +125,22 @@ def test_every_module_level_name_has_a_non_test_caller():
     assert sorted(unused - ALLOWED) == []
     # an allowed name that gained a caller leaves the allowance
     assert sorted(ALLOWED - unused) == []
+
+
+def test_every_tracer_site_exists():
+    # the tracer replaces ``owner.__dict__[name]``: a name dropped from its
+    # pqe module or class (an engine import, say) breaks every traced run
+    sites = [(owner, name) for owner, name in _tracer_sites() if owner.startswith("pqe.")]
+    assert {("pqe.solver", "unit_literal"), ("pqe.formula.ClauseDb", "active_ids")} <= set(sites)
+    missing = []
+    for owner, name in sites:
+        package, module, *path = owner.split(".")
+        obj = importlib.import_module(f"{package}.{module}")
+        for attr in path:
+            obj = getattr(obj, attr)
+        if name not in vars(obj):
+            missing.append(f"{owner}.{name}")
+    assert missing == []
 
 
 def _unused_methods():

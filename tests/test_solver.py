@@ -429,7 +429,6 @@ class TestEagerBacktracking:
         assert [(e.var, e.val, e.reason, e.level) for e in eng.trail] == [
             (3, 0, None, 1), (1, 1, ds, 2)
         ]
-        assert eng.level_start[-1] == len(eng.trail) - 1
 
     def test_record_flips_its_lowest_unassigned_variable(self):
         eng, target = self.build()
@@ -513,7 +512,7 @@ class TestDuplicateRecovery:
         primary = start_proof(eng, (1, 3))
         proved, unit = eng.db.find_any((-1, 2)).id, eng.db.find_any((-1, 4)).id
         eng._apply(3, 0, None)
-        out = eng._bcp_star(1, 1, primary.id)  # applies the free unit y4 = 1 above x1
+        out = eng._bcp_star(1, 1)  # applies the free unit y4 = 1 above x1
         assert [(e.var, e.reason) for e in eng.trail] == [(3, None), (1, primary.id), (4, unit)]
         assert out.target == proved
         assert eng._bcktr_dseq(out) is None  # (-1, 2) done at x1's level

@@ -109,6 +109,27 @@ class TestCircuitsCloseBySearch:
         assert walks.count(True) > 30
 
 
+class TestPrimaries:
+    @pytest.mark.parametrize("learn_k", [-1, 0, 2])
+    def test_derived_f1_clauses_become_primaries(self, learn_k):
+        # every F1 clause with a quantified literal, derived ones included,
+        # is proved and removed once
+        rng = random.Random(31)
+        problems = [rand_problem(rng, require_x_target=True) for _ in range(100)]
+        derived = 0
+        for problem in problems + benchmark_family_instances():
+            eng = Engine(problem, SolverConfig(learn_depth_k=learn_k, check_invariants=True))
+            res = eng.solve()
+            primaries = {
+                cid for cid in eng.f1_ids if problem.is_x_clause(eng.db.clause(cid).lits)
+            }
+            assert not any(eng.db.is_active(cid) for cid in primaries), problem
+            assert eng.removed == primaries, problem
+            assert res.stats["primaries_proved"] == len(primaries), problem
+            derived += sum(eng.db.clause(cid).origin == "derived-f1" for cid in primaries)
+        assert derived > 10
+
+
 class TestEmittedRecordsValid:
     def test_records_pass_member_formula_check(self):
         rng = random.Random(31337)
@@ -232,16 +253,30 @@ class TestSearchDiscipline:
             eng._audit_trail()
 
     def test_audit_checks_the_level_rule(self):
-        # an entry's level counts the level starts at or below it, and a
-        # decision or a record's flip is the first entry of its level
+        # along the trail levels never fall and rise by at most one per
+        # entry, and a decision or a record's flip is one level above the
+        # entry before it
         eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2, 3)], [(-1, 2)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         assert isinstance(eng._bcp(), DSequent)
         assert [(e.reason, e.level) for e in eng.trail] == [(None, 1), (2, 1), (eng.target, 2)]
         eng._audit_trail()
-        del eng.level_start[1]  # the decision's level
-        with pytest.raises(AssertionError, match="off its level"):
+        for i, bad, match in ((1, 0, "off its level"), (2, 3, "off its level"),
+                              (0, 0, "steers but does not start its level")):
+            entry = eng.trail[i]
+            good, entry.level = entry.level, bad
+            with pytest.raises(AssertionError, match=match):
+                eng._audit_trail()
+            entry.level = good
+        eng._audit_trail()
+        # a decision at its predecessor's level
+        top = eng.trail[-1]
+        eng._pop_suffix(2)
+        eng._apply(top.var, top.val, None)
+        assert [e.level for e in eng.trail] == [1, 1, 2]
+        eng.trail[-1].level = 1
+        with pytest.raises(AssertionError, match="steers but does not start its level"):
             eng._audit_trail()
 
     def test_rewrite_audit_catches_reason_clause_not_false_below(self):
