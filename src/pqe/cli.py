@@ -174,7 +174,7 @@ def _cmd_selftest(args) -> int:
             vs = rng.sample(xs + ys, rng.randint(1, min(3, nx + ny)))
             clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
         cut = rng.randint(0, min(2, len(clauses)))
-        prob = EcnfProblem.make(xs, ys, clauses[:cut], clauses[cut:])
+        prob = EcnfProblem.make(xs, clauses[:cut], clauses[cut:])
         res = solve_pqe(prob, SolverConfig())
         if not oracle.verify_pqe_solution(prob.f1, prob.f2, prob.x_vars, res.f1_star, prob.y_vars):
             ok = False

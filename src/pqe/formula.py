@@ -411,18 +411,16 @@ class EcnfProblem:
     def make(
         cls,
         x_vars: Iterable[int],
-        y_vars: Iterable[int],
         f1: Iterable[Sequence[int]],
         f2: Iterable[Sequence[int]],
     ) -> "EcnfProblem":
-        x_vars, y_vars = tuple(x_vars), tuple(y_vars)
-        for v in x_vars + y_vars:
+        """The free variables are the clause variables outside ``x_vars``;
+        a quantified variable in no clause stays quantified."""
+        x_vars = tuple(x_vars)
+        for v in x_vars:
             if v <= 0:
                 raise ValueError(f"declared variable {v} is not positive")
         xs = frozenset(x_vars)
-        ys = frozenset(y_vars)
-        if xs & ys:
-            raise ValueError(f"quantified and free sets overlap: {sorted(xs & ys)}")
 
         def dedup(block: Iterable[Sequence[int]]) -> Tuple[Lits, ...]:
             out, seen = [], set()
@@ -438,11 +436,7 @@ class EcnfProblem:
         # f1 solves the original problem (the clause set f1 ∧ f2 is unchanged).
         f2set = set(c2)
         c1 = tuple(c for c in dedup(f1) if c not in f2set)
-        allowed = xs | ys
-        for c in c1 + c2:
-            for l in c:
-                if abs(l) not in allowed:
-                    raise ValueError(f"variable {abs(l)} is not declared")
+        ys = frozenset(abs(l) for c in c1 + c2 for l in c) - xs
         return cls(xs, ys, c1, c2)
 
     def is_x_clause(self, lits: Sequence[int]) -> bool:

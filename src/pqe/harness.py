@@ -122,7 +122,7 @@ def circuit_to_pqe(circuit: Circuit, z: Assignment) -> PqeInstance:
         raise ValueError("output vector must assign every circuit output")
     cz = output_falsified_clause(circuit, z)
     quantified = [g.out for g in circuit.gates]
-    problem = EcnfProblem.make(quantified, circuit.inputs, [cz], tseitin(circuit))
+    problem = EcnfProblem.make(quantified, [cz], tseitin(circuit))
     return PqeInstance(
         problem,
         {
@@ -146,9 +146,7 @@ def drop_clauses(inst: PqeInstance, fraction: float, seed: int) -> PqeInstance:
     rng = random.Random(seed)
     idx = set(rng.sample(range(len(inst.problem.f2)), n_drop))
     f2 = tuple(c for i, c in enumerate(inst.problem.f2) if i not in idx)
-    problem = EcnfProblem.make(
-        inst.problem.x_vars, inst.problem.y_vars, inst.problem.f1, f2
-    )
+    problem = EcnfProblem.make(inst.problem.x_vars, inst.problem.f1, f2)
     meta = dict(inst.meta)
     meta["det"] = False
     meta["dropped"] = n_drop
@@ -162,7 +160,7 @@ def sat_reduction_instance(clauses: Sequence[Lits], x: Assignment) -> PqeInstanc
         raise ValueError("the assignment must cover every variable")
     f1 = [c for c in clauses if clause_satisfied(c, x)]
     f2 = [c for c in clauses if not clause_satisfied(c, x)]
-    problem = EcnfProblem.make(sorted(all_vars), (), f1, f2)
+    problem = EcnfProblem.make(sorted(all_vars), f1, f2)
     return PqeInstance(problem, {"kind": "satred", "assignment": dict(x)})
 
 
@@ -213,9 +211,7 @@ def method1_blocking(inst: PqeInstance, clause_budget: int = 1000) -> List[Lits]
             return g
         partial = dict(res.model)
         for v in inputs:
-            saved = partial.pop(v, None)
-            if saved is None:
-                continue  # input not mentioned by any clause
+            saved = partial.pop(v)
             if not all(clause_satisfied(c, partial) for c in base):
                 partial[v] = saved
         cube = {v: partial[v] for v in inputs if v in partial}
@@ -238,7 +234,7 @@ def method2_corelift(inst: PqeInstance, clause_budget: int = 1000):
         res = sat_solve(list(f2) + list(u_z) + g)
         if not res.satisfiable:
             return g
-        assumptions = [v if res.model.get(v, 0) else -v for v in inputs]
+        assumptions = [v if res.model[v] else -v for v in inputs]
         lift = sat_solve(list(f2) + g + [cz], assumptions)
         if lift.satisfiable:
             return INAPPLICABLE

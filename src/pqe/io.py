@@ -8,7 +8,9 @@ Instance format (a small extension of DIMACS conventions):
     <n_f1 clause lines, each: lit* 0>      (the block to take out)
     <n_f2 clause lines, each: lit* 0>
 
-Variables are 1..max_var; vars absent from the ``e`` line are free.
+Every literal's variable is in 1..max_var. The ``e`` line lists X, the
+quantified variables; the free variables Y are the other variables of the
+clauses, so parsing is linear in the text whatever ``max_var`` says.
 Solution format: ``s pqe <n_clauses>`` followed by clause lines; a line
 containing only ``0`` is the empty clause. UTF-8, LF; a trailing newline
 is written and tolerated when absent on read.
@@ -144,8 +146,7 @@ def parse_pqe(text: str) -> EcnfProblem:
             f"expected {n_f1 + n_f2} clause lines, found {len(body)}",
         )
     clauses = [_parse_clause_line(raw, stripped, l, max_var) for l, raw, stripped in body]
-    y_vars = [v for v in range(1, max_var + 1) if v not in x_set]
-    return EcnfProblem.make(x_vars, y_vars, clauses[:n_f1], clauses[n_f1:])
+    return EcnfProblem.make(x_vars, clauses[:n_f1], clauses[n_f1:])
 
 
 def write_pqe(problem: EcnfProblem, comment: str = "") -> str:

@@ -189,6 +189,7 @@ class Engine:
         self.on_dsequent = on_dsequent
         self.x_vars = problem.x_vars
         self.y_vars = problem.y_vars
+        self._order = sorted(self.y_vars) + sorted(self.x_vars)  # the static branching order
         self.db = ClauseDb()
         # ascending: derived clauses get higher ids than every stored one
         self.f1_ids: List[int] = []
@@ -202,7 +203,6 @@ class Engine:
         self.assign: Assignment = self.db.values
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
-        self._order: Optional[List[int]] = None  # branching order, built at the first branch
         self.tlevels: List[TrailEntry] = []  # the key entries of the live target levels
         self.removed: Set[int] = set()
         self.primary = 0
@@ -310,8 +310,6 @@ class Engine:
 
     def _pick_branch_var(self) -> Optional[int]:
         """The first unassigned variable of the static order."""
-        if self._order is None:
-            self._order = sorted(self.y_vars) + sorted(self.x_vars)
         assign = self.assign
         return next((v for v in self._order if v not in assign), None)
 

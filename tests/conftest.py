@@ -28,7 +28,7 @@ def rand_problem(
             vs = rng.sample(allv, width)
             clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
         cut = rng.randint(0, min(max_f1, len(clauses)))
-        problem = EcnfProblem.make(xs, ys, clauses[:cut], clauses[cut:])
+        problem = EcnfProblem.make(xs, clauses[:cut], clauses[cut:])
         if require_x_target and not any(problem.is_x_clause(c) for c in problem.f1):
             continue
         return problem

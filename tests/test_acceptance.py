@@ -66,7 +66,7 @@ def _acceptance_instance(rng):
             out.append(tuple(v if rng.randrange(2) else -v for v in vs))
         return out
 
-    return EcnfProblem.make(xs, ys, block(6), block(20))
+    return EcnfProblem.make(xs, block(6), block(20))
 
 
 def test_oracle_equivalence_500():
@@ -99,7 +99,7 @@ def test_dsequent_validity_on_traces():
             vs = rng.sample(allv, rng.randint(1, min(3, len(allv))))
             clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
         cut = rng.randint(1, min(3, len(clauses)))
-        problem = EcnfProblem.make(xs, ys, clauses[:cut], clauses[cut:])
+        problem = EcnfProblem.make(xs, clauses[:cut], clauses[cut:])
         if not any(problem.is_x_clause(c) for c in problem.f1):
             continue
         instances += 1
@@ -358,7 +358,7 @@ def test_baseline_trends():
             continue
         loose = harness.PqeInstance(
             EcnfProblem.make(
-                inst.problem.x_vars, inst.problem.y_vars, inst.problem.f1, f2
+                inst.problem.x_vars, inst.problem.f1, f2
             ),
             {**inst.meta, "det": False},
         )

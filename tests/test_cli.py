@@ -137,6 +137,16 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ") and "99" in err
 
+    def test_variable_in_no_clause_is_input_error(self, capsys, tmp_path):
+        # 4 is within the header's range but in no clause, so it is not free
+        instance = tmp_path / "wide.pqe"
+        instance.write_text(GOLDEN_INSTANCE.replace("p pqe 3 ", "p pqe 4 "))
+        sol = tmp_path / "sol.txt"
+        sol.write_text("s pqe 1\n3 4 0\n")
+        code, _, err = run(capsys, "verify", str(instance), str(sol))
+        assert code == 2
+        assert err.startswith("error: ") and "4" in err
+
 
 class TestGen:
     def test_circuit_manifest_and_solvable(self, capsys, tmp_path):

@@ -194,32 +194,24 @@ class TestPropagationState:
 
 
 class TestEcnfProblem:
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            EcnfProblem.make([1], [1], [], [])
-
-    def test_undeclared_var_rejected(self):
-        with pytest.raises(ValueError):
-            EcnfProblem.make([1], [2], [(3,)], [])
-
     def test_non_positive_quantified_var_rejected(self):
         with pytest.raises(ValueError, match="-2"):
-            EcnfProblem.make([1, -2], [3], [(1, 3)], [])
+            EcnfProblem.make([1, -2], [(1, 3)], [])
         with pytest.raises(ValueError, match="variable 0 "):
-            EcnfProblem.make([0], [3], [(3,)], [])
+            EcnfProblem.make([0], [(3,)], [])
 
-    def test_non_positive_free_var_rejected(self):
-        # declared -3 used to reach the engine, which decided it and crashed
-        with pytest.raises(ValueError, match="-3"):
-            EcnfProblem.make([1], [2, 3, 4, -3], [(1, -2), (-1, 2, 4)], [(1, 3), (-1, 2, -3)])
+    def test_free_vars_are_the_clause_vars_outside_x(self):
+        p = EcnfProblem.make([1, 4], [(1, -2)], [(-3, 1), (2,)])
+        assert p.x_vars == frozenset({1, 4})
+        assert p.y_vars == frozenset({2, 3})
 
     def test_shared_clause_lands_in_f2(self):
-        p = EcnfProblem.make([1], [2], [(1, 2)], [(1, 2), (2,)])
+        p = EcnfProblem.make([1], [(1, 2)], [(1, 2), (2,)])
         assert p.f1 == ()
         assert (1, 2) in p.f2
 
     def test_x_clause_detection(self):
-        p = EcnfProblem.make([1], [2], [], [])
+        p = EcnfProblem.make([1], [], [])
         assert p.is_x_clause((1, 2))
         assert not p.is_x_clause((2,))
         assert not p.is_x_clause(())

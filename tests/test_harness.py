@@ -164,7 +164,7 @@ class TestBaselineMethods:
         assert len(f2) < len(inst.problem.f2)
 
         relational = harness.PqeInstance(
-            EcnfProblem.make(inst.problem.x_vars, inst.problem.y_vars, inst.problem.f1, f2),
+            EcnfProblem.make(inst.problem.x_vars, inst.problem.f1, f2),
             {**inst.meta, "det": False},
         )
         assert isinstance(harness.method2_corelift(relational), harness.Inapplicable)

@@ -1,7 +1,9 @@
+import re
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pqe.io import (
     PositionedError,
@@ -14,6 +16,40 @@ from pqe.io import (
 )
 
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
+VALID = [
+    GOLDEN,
+    "c two blocks\np pqe 6 2 2\ne 1 2 6 0\n1 -3 0\n0\n-2 4 5 0\nc mid\n2 -5 0\n",
+    "p pqe 0 0 0\ne 0\n",
+]
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid instance file after one to three of: a flipped bit in a
+    character, a truncation, a number replaced by a huge one, a long line.
+    Positions are drawn uniformly, not from Hypothesis's small-value bias."""
+    rnd = draw(st.randoms(use_true_random=False))
+    text = rnd.choice(VALID)
+    for _ in range(rnd.randint(1, 3)):
+        kind = rnd.choice(["flip", "truncate", "huge", "long"])
+        if kind == "flip" and text:
+            i = rnd.randrange(len(text))
+            text = text[:i] + chr(ord(text[i]) ^ 1 << rnd.randrange(8)) + text[i + 1:]
+        elif kind == "truncate":
+            text = text[: rnd.randint(0, len(text))]
+        elif kind == "huge":
+            numbers = list(re.finditer(r"\d+", text))
+            if numbers:
+                m = rnd.choice(numbers)
+                big = rnd.choice(["9" * 11, str(2**63), "1" * 5000])
+                text = text[: m.start()] + big + text[m.end():]
+        else:
+            lines = text.split("\n")
+            lit = rnd.choice(["1", "-2", "x"])
+            line = " ".join([lit] * rnd.randint(1000, 20000)) + " 0"
+            lines.insert(rnd.randint(min(2, len(lines)), len(lines)), line)
+            text = "\n".join(lines)
+    return text
 
 
 class TestParse:
@@ -96,6 +132,30 @@ class TestParse:
         p = parse_pqe(text)
         assert time.perf_counter() - t0 < 2.0
         assert len(p.x_vars) == n and p.y_vars == frozenset({n + 1})
+
+    def test_free_vars_are_the_clause_vars_outside_x(self):
+        # max_var only bounds literals; 7 is quantified though in no clause
+        p = parse_pqe("p pqe 1000 1 1\ne 1 7 0\n1 2 0\n-1 5 0\n")
+        assert p.x_vars == frozenset({1, 7})
+        assert p.y_vars == frozenset({2, 5})
+
+    def test_huge_max_var_costs_no_memory(self):
+        tracemalloc.start()
+        try:
+            p = parse_pqe("p pqe 1000000 1 1\ne 1 0\n1 2 0\n-1 3 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert p.y_vars == frozenset({2, 3})
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mutated_instances())
+    def test_mutated_file_parses_or_raises_positioned(self, text):
+        try:
+            parse_pqe(text)
+        except PositionedError:
+            pass
 
 
 class TestRoundTrip:

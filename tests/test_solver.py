@@ -14,8 +14,8 @@ from pqe.solver import Engine, SolverConfig, solve_pqe
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
 
 
-def make_engine(x_vars, y_vars, f1, f2, **cfg):
-    problem = EcnfProblem.make(x_vars, y_vars, f1, f2)
+def make_engine(x_vars, f1, f2, **cfg):
+    problem = EcnfProblem.make(x_vars, f1, f2)
     return Engine(problem, SolverConfig(**cfg))
 
 
@@ -46,35 +46,35 @@ class TestGolden:
 
 class TestTrivialInstances:
     def test_empty_first_block(self):
-        res = solve_pqe(EcnfProblem.make([1], [2], [], [(1, 2)]))
+        res = solve_pqe(EcnfProblem.make([1], [], [(1, 2)]))
         assert res.f1_star == ()
 
     def test_free_only_first_block_passes_through(self):
-        res = solve_pqe(EcnfProblem.make([1], [2, 3], [(2,), (-3, 2)], [(1, 2)]))
+        res = solve_pqe(EcnfProblem.make([1], [(2,), (-3, 2)], [(1, 2)]))
         assert res.f1_star == ((2,), (2, -3))
 
     def test_primary_blocked_immediately(self):
         # no resolution partner on x1 anywhere: removable outright
-        problem = EcnfProblem.make([1], [2, 3], [(1, 2)], [(2, 3)])
+        problem = EcnfProblem.make([1], [(1, 2)], [(2, 3)])
         res = solve_pqe(problem)
         assert res.f1_star == ()
         assert res.stats["dseq_atomic3"] >= 1
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
 
     def test_empty_clause_in_second_block(self):
-        problem = EcnfProblem.make([1], [2], [(1, 2)], [()])
+        problem = EcnfProblem.make([1], [(1, 2)], [()])
         res = solve_pqe(problem)
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
 
     def test_empty_clause_in_first_block_is_the_answer(self):
-        problem = EcnfProblem.make([1], [2], [(), (1,)], [])
+        problem = EcnfProblem.make([1], [(), (1,)], [])
         res = solve_pqe(problem)
         assert () in res.f1_star
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
 
     def test_free_unit_target(self):
         # target becomes unit on a free variable; recovery adds the free clause
-        problem = EcnfProblem.make([1], [2], [(2, -1)], [(1,)])
+        problem = EcnfProblem.make([1], [(2, -1)], [(1,)])
         res = solve_pqe(problem)
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
         got = enumerate_qe(res.f1_star, (), (2,))
@@ -86,7 +86,7 @@ class TestLearnSatisfiedTarget:
     """Target satisfied through a propagated assignment."""
 
     def test_outcome(self):
-        eng = make_engine([1, 2], [3], f1=[(1, 2)], f2=[(3, 1)])
+        eng = make_engine([1, 2], f1=[(1, 2)], f2=[(3, 1)])
         target = start_proof(eng, (1, 2))
         helper = eng.db.find_any((3, 1))
         eng._apply(3, 0, None)
@@ -102,7 +102,7 @@ class TestLearnBlockedTarget:
     """Target blocked at its unassigned quantified variable."""
 
     def test_outcome(self):
-        eng = make_engine([1, 2, 3], [4], f1=[(2, 3)], f2=[(4, 1), (1, -2)])
+        eng = make_engine([1, 2, 3], f1=[(2, 3)], f2=[(4, 1), (1, -2)])
         target = start_proof(eng, (2, 3))
         c1 = eng.db.find_any((4, 1))
         eng._apply(4, 0, None)
@@ -121,7 +121,6 @@ class TestLearnFalsifiedNonTarget:
     def setup_engine(self, target_lits):
         eng = make_engine(
             [1, 2, 3, 4],
-            [5],
             f1=[target_lits],
             f2=[(5, -1, 2), (-1, 3), (-2, -3)],
         )
@@ -148,7 +147,7 @@ class TestLearnFalsifiedTarget:
     """The falsified clause is the target: a helper clause is added too."""
 
     def test_record_and_clause(self):
-        eng = make_engine([1, 2, 3], [5], f1=[(-2, -3)], f2=[(5, -1, 2), (-1, 3)])
+        eng = make_engine([1, 2, 3], f1=[(-2, -3)], f2=[(5, -1, 2), (-1, 3)])
         target = start_proof(eng, (-2, -3))
         c1 = eng.db.find_any((5, -1, 2))
         c2 = eng.db.find_any((-1, 3))
@@ -170,7 +169,7 @@ class TestLearnActivatedRecord:
     """A stored record becomes active; its conditional is rebuilt bottom-up."""
 
     def test_joins_through_reasons(self):
-        eng = make_engine([1, 2, 4], [3], f1=[(4,)], f2=[(3, 1), (3, 2)])
+        eng = make_engine([1, 2, 4], f1=[(4,)], f2=[(3, 1), (3, 2)])
         target = start_proof(eng, (4,))
         c1 = eng.db.find_any((3, 1))
         c2 = eng.db.find_any((3, 2))
@@ -189,7 +188,6 @@ class TestTargetStackWalkthrough:
     def build(self):
         eng = make_engine(
             [1, 2, 3, 4],
-            [5],
             f1=[(5, 1)],
             f2=[(-1, 2), (-2, 3, 4), (-5, -3), (3, -4)],
         )
@@ -261,7 +259,7 @@ class TestUnitOrder:
     def test_lowest_id_unit_first(self):
         # y3=0 makes (3 4) and (3 6) unit; applying y4 then makes (-4 5)
         # unit, which goes first by its lower id though (3 6) waited longer
-        eng = make_engine([1], [2, 3, 4, 5, 6, 7], f1=[(1, 2)],
+        eng = make_engine([1], f1=[(1, 2)],
                           f2=[(3, 4), (-4, 5), (3, 6), (-1, 7)])
         start_proof(eng, (1, 2))
         eng._apply(3, 0, None)
@@ -275,7 +273,7 @@ class TestUnitOrder:
         # x1=0 makes the target (1 2) unit on y2, and (1 3) unit; y3 then
         # makes (-3 4) unit: both others go before the target's own unit,
         # which steers the branch at a level of its own
-        eng = make_engine([1], [2, 3, 4], f1=[(1, 2)], f2=[(1, 3), (-3, 4)])
+        eng = make_engine([1], f1=[(1, 2)], f2=[(1, 3), (-3, 4)])
         target = start_proof(eng, (1, 2))
         eng._apply(1, 0, None)
         out = eng._bcp()
@@ -290,7 +288,7 @@ class TestStoredRecordPropagation:
 
     def branch_engine(self, *conds):
         # x5 is the next branch variable once y6 = 0 is on the trail
-        eng = make_engine([5, 7], [6], f1=[(5, 7)], f2=[(6, 5, 7)])
+        eng = make_engine([5, 7], f1=[(5, 7)], f2=[(6, 5, 7)])
         target = start_proof(eng, (5, 7))
         recs = [DSequent.make(target.id, cond, (), "derived") for cond in conds]
         for rec in recs:
@@ -331,7 +329,7 @@ class TestStoredRecordPropagation:
         assert eng.stats["decisions"] == 0
 
     def test_active_record_reported(self):
-        eng = make_engine([1, 2, 5], [6], f1=[(1, 2)], f2=[(6, 5)])
+        eng = make_engine([1, 2, 5], f1=[(1, 2)], f2=[(6, 5)])
         target = start_proof(eng, (1, 2))
         rec = DSequent.make(target.id, {6: 0}, (), "derived")
         eng.store.consider(rec, 0, eng.x_vars, eng.db)
@@ -345,7 +343,7 @@ class TestStoredRecordPropagation:
     def test_record_skipped_when_support_inactive_though_satisfied(self):
         # a record applies only while its whole constraint is in the formula;
         # a support clause the trail satisfies does not stand in for it
-        eng = make_engine([1, 4], [3], f1=[(1, 3)], f2=[(4, -3)])
+        eng = make_engine([1, 4], f1=[(1, 3)], f2=[(4, -3)])
         target = start_proof(eng, (1, 3))
         helper = eng.db.find_any((4, -3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
@@ -359,7 +357,7 @@ class TestStoredRecordPropagation:
         assert (e.var, e.val, e.reason) == (1, 0, None)
 
     def test_unusable_record_skipped_when_support_gone(self):
-        eng = make_engine([1], [2, 3], f1=[(1, 2)], f2=[(1, 3)])
+        eng = make_engine([1], f1=[(1, 2)], f2=[(1, 3)])
         target = start_proof(eng, (1, 2))
         helper = eng.db.find_any((1, 3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
@@ -374,7 +372,7 @@ class TestStoredRecordPropagation:
 
 class TestDecide:
     def test_free_vars_first(self):
-        eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
+        eng = make_engine([1, 2], f1=[(1, 3)], f2=[(2, 4)])
         start_proof(eng, (1, 3))
         assert eng._branch() is None
         e = eng.trail[-1]
@@ -382,7 +380,7 @@ class TestDecide:
         assert eng.stats["decisions"] == 1
 
     def test_quantified_when_free_exhausted(self):
-        eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(2,)])
+        eng = make_engine([1, 2], f1=[(1, 3)], f2=[(2,)])
         start_proof(eng, (1, 3))
         eng._apply(3, 0, None)
         assert eng._branch() is None
@@ -391,7 +389,7 @@ class TestDecide:
 
     def test_order_is_static(self):
         # the pick skips assigned variables, whatever order they were set in
-        eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(2, 4)])
+        eng = make_engine([1, 2], f1=[(1, 3)], f2=[(2, 4)])
         start_proof(eng, (1, 3))
         eng._apply(4, 0, None)
         assert eng._pick_branch_var() == 3
@@ -407,7 +405,7 @@ class TestEagerBacktracking:
 
     def build(self):
         # y3 = 0, x1 = 0 and x2 = 0 decided at levels 1, 2 and 3
-        eng = make_engine([1, 2], [3], f1=[(1, 3)], f2=[(-1, 2), (-2, 3)],
+        eng = make_engine([1, 2], f1=[(1, 3)], f2=[(-1, 2), (-2, 3)],
                           check_invariants=True)
         target = start_proof(eng, (1, 3))
         for var in (3, 1, 2):
@@ -446,7 +444,7 @@ class TestFreeVariableWalk:
     def build(self, x1_reason="clause", **cfg):
         # target (-x1 v y4); y3 = 0 decided, x1 = 1 by (y3 v x1) or as given,
         # y4 = 0 flipped by a record: the target is falsified
-        eng = make_engine([1], [3, 4], f1=[(-1, 4)], f2=[(3, 1)], **cfg)
+        eng = make_engine([1], f1=[(-1, 4)], f2=[(3, 1)], **cfg)
         target = start_proof(eng, (-1, 4))
         reasons = {
             "clause": eng.db.find_any((3, 1)).id,
@@ -491,7 +489,7 @@ class TestFreeVariableWalk:
     def test_free_unit_instance_closes_by_search(self):
         # the target's free unit is flipped by a record; the walk keeping
         # free literals resolves x1 through (x1) and learns (y2)
-        problem = EcnfProblem.make([1], [2], [(2, -1)], [(1,)])
+        problem = EcnfProblem.make([1], [(2, -1)], [(1,)])
         eng = Engine(problem, SolverConfig())
         res = eng.solve()
         assert res.f1_star == ((2,),)
@@ -507,7 +505,7 @@ class TestDuplicateRecovery:
         # x1 keys a level; (-1, 2) is proved at it, and y4 = 1 then lies
         # above the key. Recovery backs out of quantified entries only from
         # the top, so it ends that level by hand
-        eng = make_engine([1, 2], [3, 4], f1=[(1, 3)], f2=[(-1, 4), (-1, 2)],
+        eng = make_engine([1, 2], f1=[(1, 3)], f2=[(-1, 4), (-1, 2)],
                           check_invariants=True)
         primary = start_proof(eng, (1, 3))
         proved, unit = eng.db.find_any((-1, 2)).id, eng.db.find_any((-1, 4)).id
@@ -553,7 +551,7 @@ class TestDuplicateRecovery:
 
     def test_satisfiable_shrink_drops_irrelevant_free_var(self):
         # model independent of the second free variable: it leaves the witness
-        eng = make_engine([1], [3, 4], f1=[(3, 1)], f2=[(1,), (-1, -3)])
+        eng = make_engine([1], f1=[(3, 1)], f2=[(1,), (-1, -3)])
         target = start_proof(eng, (3, 1))
         eng._apply(3, 0, None)
         eng._apply(4, 0, None)
@@ -563,7 +561,7 @@ class TestDuplicateRecovery:
         assert out.cond() == {3: 0}
 
     def test_unsat_subspace_adds_free_clause(self):
-        eng = make_engine([1], [3], f1=[(3, 1)], f2=[(-1,), (1, -3, 3) if False else (1, 3)])
+        eng = make_engine([1], f1=[(3, 1)], f2=[(-1,), (1, -3, 3) if False else (1, 3)])
         # live clauses: target (3 v x1), (-x1), (x1 v y)
         target = start_proof(eng, (3, 1))
         eng._apply(3, 0, None)
@@ -579,25 +577,25 @@ class TestRegressionCorpus:
 
     CASES = [
         # unit-chain target levels keyed by free variables (not allowed)
-        ([1, 2, 3, 4], [5], [(1, -4, -5), (4,), (-4, 5)], []),
+        ([1, 2, 3, 4], [(1, -4, -5), (4,), (-4, 5)], []),
         # free-variable-unit target that once forced the duplicate recovery
-        ([1], [2], [(-1,), (-1, 2)], [(-1, -2), (1, -2)]),
+        ([1], [(-1,), (-1, 2)], [(-1, -2), (1, -2)]),
         # sibling branches once evicted each other's steering forever
-        ([1, 2], [3, 4], [(-2,)], [(1,), (-2, -3, -4), (-2, 3, 4), (2, -3, -4), (1, 4), (-2, 3)]),
+        ([1, 2], [(-2,)], [(1,), (-2, -3, -4), (-2, 3, 4), (2, -3, -4), (1, 4), (-2, 3)]),
         # a learned record generalized off the current branch and stalled
-        ([1], [2, 3, 4], [(-1,), (-2, -3, -4), (1, -3)],
+        ([1], [(-1,), (-2, -3, -4), (1, -3)],
          [(1, -4), (-1, 3, -4), (1, 2, 3), (-1, 2, -3), (-1, 2, -4)]),
         # certificate construction once popped the satisfying assignments
-        ([1, 2], [3], [(1, 2), (-1, -2, 3)], [(-1, 3), (-1,), (1, -2, 3), (-1, -2), (-2, 3)]),
+        ([1, 2], [(1, 2), (-1, -2, 3)], [(-1, 3), (-1,), (1, -2, 3), (-1, -2), (-2, 3)]),
         # the primary served as a secondary target inside its own proof
-        ([1, 2], [3, 4, 5, 6], [(1,)],
+        ([1, 2], [(1,)],
          [(1, -3, -5), (-3, -4, 6), (2, -4, 5), (-6,), (-1, 4, -5), (1, -4, -5), (3,), (3, -4, -6)]),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_case(self, case):
-        xs, ys, f1, f2 = self.CASES[case]
-        problem = EcnfProblem.make(xs, ys, f1, f2)
+        xs, f1, f2 = self.CASES[case]
+        problem = EcnfProblem.make(xs, f1, f2)
         for k in (-1, 0, 2):
             res = solve_pqe(problem, SolverConfig(learn_depth_k=k, max_conflicts=10**6))
             assert verify_pqe_solution(

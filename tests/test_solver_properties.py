@@ -242,7 +242,7 @@ class TestSearchDiscipline:
             eng.solve()
 
     def test_audit_catches_stale_free_literal(self):
-        eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2)], [(-1, 3)]),
+        eng = Engine(EcnfProblem.make([1], [(1, 2)], [(-1, 3)]),
                      SolverConfig(check_invariants=True))
         eng._apply(2, 0, None)  # (1 2) is unit on 1
         (cid,) = eng.db.units
@@ -256,7 +256,7 @@ class TestSearchDiscipline:
         # along the trail levels never fall and rise by at most one per
         # entry, and a decision or a record's flip is one level above the
         # entry before it
-        eng = Engine(EcnfProblem.make([1], [2, 3], [(1, 2, 3)], [(-1, 2)]),
+        eng = Engine(EcnfProblem.make([1], [(1, 2, 3)], [(-1, 2)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         assert isinstance(eng._bcp(), DSequent)
@@ -282,7 +282,7 @@ class TestSearchDiscipline:
     def test_rewrite_audit_catches_reason_clause_not_false_below(self):
         # _rewrite joins a clause reason untested: BCP made its other
         # literals false below its entry
-        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+        eng = Engine(EcnfProblem.make([1, 2], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         reason = eng.db.find_any((-1, 2)).id
@@ -298,7 +298,7 @@ class TestSearchDiscipline:
 
     def test_rewrite_audit_catches_record_reason_without_flip(self):
         # a record-derived assignment is the flip of its record's conditional
-        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+        eng = Engine(EcnfProblem.make([1, 2], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         record = DSequent.make(eng.target, {1: 0}, (), "derived")
@@ -312,7 +312,7 @@ class TestSearchDiscipline:
     def test_free_walk_audit_catches_resolvent_not_false(self, monkeypatch):
         # the walk keeping free literals must end in a clause the free
         # assignment falsifies, or the record resting on it is unfounded
-        eng = Engine(EcnfProblem.make([1], [3, 4], [(-1, 4)], [(3, 1)]),
+        eng = Engine(EcnfProblem.make([1], [(-1, 4)], [(3, 1)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         eng._apply(3, 0, None)
@@ -328,7 +328,7 @@ class TestSearchDiscipline:
             eng._lrn_falsified(eng.target)
 
     def test_pop_suffix_ends_levels_with_their_keys(self):
-        eng = Engine(EcnfProblem.make([1, 2], [3], [(1, 3)], [(-1, 2), (-2, 3)]),
+        eng = Engine(EcnfProblem.make([1, 2], [(1, 3)], [(-1, 2), (-2, 3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         eng._apply(1, 0, None)
@@ -360,7 +360,7 @@ class TestSearchDiscipline:
             eng._audit_stack()
 
     def test_audit_catches_dropped_partner(self):
-        problem = EcnfProblem.make([1], [2, 3, 4], [(1, 2)], [(-1, 3), (-1, 4)])
+        problem = EcnfProblem.make([1], [(1, 2)], [(-1, 3), (-1, 4)])
         eng = Engine(problem, SolverConfig(check_invariants=True))
         target = min(eng.f1_ids)
         assert list(eng.db.partners(target, 1)) == [2, 3]
@@ -370,7 +370,7 @@ class TestSearchDiscipline:
             eng.solve()
 
     def test_audit_catches_corrupt_true_count(self):
-        problem = EcnfProblem.make([1], [2, 3], [(1, 2)], [(-1, 3)])
+        problem = EcnfProblem.make([1], [(1, 2)], [(-1, 3)])
         eng = Engine(problem, SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         assert eng._blocked_var() is None  # (-1 3) is a live unsatisfied partner
@@ -380,7 +380,7 @@ class TestSearchDiscipline:
 
     def test_audit_catches_k0_record_on_inactive_clause(self):
         # at k = 0 a record the engine consults never rests on an inactive clause
-        eng = Engine(EcnfProblem.make([1, 4], [3], [(1, 3)], [(4, -3)]),
+        eng = Engine(EcnfProblem.make([1, 4], [(1, 3)], [(4, -3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         helper = eng.db.find_any((4, -3))
