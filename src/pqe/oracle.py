@@ -14,7 +14,7 @@ clause is satisfied iff ``pos & bits`` or ``neg & ~bits`` is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .formula import Assignment, PqeError
 
@@ -96,15 +96,11 @@ class TruthTableQe:
     rows: int  # bit j set iff the j-th assignment to y_vars admits a model
 
 
-def enumerate_qe(
-    clauses: Sequence[Sequence[int]],
-    x_vars: Iterable[int],
-    y_vars: Optional[Iterable[int]] = None,
-) -> TruthTableQe:
-    """Quantifier elimination by enumeration over the free variables."""
+def enumerate_qe(clauses: Sequence[Sequence[int]], x_vars: Iterable[int]) -> TruthTableQe:
+    """Quantifier elimination by enumeration over the free variables, the
+    clause variables outside X."""
     xs = set(x_vars)
-    ys = set(y_vars) if y_vars is not None else _collect_vars(clauses) - xs
-    sp = _Space(xs, ys)
+    sp = _Space(xs, _collect_vars(clauses) - xs)
     masks = _mask_clauses(clauses, sp.index)
     rows = 0
     for j in range(1 << sp.ny):
@@ -118,15 +114,14 @@ def verify_pqe_solution(
     f2: Sequence[Sequence[int]],
     x_vars: Iterable[int],
     f1_star: Sequence[Sequence[int]],
-    y_vars: Optional[Iterable[int]] = None,
 ) -> bool:
-    """Check f1_star ∧ ∃X[f2] ≡ ∃X[f1 ∧ f2] by full enumeration."""
+    """Check f1_star ∧ ∃X[f2] ≡ ∃X[f1 ∧ f2] by full enumeration.
+
+    The free variables are those of f1 and f2 outside X; a solution clause
+    over any other variable is a ValueError.
+    """
     xs = set(x_vars)
-    ys = (
-        set(y_vars)
-        if y_vars is not None
-        else (_collect_vars(f1) | _collect_vars(f2) | _collect_vars(f1_star)) - xs
-    )
+    ys = (_collect_vars(f1) | _collect_vars(f2)) - xs
     for c in f1_star:
         for l in c:
             if abs(l) in xs:
@@ -151,17 +146,15 @@ def check_redundant_in_subspace(
     x_vars: Iterable[int],
     c_index: int,
     q: Assignment,
-    y_vars: Optional[Iterable[int]] = None,
 ) -> bool:
     """Is clause #c_index removable from the cofactor by q, projected on X?
 
-    True iff for every assignment to the free variables unassigned in q the
-    cofactored formula and the cofactored formula without the clause agree
-    on X-satisfiability.
+    True iff for every assignment to the free variables (the clause
+    variables outside X) unassigned in q the cofactored formula and the
+    cofactored formula without the clause agree on X-satisfiability.
     """
     xs = set(x_vars)
-    ys = set(y_vars) if y_vars is not None else _collect_vars(clauses) - xs
-    sp = _Space(xs, ys)
+    sp = _Space(xs, _collect_vars(clauses) - xs)
     masks = _mask_clauses(clauses, sp.index)
     without = masks[:c_index] + masks[c_index + 1 :]
     fixed_bits = fixed_mask = 0
@@ -191,7 +184,6 @@ def verify_dsequent(
     target_index: int,
     q: Assignment,
     h_indices: Iterable[int],
-    y_vars: Optional[Iterable[int]] = None,
     subset_cap: int = 12,
 ) -> bool:
     """Check a D-sequent against every member formula.
@@ -201,6 +193,7 @@ def verify_dsequent(
     X-clauses. The engine only ever removes X-clauses, and the calculus
     (in particular updating after implications) does not preserve validity
     for member formulas that drop free-variable clauses, so those stay.
+    Each member's free variables are its clause variables outside X.
     """
     xs = set(x_vars)
     h = set(h_indices)
@@ -216,7 +209,7 @@ def verify_dsequent(
     for pick in range(1 << len(optional)):
         w_ids = sorted(mandatory | {optional[i] for i in range(len(optional)) if pick >> i & 1})
         w = [clauses[i] for i in w_ids]
-        if not check_redundant_in_subspace(w, xs, w_ids.index(target_index), q, y_vars):
+        if not check_redundant_in_subspace(w, xs, w_ids.index(target_index), q):
             return False
     return True
 

@@ -112,7 +112,6 @@ class TestVerify:
 
     def test_accepts_equivalent_not_identical(self, capsys, golden_file, tmp_path):
         sol = tmp_path / "sol.txt"
-        sol.write_text("s pqe 2\n3 0\n3 3 0\n".replace("3 3", "3"))
         # two copies of the same clause: equivalent, not byte-identical
         sol.write_text("s pqe 2\n3 0\n3 0\n")
         code, out, _ = run(capsys, "verify", golden_file, str(sol))

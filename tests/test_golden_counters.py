@@ -13,7 +13,11 @@ or trace line here must say why and re-record the file.
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
 `gen satred --vars 12 --clauses 51`, each with seeds 1-5, and the circuits
 of seeds 83 and 96, which each learn an F2-side conflict clause (the
-`derived-f2` path, `clauses_added_f2`) under most option sets. Each
+`derived-f2` path, `clauses_added_f2`) under most option sets, and
+`gen circuit --inputs 5 --gates 10 --seed 694 --drop 0.2` (key `drop-694`),
+whose one SAT fallback (`_handle_duplicate`) assumes free-variable entries
+that lie above quantified ones: the only entry that pins which free
+assignments a fallback keeps. Each
 instance is pinned under the default options (key: the instance name) and
 under each option set of CONFIGS (key: instance name, a space, the CONFIGS
 label).
@@ -49,9 +53,12 @@ GEN = {
     "circuit": ["circuit", "--inputs", "7", "--gates", "45"],
     "satred": ["satred", "--vars", "12", "--clauses", "51"],
     "wide": ["circuit", "--inputs", "20", "--gates", "2000"],
+    "drop": ["circuit", "--inputs", "5", "--gates", "10", "--drop", "0.2"],
 }
 
 F2_SIDE = {"circuit-83", "circuit-96"}
+
+FALLBACK = {"drop-694"}
 
 WIDE = {"wide-0"}  # default options only
 
@@ -103,9 +110,11 @@ def _instance(name, tmp_path, capsys):
 
 
 def test_batch_is_complete():
-    names = {"golden"} | {f"{k}-{s}" for k in ("circuit", "satred") for s in range(1, 6)} | F2_SIDE
+    names = {"golden"} | {f"{k}-{s}" for k in ("circuit", "satred") for s in range(1, 6)}
+    names |= F2_SIDE | FALLBACK
     assert set(PINNED) == names | {f"{n} {c}" for n in names for c in CONFIGS} | WIDE
     assert all(PINNED[n]["stats"]["clauses_added_f2"] == 1 for n in F2_SIDE)
+    assert all(PINNED[n]["stats"]["sat_calls"] >= 1 for n in FALLBACK)
 
 
 def _solve(name, tmp_path, capsys, *flags):

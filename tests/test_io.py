@@ -1,3 +1,4 @@
+import gc
 import re
 import time
 import tracemalloc
@@ -50,6 +51,40 @@ def mutated_instances(draw):
             lines.insert(rnd.randint(min(2, len(lines)), len(lines)), line)
             text = "\n".join(lines)
     return text
+
+
+# three shapes whose size grows with n: many clause lines, one long clause,
+# and one long quantifier line
+SCALED = {
+    "clause-lines": lambda n: (
+        f"p pqe {n + 1} 1 {n - 1}\ne 1 0\n" + "".join(f"{i} -{i + 1} 0\n" for i in range(1, n + 1))
+    ),
+    "long-clause": lambda n: f"p pqe {n} 1 0\ne 1 0\n" + " ".join(map(str, range(1, n + 1))) + " 0\n",
+    "long-e-line": lambda n: (
+        f"p pqe {n + 1} 1 0\ne " + " ".join(map(str, range(1, n + 1))) + f" 0\n1 {n + 1} 0\n"
+    ),
+}
+
+
+def _parse_peak(text):
+    # a full collection empties the free lists, which would otherwise serve
+    # a varying share of a small parse's allocations untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_pqe(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _parse_best_time(text, runs=3):
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        parse_pqe(text)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 class TestParse:
@@ -140,14 +175,20 @@ class TestParse:
         assert p.y_vars == frozenset({2, 5})
 
     def test_huge_max_var_costs_no_memory(self):
-        tracemalloc.start()
-        try:
-            p = parse_pqe("p pqe 1000000 1 1\ne 1 0\n1 2 0\n-1 3 0\n")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-        assert p.y_vars == frozenset({2, 3})
+        text = "p pqe 1000000 1 1\ne 1 0\n1 2 0\n-1 3 0\n"
+        assert _parse_peak(text) < 1_000_000
+        assert parse_pqe(text).y_vars == frozenset({2, 3})
+
+    @pytest.mark.parametrize("shape", sorted(SCALED))
+    def test_cost_per_byte_does_not_grow(self, shape):
+        # at 1x, 4x and 16x the size: peak memory per input byte may grow by
+        # a quarter at most, best-of-three time per byte at most 3x (timing
+        # is noisy at these sizes; both fall with size when parsing is linear)
+        texts = [SCALED[shape](500 * m) for m in (1, 4, 16)]
+        peaks = [_parse_peak(t) / len(t) for t in texts]
+        times = [_parse_best_time(t) / len(t) for t in texts]
+        assert max(peaks[1:]) <= 1.25 * peaks[0], peaks
+        assert max(times[1:]) <= 3 * times[0], times
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(mutated_instances())

@@ -32,9 +32,9 @@ class TestGolden:
         problem = parse_pqe(GOLDEN)
         res = solve_pqe(problem, SolverConfig())
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
-        want = enumerate_qe([(3,)], (), (3,))
-        got = enumerate_qe(res.f1_star, (), (3,))
-        assert want.rows == got.rows
+        want = enumerate_qe([(3,)], ())
+        got = enumerate_qe(res.f1_star, ())
+        assert want == got
 
     def test_learned_clause_reaches_first_block(self):
         problem = parse_pqe(GOLDEN)
@@ -59,27 +59,27 @@ class TestTrivialInstances:
         res = solve_pqe(problem)
         assert res.f1_star == ()
         assert res.stats["dseq_atomic3"] >= 1
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
     def test_empty_clause_in_second_block(self):
         problem = EcnfProblem.make([1], [(1, 2)], [()])
         res = solve_pqe(problem)
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
     def test_empty_clause_in_first_block_is_the_answer(self):
         problem = EcnfProblem.make([1], [(), (1,)], [])
         res = solve_pqe(problem)
         assert () in res.f1_star
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
     def test_free_unit_target(self):
         # target becomes unit on a free variable; recovery adds the free clause
         problem = EcnfProblem.make([1], [(2, -1)], [(1,)])
         res = solve_pqe(problem)
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
-        got = enumerate_qe(res.f1_star, (), (2,))
-        want = enumerate_qe([(2,)], (), (2,))
-        assert got.rows == want.rows
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
+        got = enumerate_qe(res.f1_star, ())
+        want = enumerate_qe([(2,)], ())
+        assert got == want
 
 
 class TestLearnSatisfiedTarget:
@@ -497,7 +497,7 @@ class TestFreeVariableWalk:
         derived = [eng.db.clause(cid) for cid in eng.db.all_ids()
                    if eng.db.clause(cid).origin.startswith("derived")]
         assert [(c.lits, c.origin) for c in derived] == [((2,), "derived-f1")]
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
 
 class TestDuplicateRecovery:
@@ -532,7 +532,6 @@ class TestDuplicateRecovery:
             idx[record.target],
             record.cond(),
             [idx[cid] for cid in record.constraint],
-            eng.problem.y_vars,
         )
 
     def test_support_cycles_reach_recovery(self, tmp_path, capsys):
@@ -547,11 +546,12 @@ class TestDuplicateRecovery:
         res = solve_pqe(problem, SolverConfig(check_invariants=True))
         assert res.stats["duplicates"] == res.stats["sat_calls"] == 2
         assert res.stats["consistency_recoveries"] == 2
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
     def test_satisfiable_shrink_drops_irrelevant_free_var(self):
-        # model independent of the second free variable: it leaves the witness
-        eng = make_engine([1], f1=[(3, 1)], f2=[(1,), (-1, -3)])
+        # (1, 4) makes y4 free, but no live clause needs y4 = 0 to hold:
+        # the shrink drops it from the witness
+        eng = make_engine([1], f1=[(3, 1)], f2=[(1,), (-1, -3), (1, 4)])
         target = start_proof(eng, (3, 1))
         eng._apply(3, 0, None)
         eng._apply(4, 0, None)
@@ -561,7 +561,7 @@ class TestDuplicateRecovery:
         assert out.cond() == {3: 0}
 
     def test_unsat_subspace_adds_free_clause(self):
-        eng = make_engine([1], f1=[(3, 1)], f2=[(-1,), (1, -3, 3) if False else (1, 3)])
+        eng = make_engine([1], f1=[(3, 1)], f2=[(-1,), (1, 3)])
         # live clauses: target (3 v x1), (-x1), (x1 v y)
         target = start_proof(eng, (3, 1))
         eng._apply(3, 0, None)
@@ -599,7 +599,7 @@ class TestRegressionCorpus:
         for k in (-1, 0, 2):
             res = solve_pqe(problem, SolverConfig(learn_depth_k=k, max_conflicts=10**6))
             assert verify_pqe_solution(
-                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
+                problem.f1, problem.f2, problem.x_vars, res.f1_star
             ), (case, k)
 
 

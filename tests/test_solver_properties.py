@@ -38,9 +38,7 @@ class TestSoundness:
         for _ in range(150):
             problem = rand_problem(rng)
             res = solve_pqe(problem, SolverConfig(max_conflicts=100000, max_seconds=10))
-            assert verify_pqe_solution(
-                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
-            ), problem
+            assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star), problem
 
     def test_learning_depths_all_sound(self):
         rng = random.Random(77)
@@ -49,7 +47,7 @@ class TestSoundness:
                 problem = rand_problem(rng, require_x_target=True)
                 res = solve_pqe(problem, SolverConfig(learn_depth_k=k, max_seconds=10))
                 assert verify_pqe_solution(
-                    problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
+                    problem.f1, problem.f2, problem.x_vars, res.f1_star
                 ), (k, problem)
 
 
@@ -96,9 +94,7 @@ class TestCircuitsCloseBySearch:
             problem = harness.circuit_to_pqe(circuit, z).problem
             eng = Engine(problem, SolverConfig(check_invariants=True))
             res = eng.solve()
-            assert verify_pqe_solution(
-                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
-            ), seed
+            assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star), seed
             assert res.stats["duplicates"] == 0, seed
             premises = list(problem.f1 + problem.f2)
             for cid in eng.db.all_ids():
@@ -153,7 +149,6 @@ class TestEmittedRecordsValid:
                     idx[ds.target],
                     ds.cond(),
                     [idx[c] for c in ds.constraint],
-                    problem.y_vars,
                     subset_cap=16,
                 )
                 assert ok, (problem, ds, lits)
@@ -170,9 +165,7 @@ class TestSearchDiscipline:
             problem = rand_problem(rng, require_x_target=True)
             eng = Engine(problem, SolverConfig(max_seconds=10, check_invariants=True))
             res = eng.solve()
-            assert verify_pqe_solution(
-                problem.f1, problem.f2, problem.x_vars, res.f1_star, problem.y_vars
-            )
+            assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
             # after each proof the stack must have fully unwound
             assert eng.tlevels == []
 

@@ -59,9 +59,7 @@ CONFIGS = {
 
 
 def _oracle_ok(problem, answer) -> bool:
-    return oracle.verify_pqe_solution(
-        problem.f1, problem.f2, problem.x_vars, answer, problem.y_vars
-    )
+    return oracle.verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, answer)
 
 
 def batch():
