@@ -16,7 +16,6 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tu
 from .formula import (
     Assignment,
     Clause,
-    ClauseDb,
     NotResolvable,
     PqeError,
     assignments_compatible,
@@ -267,31 +266,22 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
 
 class DSequentStore:
     """Learned records by target, kept as derived for targets at most
-    ``learn_depth_k`` levels deep (none at k = -1). Duplicates share the
-    target, the conditional and, for k >= 1, the constraint's clauses with
-    a quantified literal: only those ever leave the formula."""
+    ``learn_depth_k`` levels deep (none at k = -1). A record equal to a
+    stored one in target, conditional and constraint is not stored again."""
 
     def __init__(self, learn_depth_k: int):
         self.learn_depth_k = learn_depth_k
         self.by_target: Dict[int, List[DSequent]] = {}
-        self._seen: Set[Tuple] = set()
+        self._seen: Set[Tuple[int, CondItems, frozenset]] = set()
 
-    def consider(self, ds: DSequent, depth: int, x_vars: Collection[int], db: ClauseDb) -> bool:
-        """Store per k; True iff an equivalent record is now retained."""
-        k = self.learn_depth_k
-        if k < 0 or depth > k:
-            return False
-        support: frozenset = frozenset()
-        if k > 0:
-            support = frozenset(
-                cid for cid in ds.constraint if any(abs(l) in x_vars for l in db.clause(cid).lits)
-            )
-        key = (ds.target, ds.conditional, support)
-        if key in self._seen:
-            return True
-        self._seen.add(key)
-        self.by_target.setdefault(ds.target, []).append(ds)
-        return True
+    def consider(self, ds: DSequent, depth: int) -> None:
+        """Store a record for a target ``depth`` levels deep, as k allows."""
+        if depth > self.learn_depth_k:
+            return
+        key = (ds.target, ds.conditional, ds.constraint)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.by_target.setdefault(ds.target, []).append(ds)
 
     def records_for(self, target: int) -> Sequence[DSequent]:
         return self.by_target.get(target, ())

@@ -179,6 +179,8 @@ class ClauseDb:
     resolvable with that clause on the literal's variable. Ids and literals
     never change and occurrence lists only grow, so a list is extended, not
     rebuilt, when clauses have arrived since it was last read.
+    ``open_partner`` reads a list with the counts: the lowest live partner
+    the assignment leaves unsatisfied, or None when the clause is blocked.
     """
 
     def __init__(self) -> None:
@@ -291,15 +293,16 @@ class ClauseDb:
             self._partner_scanned[key] = len(occ)
         return ids
 
-    def blocked_on(self, cid: int, lit: int) -> bool:
-        """No live clause the assignment leaves unsatisfied is resolvable
-        with clause ``cid`` on the variable of its literal ``lit``: what
+    def open_partner(self, cid: int, lit: int) -> Optional[int]:
+        """The lowest id of a live clause the assignment leaves unsatisfied
+        that is resolvable with clause ``cid`` on the variable of its
+        literal ``lit``, or None when the clause is blocked there: what
         ``is_blocked`` finds by a scan, read from the index and the counts."""
         active, true = self._active, self._true
         for other in self.partners(cid, lit):
             if active[other] and not true[other]:
-                return False
-        return True
+                return other
+        return None
 
     def audit_partners(self) -> None:
         """Every cached partner list equals a ``resolvable_on`` scan of the
@@ -378,7 +381,7 @@ def is_blocked(db: ClauseDb, c: Clause, v: int) -> bool:
     """True iff no live unsatisfied clause is resolvable with c on v.
 
     A scan of the occurrence list that evaluates each partner under the
-    store's assignment: the reference that ``ClauseDb.blocked_on`` is
+    store's assignment: the reference that ``ClauseDb.open_partner`` is
     audited against. Clauses clashing with c on a second variable resolve
     to tautologies and never block; soft-deleted clauses are out of the
     formula in the current subspace. Assumes v is unassigned and c is not

@@ -79,10 +79,9 @@ class _Space:
     def y_bits(self, j: int) -> int:
         return j << self.nx
 
-    def exists_x(self, masks, y_part: int, fixed_bits: int = 0, fixed_mask: int = 0) -> bool:
-        base = y_part | fixed_bits
+    def exists_x(self, masks, y_part: int, fixed_mask: int = 0) -> bool:
         for i in range(1 << self.nx):
-            bits = base | (i & ~fixed_mask & ((1 << self.nx) - 1))
+            bits = y_part | (i & ~fixed_mask & ((1 << self.nx) - 1))
             if _sat_under(masks, bits, self.full):
                 return True
         return False
@@ -173,7 +172,7 @@ def check_redundant_in_subspace(
         for i, bit in enumerate(free_y):
             if j >> i & 1:
                 yb |= bit
-        if sp.exists_x(masks, yb, 0, fixed_mask) != sp.exists_x(without, yb, 0, fixed_mask):
+        if sp.exists_x(masks, yb, fixed_mask) != sp.exists_x(without, yb, fixed_mask):
             return False
     return True
 

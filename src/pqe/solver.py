@@ -22,9 +22,10 @@ first; those secondary targets are tracked by a stack of target levels, one
 per unit-clause assignment made while processing a target-derived
 assignment (clause-only propagation). A target level is marked on that
 assignment's trail entry, its key: the entry's reason is the key clause and
-its variable the key variable. Its pending targets are not stored:
-``_partners`` recomputes them, the live clauses resolvable with the key on
-that variable, whenever the next one is picked. A clause proved redundant
+its variable the key variable. Its pending targets are not stored: the
+clause store names the lowest open one (``ClauseDb.open_partner``), a live
+clause the assignment leaves unsatisfied and resolvable with the key on that
+variable, whenever the next one is picked. A clause proved redundant
 at a live level is soft-deleted, and its record lives only in the key
 entry's ``done`` map until the level ends and restores the clause. A level
 ends when ``_pop_suffix`` pops its key entry (``_handle_duplicate`` alone
@@ -76,9 +77,11 @@ it steers the branch, on a quantified one it starts ``_bcp_star``. A
 backtrack applies the assignment it asserts itself, a record's flip or a
 conflict clause's asserting literal, so BCP looks for the next condition
 with it on the trail.
-The blocked-clause test reads the store's partner index: per (clause,
-literal) the ascending ids of the clauses resolvable with it, extended
-when derived clauses arrive, and the partners' liveness and true counts.
+The blocked-clause test asks the same of the store: a target is blocked on
+a literal when it has no open partner there. The store reads its partner
+index, per (clause, literal) the ascending ids of the clauses resolvable
+with it, extended when derived clauses arrive, and the partners' liveness
+and true counts.
 ``SolverConfig.check_invariants`` re-derives the sets, the free literals,
 the partner lists and the blocked test by scans at every round, and
 asserts that they agree and that every trail entry lies at the level the
@@ -263,7 +266,7 @@ class Engine:
                 # the search refuted the whole formula; everything is redundant
                 learned = self._emit(dsq.falsified_clause_dsequent(self.db.clause(primary), learned))
             self.stats["dseq_final"] += 1
-            self.store.consider(learned, len(self.tlevels), self.x_vars, self.db)
+            self.store.consider(learned, len(self.tlevels))
             if learned.target == primary and not learned.conditional:
                 return learned
             pending = self._bcktr_dseq(learned)
@@ -450,7 +453,7 @@ class Engine:
             v = abs(lit)
             if v in self.assign or v not in self.x_vars:
                 continue
-            blocked = db.blocked_on(tgt.id, lit)
+            blocked = db.open_partner(tgt.id, lit) is None
             if self.config.check_invariants:
                 assert blocked == is_blocked(db, tgt, v), f"blocked test of {tgt.id} on {v}"
             if blocked:
@@ -494,38 +497,29 @@ class Engine:
         if len(self.tlevels) > self.stats["max_target_depth"]:
             self.stats["max_target_depth"] = len(self.tlevels)
 
-    def _partners(self, clause: Clause, v: int) -> Tuple[int, ...]:
-        """Ids of clauses resolvable with the given clause on v, any liveness
-        but the proved primaries, ascending."""
-        removed = self.removed
-        return tuple(
-            cid for cid in self.db.partners(clause.id, clause.lit_on(v)) if cid not in removed
-        )
-
     # ------------------------------------------------------------------
     # target management
     # ------------------------------------------------------------------
 
     def _advance_target(self) -> Optional[DSequent]:
-        """Make the next unproved partner of the top key the target (None),
-        or pop the exhausted level and return the record for its key clause."""
+        """Make the lowest open partner of the top key the target (None), or
+        pop the exhausted level and return the record for its key clause."""
         if not self.tlevels:
             self.target = self.primary
             return None
         top = self.tlevels[-1]
-        key = self.db.clause(top.reason)
-        partners = self._partners(key, top.var)
-        for cid in partners:
-            # a clause done at this level is soft-deleted (``_bcktr_dseq``)
-            if self.db.is_active(cid) and not self.db.is_satisfied(cid):
-                self.target = cid
-                return None
+        # a clause done at this level is soft-deleted (``_bcktr_dseq``), so
+        # it is no open partner
+        nxt = self.db.open_partner(top.reason, top.var if top.val else -top.var)
+        if nxt is not None:
+            self.target = nxt
+            return None
         # key clause blocked at its key variable: certify while everything the
         # partner records rely on is still assigned, then pop the level.
         # Entries above the key assignment are re-derivable (implications) or
         # re-decidable (decisions); if the certificate mentions them, the
         # caller steers into the complementary subspace instead.
-        record = self._third_kind(key, top.var, partners)
+        record = self._third_kind(self.db.clause(top.reason), top.var)
         if record is None:
             return self._handle_duplicate()
         self._pop_suffix(self.pos[top.var])  # ends the level
@@ -539,10 +533,11 @@ class Engine:
             self.db.reactivate(cid)
         key.done = None
 
-    def _third_kind(self, clause: Clause, v: int, partners: Sequence[int]) -> Optional[DSequent]:
+    def _third_kind(self, clause: Clause, v: int) -> Optional[DSequent]:
         """Certify a clause blocked at v from one record per partner on v.
 
-        A live partner is satisfied off v; a proved one brings its record
+        A proved primary has left the formula for good and needs none. A
+        live partner is satisfied off v; a proved one brings its record
         from the level it was proved at. That record never depends on v:
         ``_rewrite``'s satisfied-target escape joins v out of it before
         ``_bcktr_dseq`` marks the partner done. None if the partner records
@@ -550,7 +545,9 @@ class Engine:
         order exists, and the caller certifies semantically instead.
         """
         inputs = []
-        for cid in partners:
+        for cid in self.db.partners(clause.id, clause.lit_on(v)):
+            if cid in self.removed:
+                continue
             partner = self.db.clause(cid)
             if self.db.is_active(cid):
                 # its literal on v is false (v keys the level) or unassigned
@@ -579,7 +576,7 @@ class Engine:
     def _lrn_blocked(self, v: int) -> DSequent:
         """The record for a target blocked at its unassigned quantified v."""
         tgt = self.db.clause(self.target)
-        record = self._third_kind(tgt, v, self._partners(tgt, v))
+        record = self._third_kind(tgt, v)
         if record is None:
             return self._handle_duplicate()
         return self._rewrite(record)

@@ -18,6 +18,9 @@ A class method cannot be traced to its callers that way: an attribute read
 of an object does not say whose method it calls. So a method counts as used
 when any attribute read of its name in the same scanned files lies outside
 its own definition. Dunder methods are exempt; Python calls them.
+
+A module-level import in ``src/pqe`` or ``tools`` must be read in its own
+module. ``pqe/__init__.py`` is exempt: its imports are the library API.
 """
 
 import ast
@@ -171,3 +174,30 @@ def _unused_methods():
 
 def test_every_class_method_has_a_non_test_caller():
     assert sorted(_unused_methods()) == []
+
+
+def _unread_imports():
+    unread = []
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tools").glob("*.py")]:
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for a in stmt.names:
+                    # ``import a.b`` binds ``a``
+                    name = a.asname or a.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}: {name}")
+    return unread
+
+
+def test_every_module_level_import_is_read():
+    assert _unread_imports() == []

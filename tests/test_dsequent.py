@@ -24,7 +24,7 @@ from pqe.dsequent import (
     trace_line,
     unit_deactivating_assignment,
 )
-from pqe.formula import Clause, ClauseDb, NotResolvable
+from pqe.formula import Clause, NotResolvable
 
 
 def ds(target, cond, constraint, rule="derived"):
@@ -229,62 +229,46 @@ class TestConsistency:
 
 
 class TestRetentionAndStore:
-    def setup_method(self):
-        self.db = ClauseDb()
-        self.yc = self.db.add((5, 6), "f2-initial")  # free-only clause
-        self.xc = self.db.add((1, 5), "f2-initial")
-        self.tgt = self.db.add((1, 2), "f1-initial")
-        self.x_vars = (1, 2)
+    # the store reads ids only: a target and two other clauses
+    TGT, A, B = 3, 1, 2
 
-    def test_depth_zero_strips_constraint(self):
-        # at k = 0 the duplicate test ignores the constraint; the record
-        # first stored is kept as derived
+    def test_key_is_target_conditional_and_constraint(self):
         store = DSequentStore(0)
-        first = ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id})
-        assert store.consider(first, 0, self.x_vars, self.db)
-        assert store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
-        assert store.records_for(self.tgt.id) == [first]
-        assert store.consider(ds(self.tgt.id, {5: 1}, ()), 0, self.x_vars, self.db)
-        assert len(store.records_for(self.tgt.id)) == 2
+        first = ds(self.TGT, {5: 0}, {self.A, self.B})
+        store.consider(first, 0)
+        # equal in target, conditional and constraint: kept once
+        store.consider(ds(self.TGT, {5: 0}, {self.B, self.A}), 0)
+        assert store.records_for(self.TGT) == [first]
+        # a record that differs only in its constraint is a second record,
+        # kept after the first
+        other = ds(self.TGT, {5: 0}, {self.B})
+        store.consider(other, 0)
+        assert store.records_for(self.TGT) == [first, other]
 
     def test_deeper_than_k_dropped(self):
         store = DSequentStore(2)
-        assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 3, self.x_vars, self.db)
-        assert store.consider(ds(self.tgt.id, {5: 0}, ()), 2, self.x_vars, self.db)
-        assert len(store.records_for(self.tgt.id)) == 1
+        store.consider(ds(self.TGT, {5: 0}, ()), 3)
+        assert store.records_for(self.TGT) == ()
+        store.consider(ds(self.TGT, {5: 0}, ()), 2)
+        assert len(store.records_for(self.TGT)) == 1
 
     def test_no_learning(self):
         store = DSequentStore(-1)
-        assert not store.consider(ds(self.tgt.id, {5: 0}, ()), 0, self.x_vars, self.db)
-        assert len(store.records_for(self.tgt.id)) == 0
-
-    def test_free_clauses_always_stripped(self):
-        # at k >= 1 the duplicate test ignores free-variable-only clauses
-        store = DSequentStore(2)
-        first = ds(self.tgt.id, {5: 0}, {self.xc.id})
-        assert store.consider(first, 1, self.x_vars, self.db)
-        assert store.consider(ds(self.tgt.id, {5: 0}, {self.xc.id, self.yc.id}), 1,
-                              self.x_vars, self.db)
-        assert store.records_for(self.tgt.id) == [first]
-        # a clause with a quantified literal makes the record a new one
-        other = ds(self.tgt.id, {5: 0}, {self.yc.id})
-        assert store.consider(other, 1, self.x_vars, self.db)
-        assert store.records_for(self.tgt.id) == [first, other]
+        store.consider(ds(self.TGT, {5: 0}, ()), 0)
+        assert len(store.records_for(self.TGT)) == 0
 
     def test_store_deduplicates(self):
         store = DSequentStore(0)
-        s = ds(self.tgt.id, {5: 0}, {self.yc.id})
-        assert store.consider(s, 0, self.x_vars, self.db)
-        # an equivalent record is already retained: reported, not re-added
-        assert store.consider(s, 0, self.x_vars, self.db)
-        assert len(store.records_for(self.tgt.id)) == 1
-        assert store.records_for(self.tgt.id) == [s]
+        s = ds(self.TGT, {5: 0}, {self.B})
+        store.consider(s, 0)
+        # an equal record is already stored: not re-added
+        store.consider(s, 0)
+        assert store.records_for(self.TGT) == [s]
 
     def test_store_rejects_by_depth(self):
         store = DSequentStore(0)
-        s = ds(self.tgt.id, {5: 0}, ())
-        assert not store.consider(s, 1, self.x_vars, self.db)
-        assert len(store.records_for(self.tgt.id)) == 0
+        store.consider(ds(self.TGT, {5: 0}, ()), 1)
+        assert len(store.records_for(self.TGT)) == 0
 
 
 def test_trace_line_format():

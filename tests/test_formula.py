@@ -14,6 +14,7 @@ from pqe.formula import (
     clause_satisfied,
     cofactor_clause,
     is_blocked,
+    resolvable_on,
     unit_literal,
 )
 
@@ -190,7 +191,15 @@ class TestPropagationState:
                 assert db.falsified == {c for c in active if clause_falsified(db.clause(c).lits, asg)}
                 assert db.units == {c for c in active if unit_literal(db.clause(c).lits, asg) is not None}
                 for c in db.all_ids():
-                    assert db.is_satisfied(c) == clause_satisfied(db.clause(c).lits, asg)
+                    lits = db.clause(c).lits
+                    assert db.is_satisfied(c) == clause_satisfied(lits, asg)
+                    for lit in lits:
+                        # the lowest live partner the assignment leaves unsatisfied
+                        want = next((o for o in db.occurrences(-lit)
+                                     if db.is_active(o)
+                                     and not clause_satisfied(db.clause(o).lits, asg)
+                                     and resolvable_on(lits, db.clause(o).lits, abs(lit))), None)
+                        assert db.open_partner(c, lit) == want
 
 
 class TestEcnfProblem:

@@ -160,13 +160,12 @@ class TestParse:
             parse_pqe("p pqe 30 0 0\ne  1 22  3 22 0\n")
         assert (e.value.line, e.value.col) == (2, 12)
 
-    def test_long_quantifier_line_is_linear(self):
+    def test_long_quantifier_line_keeps_every_variable(self):
+        # its cost per byte is test_cost_per_byte_does_not_grow's long-e-line
         n = 20000
         text = f"p pqe {n + 1} 1 0\ne " + " ".join(map(str, range(1, n + 1))) + f" 0\n1 {n + 1} 0\n"
-        t0 = time.perf_counter()
         p = parse_pqe(text)
-        assert time.perf_counter() - t0 < 2.0
-        assert len(p.x_vars) == n and p.y_vars == frozenset({n + 1})
+        assert p.x_vars == frozenset(range(1, n + 1)) and p.y_vars == frozenset({n + 1})
 
     def test_free_vars_are_the_clause_vars_outside_x(self):
         # max_var only bounds literals; 7 is quantified though in no clause

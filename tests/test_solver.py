@@ -207,7 +207,7 @@ class TestTargetStackWalkthrough:
         ]
         assert eng.tlevels == [e for e in eng.trail if e.done is not None]
         live_partners = [
-            tuple(cid for cid in eng._partners(eng.db.clause(key.reason), key.var)
+            tuple(cid for cid in eng.db.partners(key.reason, key.var if key.val else -key.var)
                   if eng.db.is_active(cid))
             for key in eng.tlevels
         ]
@@ -292,7 +292,7 @@ class TestStoredRecordPropagation:
         target = start_proof(eng, (5, 7))
         recs = [DSequent.make(target.id, cond, (), "derived") for cond in conds]
         for rec in recs:
-            eng.store.consider(rec, 0, eng.x_vars, eng.db)
+            eng.store.consider(rec, 0)
         eng._apply(6, 0, None)
         assert eng._round_condition() is None
         return eng, recs
@@ -332,7 +332,7 @@ class TestStoredRecordPropagation:
         eng = make_engine([1, 2, 5], f1=[(1, 2)], f2=[(6, 5)])
         target = start_proof(eng, (1, 2))
         rec = DSequent.make(target.id, {6: 0}, (), "derived")
-        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        eng.store.consider(rec, 0)
         eng._apply(6, 0, None)
         out = eng._branch()
         assert isinstance(out, DSequent)
@@ -347,7 +347,7 @@ class TestStoredRecordPropagation:
         target = start_proof(eng, (1, 3))
         helper = eng.db.find_any((4, -3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
-        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        eng.store.consider(rec, 0)
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None)  # satisfies the helper via -3
         assert eng.db.is_satisfied(helper.id)
@@ -361,7 +361,7 @@ class TestStoredRecordPropagation:
         target = start_proof(eng, (1, 2))
         helper = eng.db.find_any((1, 3))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
-        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        eng.store.consider(rec, 0)
         eng.db.deactivate(helper.id)
         eng._apply(3, 0, None)  # helper neither live nor satisfied
         assert eng._branch() is None

@@ -378,7 +378,7 @@ class TestSearchDiscipline:
         eng.primary = eng.target = min(eng.f1_ids)
         helper = eng.db.find_any((4, -3))
         rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
-        eng.store.consider(rec, 0, eng.x_vars, eng.db)
+        eng.store.consider(rec, 0)
         eng._apply(3, 0, None)
         assert eng._branch() is rec
         eng._pop_suffix(0)
