@@ -39,13 +39,9 @@ def _read_problem(path: str) -> EcnfProblem:
         return pqeio.parse_pqe(fh.read())
 
 
-def _emit_stats(stats: dict, mode: str, out) -> None:
-    for key in sorted(stats):
-        if key == "wall_time_s":
-            continue
-        print(f"{key}={stats[key]}", file=out)
-    if mode == "full":
-        print(f"wall_time_ms={stats.get('wall_time_s', 0.0) * 1000:.3f}", file=out)
+def stats_kv(stats: dict) -> str:
+    """The ``--stats=kv`` text: a ``key=value`` line per counter, sorted by key."""
+    return "".join(f"{k}={v}\n" for k, v in sorted(stats.items()) if k != "wall_time_s")
 
 
 def _cmd_solve(args) -> int:
@@ -57,7 +53,9 @@ def _cmd_solve(args) -> int:
     result = solve_pqe(problem, _config_from_args(args), show if args.trace else None)
     sys.stdout.write(pqeio.write_solution(result.f1_star))
     if args.stats is not None:
-        _emit_stats(result.stats, args.stats, sys.stderr)
+        sys.stderr.write(stats_kv(result.stats))
+        if args.stats == "full":
+            print(f"wall_time_ms={result.stats['wall_time_s'] * 1000:.3f}", file=sys.stderr)
     return 0
 
 
@@ -126,7 +124,7 @@ def _cmd_compare(args) -> int:
     for name in methods:
         t0 = time.monotonic()
         if name == "pqe":
-            g = harness.pqe_blocking(inst, _config_from_args(args))
+            g = solve_pqe(problem, _config_from_args(args)).f1_star
         elif name == "m1":
             g = harness.method1_blocking(inst, args.budget)
         else:
@@ -184,7 +182,7 @@ def _cmd_selftest(args) -> int:
     values = harness.simulate(circuit, x)
     z = {v: values[v] for v in circuit.outputs}
     inst = harness.circuit_to_pqe(circuit, z)
-    g_pqe = harness.pqe_blocking(inst)
+    g_pqe = solve_pqe(inst.problem).f1_star
     g_m1 = harness.method1_blocking(inst)
     g_m2 = harness.method2_corelift(inst)
     want_set = harness.producing_inputs(circuit, z)

@@ -197,12 +197,9 @@ class ClauseDb:
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
         self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
 
-    def add(self, lits: Iterable[int], origin: str) -> Clause:
-        """Insert a clause; a duplicate returns the stored one, live or not."""
-        return self.add_canonical(canonical_lits(lits), origin)
-
-    def add_canonical(self, key: Lits, origin: str) -> Clause:
-        """``add`` for literals already in ``canonical_lits`` form."""
+    def add(self, key: Lits, origin: str) -> Clause:
+        """Insert a clause given in ``canonical_lits`` form; a duplicate
+        returns the stored one, live or not."""
         hit = self._ids.get(key)
         if hit is not None:
             return self._clauses[hit]
@@ -243,9 +240,10 @@ class ClauseDb:
     def is_active(self, cid: int) -> bool:
         return self._active[cid]
 
-    def find_any(self, lits: Iterable[int]) -> Optional[Clause]:
-        """Match against every stored clause, live or soft-deleted."""
-        cid = self._ids.get(canonical_lits(lits))
+    def find_any(self, key: Lits) -> Optional[Clause]:
+        """The stored clause, live or soft-deleted, with these literals in
+        ``canonical_lits`` form."""
+        cid = self._ids.get(key)
         return self._clauses[cid] if cid is not None else None
 
     def deactivate(self, cid: int) -> None:
@@ -444,6 +442,3 @@ class EcnfProblem:
 
     def is_x_clause(self, lits: Sequence[int]) -> bool:
         return any(abs(l) in self.x_vars for l in lits)
-
-    def all_vars(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.x_vars | self.y_vars))

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .formula import Assignment, EcnfProblem, Lits, clause_satisfied
 from .satcore import sat_solve
-from .solver import SolverConfig, solve_pqe
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class Circuit:
 @dataclass
 class PqeInstance:
     problem: EcnfProblem
-    meta: Dict[str, object] = field(default_factory=dict)
+    meta: Dict[str, object] = field(default_factory=dict)  # "kind", and "det" for circuits
 
 
 _OPS = ("AND", "OR", "NOT", "XOR")
@@ -123,17 +122,7 @@ def circuit_to_pqe(circuit: Circuit, z: Assignment) -> PqeInstance:
     cz = output_falsified_clause(circuit, z)
     quantified = [g.out for g in circuit.gates]
     problem = EcnfProblem.make(quantified, [cz], tseitin(circuit))
-    return PqeInstance(
-        problem,
-        {
-            "kind": "circuit",
-            "inputs": len(circuit.inputs),
-            "gates": len(circuit.gates),
-            "z": dict(z),
-            "circuit": circuit,
-            "det": True,
-        },
-    )
+    return PqeInstance(problem, {"kind": "circuit", "det": True})
 
 
 def drop_clauses(inst: PqeInstance, fraction: float, seed: int) -> PqeInstance:
@@ -147,10 +136,7 @@ def drop_clauses(inst: PqeInstance, fraction: float, seed: int) -> PqeInstance:
     idx = set(rng.sample(range(len(inst.problem.f2)), n_drop))
     f2 = tuple(c for i, c in enumerate(inst.problem.f2) if i not in idx)
     problem = EcnfProblem.make(inst.problem.x_vars, inst.problem.f1, f2)
-    meta = dict(inst.meta)
-    meta["det"] = False
-    meta["dropped"] = n_drop
-    return PqeInstance(problem, meta)
+    return PqeInstance(problem, {**inst.meta, "det": False})
 
 
 def sat_reduction_instance(clauses: Sequence[Lits], x: Assignment) -> PqeInstance:
@@ -161,14 +147,7 @@ def sat_reduction_instance(clauses: Sequence[Lits], x: Assignment) -> PqeInstanc
     f1 = [c for c in clauses if clause_satisfied(c, x)]
     f2 = [c for c in clauses if not clause_satisfied(c, x)]
     problem = EcnfProblem.make(sorted(all_vars), f1, f2)
-    return PqeInstance(problem, {"kind": "satred", "assignment": dict(x)})
-
-
-def pqe_sat_verdict(clauses: Sequence[Lits], x: Assignment, config=None) -> bool:
-    """Satisfiability of the CNF via the elimination engine."""
-    inst = sat_reduction_instance(clauses, x)
-    res = solve_pqe(inst.problem, config or SolverConfig())
-    return all(len(c) > 0 for c in res.f1_star)
+    return PqeInstance(problem, {"kind": "satred"})
 
 
 class Inapplicable:
@@ -241,12 +220,6 @@ def method2_corelift(inst: PqeInstance, clause_budget: int = 1000):
         core = sorted(lift.core, key=abs)
         g.append(tuple(-l for l in core))
     return g
-
-
-def pqe_blocking(inst: PqeInstance, config: Optional[SolverConfig] = None) -> List[Lits]:
-    """The engine's answer for a circuit instance: input-cube clauses."""
-    res = solve_pqe(inst.problem, config or SolverConfig())
-    return list(res.f1_star)
 
 
 def blocked_inputs(circuit: Circuit, g: Sequence[Lits]) -> frozenset:

@@ -151,7 +151,7 @@ def parse_pqe(text: str) -> EcnfProblem:
 
 def write_pqe(problem: EcnfProblem, comment: str = "") -> str:
     """Instance text; parse(write(p)) == p."""
-    max_var = max(problem.all_vars(), default=0)
+    max_var = max(problem.x_vars | problem.y_vars, default=0)
     out = []
     if comment:
         for line in comment.split("\n"):

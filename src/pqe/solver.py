@@ -54,10 +54,12 @@ resolvent holds. When the target is falsified and that resolvent is
 already stored, a second walk resolves only the quantified literals: the
 clause of free literals it leaves is false under the free assignment and
 carries the target's record, so the proof stays in the search. The SAT
-fallback (``_handle_duplicate``) is left for support cycles among partner
-records (``_third_kind``), for that walk meeting a quantified decision or
-record flip, and for a stored resolvent of a falsified clause other than
-the target.
+fallback (``_handle_duplicate``) is left for partner records that cannot
+certify a blocked clause (``_third_kind``), for that walk meeting a
+quantified decision or record flip, and for a stored resolvent of a
+falsified clause other than the target. Partner records fail mostly by
+self-support, their merged constraint holding the blocked clause itself,
+and rarely by a cycle that leaves them no application order.
 
 Propagation state
 -----------------
@@ -120,6 +122,7 @@ from .formula import (
     ClauseDb,
     EcnfProblem,
     Lits,
+    canonical_lits,
     clause_falsified,
     clause_satisfied,
     falsifying_assignment,
@@ -197,9 +200,9 @@ class Engine:
         # ascending: derived clauses get higher ids than every stored one
         self.f1_ids: List[int] = []
         for lits in problem.f1:
-            self.f1_ids.append(self.db.add_canonical(lits, "f1-initial").id)
+            self.f1_ids.append(self.db.add(lits, "f1-initial").id)
         for lits in problem.f2:
-            self.db.add_canonical(lits, "f2-initial")
+            self.db.add(lits, "f2-initial")
         self.store = DSequentStore(self.config.learn_depth_k)
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
         # search state, reset per proof; the store owns the assignment
@@ -541,8 +544,10 @@ class Engine:
         from the level it was proved at. That record never depends on v:
         ``_rewrite``'s satisfied-target escape joins v out of it before
         ``_bcktr_dseq`` marks the partner done. None if the partner records
-        form a support cycle (mutually exclusive proofs): no application
-        order exists, and the caller certifies semantically instead.
+        cannot certify the clause, and the caller certifies semantically
+        instead: usually their merged constraint holds the clause itself
+        (self-support, which ``DSequent.make`` rejects), rarely they form a
+        cycle with no application order (``check_consistency``).
         """
         inputs = []
         for cid in self.db.partners(clause.id, clause.lit_on(v)):
@@ -800,10 +805,11 @@ class Engine:
     def _handle_duplicate(self) -> DSequent:
         """Decide the subspace semantically where the search cannot go on.
 
-        Reached by a support cycle among partner records (``_third_kind``),
-        by a falsified target whose walk keeping free literals meets a
-        quantified decision or record flip, and by a stored resolvent of
-        another falsified clause.
+        Reached by partner records that cannot certify a blocked clause
+        (``_third_kind``: self-support or a cycle), by a falsified target
+        whose walk keeping free literals meets a quantified decision or
+        record flip, and by a stored resolvent of another falsified clause
+        (on satred, a removed primary or a clause proved at a live level).
         Back out of all quantified-variable assignments and secondary targets,
         then ask a SAT check whether the formula holds under the remaining
         free-variable assignments; either a blocking free-variable clause or a
@@ -850,6 +856,8 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _add_derived_clause(self, lits: Lits, f1_side: bool) -> Clause:
+        if self.config.check_invariants:
+            assert lits == canonical_lits(lits), f"derived clause {lits} is not canonical"
         before = len(self.db)
         clause = self.db.add(lits, "derived-f1" if f1_side else "derived-f2")
         # an implied clause leaves every learned record valid: none is touched

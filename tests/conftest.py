@@ -3,6 +3,8 @@ import random
 import pytest
 
 from pqe.formula import EcnfProblem
+from pqe.harness import sat_reduction_instance
+from pqe.solver import solve_pqe
 
 
 def rand_problem(
@@ -40,6 +42,12 @@ def rand_cnf(rng: random.Random, n_vars: int, n_clauses: int, width: int = 3):
         vs = rng.sample(range(1, n_vars + 1), min(width, n_vars))
         out.append(tuple(v if rng.randrange(2) else -v for v in vs))
     return out
+
+
+def pqe_sat_verdict(clauses, x) -> bool:
+    """Satisfiability of the CNF by elimination: the answer of its SAT
+    reduction instance has no empty clause."""
+    return all(solve_pqe(sat_reduction_instance(clauses, x).problem).f1_star)
 
 
 @pytest.fixture

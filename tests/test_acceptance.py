@@ -28,6 +28,7 @@ from pqe.io import parse_pqe, write_solution
 from pqe.oracle import enumerate_qe, verify_dsequent, verify_pqe_solution
 from pqe.satcore import sat_solve
 from pqe.solver import SolverConfig, solve_pqe
+from tests.conftest import pqe_sat_verdict
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(HERE, "benchmarks", "golden_basic.pqe")
@@ -320,7 +321,7 @@ def test_circuit_sat_contract():
     for circuit, inst, z in _trend_circuits(20, rng, max_inputs=6, max_gates=25):
         want = harness.producing_inputs(circuit, z)
         for name, g in (
-            ("pqe", harness.pqe_blocking(inst)),
+            ("pqe", solve_pqe(inst.problem).f1_star),
             ("m1", harness.method1_blocking(inst)),
             ("m2", harness.method2_corelift(inst)),
         ):
@@ -337,7 +338,7 @@ def test_baseline_trends():
     rng = random.Random(99)
     wins = total = 0
     for circuit, inst, z in _trend_circuits(25, rng, max_inputs=5, max_gates=18):
-        g_pqe = harness.pqe_blocking(inst)
+        g_pqe = solve_pqe(inst.problem).f1_star
         g_m1 = harness.method1_blocking(inst)
         g_m2 = harness.method2_corelift(inst)
         assert not isinstance(g_m2, harness.Inapplicable)
@@ -361,7 +362,7 @@ def test_baseline_trends():
         )
         assert isinstance(harness.method2_corelift(loose), harness.Inapplicable)
         assert not isinstance(harness.method1_blocking(loose), harness.Inapplicable)
-        assert harness.pqe_blocking(loose) is not None
+        assert solve_pqe(loose.problem).f1_star is not None
         relational += 1
     assert relational >= 3
     report(f"baseline-trends ({wins}/{total} det wins, {relational} relational bailouts)")
@@ -376,7 +377,7 @@ def test_sat_reduction():
             vs = rng.sample(range(1, 9), 3)
             clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
         x = {v: rng.randrange(2) for v in range(1, 9)}
-        assert harness.pqe_sat_verdict(clauses, x) == sat_solve(clauses).satisfiable, i
+        assert pqe_sat_verdict(clauses, x) == sat_solve(clauses).satisfiable, i
     report("sat-reduction (50/50 agree)")
 
 

@@ -36,8 +36,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 ALLOWED = {
     # the enumeration reference that the D-sequent and calculus tests check records against
     "oracle.verify_dsequent",
-    # SAT by elimination, the entry point test_sat_reduction checks against the SAT core
-    "harness.pqe_sat_verdict",
     # the brute-force reference that test_satcore checks the SAT core against
     "oracle.cnf_satisfiable",
 }

@@ -85,6 +85,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2
 
+    def test_time_budget_exit_code(self, capsys, tmp_path):
+        path = str(tmp_path / "circuit-1.pqe")
+        assert run(capsys, "gen", "circuit", "--inputs", "7", "--gates", "45", "--seed", "1",
+                   "-o", path)[0] == 0
+        code, out, err = run(capsys, "solve", path, "--max-seconds", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: time budget")
+
     def test_resource_limit_exit_code(self, capsys, tmp_path):
         import random
 

@@ -73,8 +73,8 @@ class TestBlocked:
     def setup_method(self):
         self.db = ClauseDb()
         self.c1 = self.db.add((-1, 2), "f1-initial")
-        self.c2 = self.db.add((3, 1), "f2-initial")
-        self.c3 = self.db.add((3, -2), "f2-initial")
+        self.c2 = self.db.add((1, 3), "f2-initial")
+        self.c3 = self.db.add((-2, 3), "f2-initial")
 
     def test_blocked_when_partner_satisfied(self):
         self.db.assign(3, 1)
@@ -118,7 +118,7 @@ class TestClauseDb:
 
     def test_duplicate_returns_existing(self):
         db = ClauseDb()
-        a = db.add((2, 1), "f1-initial")
+        a = db.add(canonical_lits((2, 1)), "f1-initial")
         b = db.add((1, 2), "f2-initial")
         assert a.id == b.id
 
@@ -129,15 +129,16 @@ class TestClauseDb:
         assert not db.is_active(a.id)
         assert db.find_any((1, 2)).id == a.id
         # re-adding its literals returns the stored clause, still out
-        assert db.add((2, 1), "f2-initial") is a
+        assert db.add((1, 2), "f2-initial") is a
         assert not db.is_active(a.id) and len(db) == 1
         db.reactivate(a.id)
         assert db.is_active(a.id)
 
     def test_canonical_order(self):
         db = ClauseDb()
-        c = db.add((3, -1, 2), "f1-initial")
+        c = db.add(canonical_lits((3, -1, 2)), "f1-initial")
         assert c.lits == (-1, 2, 3)
+        assert db.find_any(canonical_lits((2, 3, -1))) is c
 
 
 class TestPropagationState:
@@ -173,7 +174,7 @@ class TestPropagationState:
                 ids = db.all_ids()
                 if op == 0 or not ids:
                     vs = rng.sample(range(1, nv + 1), rng.randint(0, min(3, nv)))
-                    db.add([v if rng.randrange(2) else -v for v in vs], "f1-initial")
+                    db.add(canonical_lits(v if rng.randrange(2) else -v for v in vs), "f1-initial")
                 elif op == 1 and free:
                     v = rng.choice(free)
                     db.assign(v, rng.randrange(2))

@@ -17,10 +17,12 @@ of seeds 83 and 96, which each learn an F2-side conflict clause (the
 `gen circuit --inputs 5 --gates 10 --seed 694 --drop 0.2` (key `drop-694`),
 whose one SAT fallback (`_handle_duplicate`) assumes free-variable entries
 that lie above quantified ones: the only entry that pins which free
-assignments a fallback keeps. Each
-instance is pinned under the default options (key: the instance name) and
-under each option set of CONFIGS (key: instance name, a space, the CONFIGS
-label).
+assignments a fallback keeps, and `gen satred --vars 12 --clauses 51 --seed
+38` (key `satred-38`), whose one fallback under the default options is the
+last branch of `_lrn_falsified`: a falsified clause other than the target
+whose conflict clause is already stored. Each instance is pinned under the
+default options (key: the instance name) and under each option set of
+CONFIGS (key: instance name, a space, the CONFIGS label).
 
 One wide instance, `gen circuit --inputs 20 --gates 2000 --seed 0`, is
 pinned under the default options only (key `wide-0`). The batch above has
@@ -58,7 +60,7 @@ GEN = {
 
 F2_SIDE = {"circuit-83", "circuit-96"}
 
-FALLBACK = {"drop-694"}
+FALLBACK = {"drop-694", "satred-38"}
 
 WIDE = {"wide-0"}  # default options only
 

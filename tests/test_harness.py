@@ -5,7 +5,8 @@ import pytest
 from pqe import harness
 from pqe.formula import clause_satisfied
 from pqe.oracle import cnf_satisfiable
-from tests.conftest import rand_cnf
+from pqe.solver import solve_pqe
+from tests.conftest import pqe_sat_verdict, rand_cnf
 
 
 class TestGenCircuit:
@@ -67,13 +68,13 @@ class TestCircuitToPqe:
     def test_one_gate_and(self):
         circuit = harness.Circuit((1, 2), (harness.Gate(3, "AND", (1, 2)),), (3,))
         inst = harness.circuit_to_pqe(circuit, {3: 1})
-        g = harness.pqe_blocking(inst)
+        g = solve_pqe(inst.problem).f1_star
         assert harness.blocked_inputs(circuit, g) == {(1, 1)}
 
     def test_not_gate_low(self):
         circuit = harness.Circuit((1,), (harness.Gate(2, "NOT", (1,)),), (2,))
         inst = harness.circuit_to_pqe(circuit, {2: 0})
-        g = harness.pqe_blocking(inst)
+        g = solve_pqe(inst.problem).f1_star
         assert harness.blocked_inputs(circuit, g) == {(1,)}
         m1 = harness.method1_blocking(inst)
         m2 = harness.method2_corelift(inst)
@@ -85,7 +86,7 @@ class TestCircuitToPqe:
         # simplest impossible case: XOR of duplicated input is constant 0
         circuit = harness.Circuit((1,), (harness.Gate(2, "XOR", (1, 1)),), (2,))
         inst = harness.circuit_to_pqe(circuit, {2: 1})
-        g = harness.pqe_blocking(inst)
+        g = solve_pqe(inst.problem).f1_star
         assert harness.blocked_inputs(circuit, g) == frozenset()
         assert harness.producing_inputs(circuit, {2: 1}) == frozenset()
 
@@ -118,11 +119,11 @@ def _z(seed, inputs, gates):
 class TestSatReduction:
     def test_contradiction(self):
         inst = harness.sat_reduction_instance([(1,), (-1,)], {1: 1})
-        assert not harness.pqe_sat_verdict([(1,), (-1,)], {1: 1})
+        assert not pqe_sat_verdict([(1,), (-1,)], {1: 1})
         assert inst.problem.y_vars == frozenset()
 
     def test_satisfiable(self):
-        assert harness.pqe_sat_verdict([(1, 2)], {1: 1, 2: 0})
+        assert pqe_sat_verdict([(1, 2)], {1: 1, 2: 0})
 
     def test_agreement_with_satcore(self, rng):
         from pqe.satcore import sat_solve
@@ -130,7 +131,7 @@ class TestSatReduction:
         for _ in range(25):
             clauses = rand_cnf(rng, 8, rng.randint(5, 25))
             x = {v: rng.randrange(2) for v in range(1, 9)}
-            assert harness.pqe_sat_verdict(clauses, x) == sat_solve(clauses).satisfiable
+            assert pqe_sat_verdict(clauses, x) == sat_solve(clauses).satisfiable
 
 
 class TestBaselineMethods:
@@ -144,7 +145,7 @@ class TestBaselineMethods:
             want = harness.producing_inputs(circuit, z)
             assert x_tuple(circuit, x) in want
             for g in (
-                harness.pqe_blocking(inst),
+                solve_pqe(inst.problem).f1_star,
                 harness.method1_blocking(inst),
                 harness.method2_corelift(inst),
             ):
@@ -169,7 +170,7 @@ class TestBaselineMethods:
         )
         assert isinstance(harness.method2_corelift(relational), harness.Inapplicable)
         assert not isinstance(harness.method1_blocking(relational), harness.Inapplicable)
-        assert harness.pqe_blocking(relational) is not None
+        assert solve_pqe(relational.problem).f1_star is not None
 
     def test_budget_respected(self):
         circuit = harness.gen_circuit(3, 4, 9)

@@ -145,8 +145,10 @@ class TestParse:
     @pytest.mark.parametrize(
         "text, kind, where",
         [("p pqe 2 1 0\ne 1 0\n1 x 0\n", PqeSyntaxError, (3, 3)),
-         ("p pqe 2 1 0\ne 1 0\n1 -3 0\n", PqeSemanticError, (3, 3))],
-        ids=["syntax", "semantic"],
+         ("p pqe 2 1 0\ne 1 0\n1 -3 0\n", PqeSemanticError, (3, 3)),
+         ("p pqe 2 1 0\ne 1 0\n1 0 2 0\n", PqeSyntaxError, (3, 3)),
+         ("p pqe 2 -1 0\ne 0\n", PqeSemanticError, (1, 1))],
+        ids=["syntax", "semantic", "zero-literal", "negative-count"],
     )
     def test_errors_share_a_positioned_base(self, text, kind, where):
         with pytest.raises(PositionedError) as e:
@@ -252,3 +254,14 @@ class TestSolution:
     def test_bad_header(self):
         with pytest.raises(PqeSyntaxError):
             parse_solution("v 1 0\n")
+
+    @pytest.mark.parametrize("text", ["", "c a comment only\n"], ids=["empty", "comments-only"])
+    def test_empty_text(self, text):
+        with pytest.raises(PqeSyntaxError, match="missing solution header") as e:
+            parse_solution(text)
+        assert (e.value.line, e.value.col) == (1, 1)
+
+    def test_clause_count_mismatch(self):
+        with pytest.raises(PqeSyntaxError, match="expected 2 clause lines, found 1") as e:
+            parse_solution("c header on line 2\ns pqe 2\n1 0\n")
+        assert (e.value.line, e.value.col) == (2, 1)

@@ -4,8 +4,9 @@ scenarios and the target-stack walkthrough."""
 
 import pytest
 
+from pqe import harness
 from pqe.dsequent import DSequent
-from pqe.formula import EcnfProblem
+from pqe.formula import EcnfProblem, canonical_lits
 from pqe.cli import main
 from pqe.io import parse_pqe
 from pqe.oracle import cnf_satisfiable, enumerate_qe, verify_dsequent, verify_pqe_solution
@@ -21,7 +22,7 @@ def make_engine(x_vars, f1, f2, **cfg):
 
 def start_proof(engine, primary_lits):
     engine._pop_suffix(0)
-    primary = engine.db.find_any(primary_lits)
+    primary = engine.db.find_any(canonical_lits(primary_lits))
     engine.primary = primary.id
     engine.target = primary.id
     return primary
@@ -88,7 +89,7 @@ class TestLearnSatisfiedTarget:
     def test_outcome(self):
         eng = make_engine([1, 2], f1=[(1, 2)], f2=[(3, 1)])
         target = start_proof(eng, (1, 2))
-        helper = eng.db.find_any((3, 1))
+        helper = eng.db.find_any((1, 3))
         eng._apply(3, 0, None)
         eng._apply(1, 1, helper.id)
         out = eng._round_condition()
@@ -104,7 +105,7 @@ class TestLearnBlockedTarget:
     def test_outcome(self):
         eng = make_engine([1, 2, 3], f1=[(2, 3)], f2=[(4, 1), (1, -2)])
         target = start_proof(eng, (2, 3))
-        c1 = eng.db.find_any((4, 1))
+        c1 = eng.db.find_any((1, 4))
         eng._apply(4, 0, None)
         eng._apply(1, 1, c1.id)
         out = eng._bcp()
@@ -129,7 +130,7 @@ class TestLearnFalsifiedNonTarget:
     def test_chain_of_joins(self):
         eng = self.setup_engine((1, 4))
         target = start_proof(eng, (1, 4))
-        c1 = eng.db.find_any((5, -1, 2))
+        c1 = eng.db.find_any((-1, 2, 5))
         c2 = eng.db.find_any((-1, 3))
         c3 = eng.db.find_any((-2, -3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
@@ -149,7 +150,7 @@ class TestLearnFalsifiedTarget:
     def test_record_and_clause(self):
         eng = make_engine([1, 2, 3], f1=[(-2, -3)], f2=[(5, -1, 2), (-1, 3)])
         target = start_proof(eng, (-2, -3))
-        c1 = eng.db.find_any((5, -1, 2))
+        c1 = eng.db.find_any((-1, 2, 5))
         c2 = eng.db.find_any((-1, 3))
         stored = DSequent.make(target.id, {5: 0, 1: 0}, (), "derived")
         eng._apply(5, 0, None)
@@ -171,8 +172,8 @@ class TestLearnActivatedRecord:
     def test_joins_through_reasons(self):
         eng = make_engine([1, 2, 4], f1=[(4,)], f2=[(3, 1), (3, 2)])
         target = start_proof(eng, (4,))
-        c1 = eng.db.find_any((3, 1))
-        c2 = eng.db.find_any((3, 2))
+        c1 = eng.db.find_any((1, 3))
+        c2 = eng.db.find_any((2, 3))
         stored = DSequent.make(target.id, {1: 1, 2: 1}, (), "derived")
         eng._apply(3, 0, None)
         eng._apply(1, 1, c1.id)
@@ -191,7 +192,7 @@ class TestTargetStackWalkthrough:
             f1=[(5, 1)],
             f2=[(-1, 2), (-2, 3, 4), (-5, -3), (3, -4)],
         )
-        ids = {lits: eng.db.find_any(lits).id for lits in
+        ids = {lits: eng.db.find_any(canonical_lits(lits)).id for lits in
                [(5, 1), (-1, 2), (-2, 3, 4), (-5, -3), (3, -4)]}
         return eng, ids
 
@@ -345,7 +346,7 @@ class TestStoredRecordPropagation:
         # a support clause the trail satisfies does not stand in for it
         eng = make_engine([1, 4], f1=[(1, 3)], f2=[(4, -3)])
         target = start_proof(eng, (1, 3))
-        helper = eng.db.find_any((4, -3))
+        helper = eng.db.find_any((-3, 4))
         rec = DSequent.make(target.id, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0)
         eng.db.deactivate(helper.id)
@@ -447,7 +448,7 @@ class TestFreeVariableWalk:
         eng = make_engine([1], f1=[(-1, 4)], f2=[(3, 1)], **cfg)
         target = start_proof(eng, (-1, 4))
         reasons = {
-            "clause": eng.db.find_any((3, 1)).id,
+            "clause": eng.db.find_any((1, 3)).id,
             "decision": None,
             "record": DSequent.make(target.id, {1: 0}, (), "derived"),
         }
@@ -534,18 +535,44 @@ class TestDuplicateRecovery:
             [idx[cid] for cid in record.constraint],
         )
 
-    def test_support_cycles_reach_recovery(self, tmp_path, capsys):
-        # the walk keeping free literals cannot close a support cycle among
-        # partner records: this instance meets two, each counted
-        path = str(tmp_path / "satred-4.pqe")
-        assert main(["gen", "satred", "--vars", "12", "--clauses", "51", "--seed", "4",
+    @staticmethod
+    def satred(seed, tmp_path, capsys):
+        """``pqe gen satred --vars 12 --clauses 51 --seed <seed>``, parsed."""
+        path = str(tmp_path / f"satred-{seed}.pqe")
+        assert main(["gen", "satred", "--vars", "12", "--clauses", "51", "--seed", str(seed),
                      "-o", path]) == 0
         capsys.readouterr()
         with open(path, encoding="utf-8") as fh:
-            problem = parse_pqe(fh.read())
+            return parse_pqe(fh.read())
+
+    def test_support_cycles_reach_recovery(self, tmp_path, capsys):
+        # a blocked clause whose partner records cannot certify it: on this
+        # instance both times because their merged constraint holds the
+        # clause itself (self-support), each counted
+        problem = self.satred(4, tmp_path, capsys)
         res = solve_pqe(problem, SolverConfig(check_invariants=True))
         assert res.stats["duplicates"] == res.stats["sat_calls"] == 2
         assert res.stats["consistency_recoveries"] == 2
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
+
+    def test_stored_resolvent_of_another_clause_reaches_recovery(self, tmp_path, capsys):
+        # the last branch of _lrn_falsified: a falsified clause other than
+        # the target whose conflict clause is already stored. No recovery
+        # is counted, so no partner records failed, and the target is not
+        # falsified, so the walk keeping free literals never ran
+        problem = self.satred(38, tmp_path, capsys)
+        entered = []
+
+        class Watched(Engine):
+            def _handle_duplicate(self):
+                entered.append((self.db.is_falsified(self.target), set(self.db.falsified)))
+                return super()._handle_duplicate()
+
+        res = Watched(problem, SolverConfig(check_invariants=True)).solve()
+        assert res.stats["duplicates"] == res.stats["sat_calls"] == 1
+        assert res.stats["consistency_recoveries"] == 0
+        [(target_falsified, falsified)] = entered
+        assert not target_falsified and falsified
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
     def test_satisfiable_shrink_drops_irrelevant_free_var(self):
@@ -631,6 +658,16 @@ class TestBudgets:
                 hit = True
                 break
         assert hit
+
+
+    def test_time_budget(self):
+        from pqe.satcore import ResourceLimit
+
+        circuit = harness.gen_circuit(1, 7, 45)
+        values = harness.simulate(circuit, {v: 0 for v in circuit.inputs})
+        inst = harness.circuit_to_pqe(circuit, {v: values[v] for v in circuit.outputs})
+        with pytest.raises(ResourceLimit, match="time budget"):
+            solve_pqe(inst.problem, SolverConfig(max_seconds=0))
 
 
 class TestConfigValidation:

@@ -309,7 +309,7 @@ class TestSearchDiscipline:
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         eng._apply(3, 0, None)
-        eng._apply(1, 1, eng.db.find_any((3, 1)).id)
+        eng._apply(1, 1, eng.db.find_any((1, 3)).id)
         eng._apply(4, 0, DSequent.make(eng.target, {4: 1}, (), "derived"))
         walk = Engine._conflict_walk
 
@@ -376,7 +376,7 @@ class TestSearchDiscipline:
         eng = Engine(EcnfProblem.make([1, 4], [(1, 3)], [(4, -3)]),
                      SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
-        helper = eng.db.find_any((4, -3))
+        helper = eng.db.find_any((-3, 4))
         rec = DSequent.make(eng.target, {3: 0}, {helper.id}, "derived")
         eng.store.consider(rec, 0)
         eng._apply(3, 0, None)
@@ -397,8 +397,7 @@ class TestSearchDiscipline:
 
 class TestSatReductionAgreement:
     def test_matches_brute_force(self):
-        from pqe.harness import pqe_sat_verdict
-        from tests.conftest import rand_cnf
+        from tests.conftest import pqe_sat_verdict, rand_cnf
 
         rng = random.Random(6)
         for _ in range(30):

@@ -5,10 +5,11 @@ Run from the root of a checkout:
     python3 tools/contract_digest.py
 
 Prints ``<pairs> <sha256>``: the number of instance/config pairs solved and
-the SHA-256 of every pair's answer, ``--stats=kv`` lines and ``DS`` trace
-lines. Two commits whose engines answer, count and learn alike print the
-same digest, so a refactor that must not change behaviour is checked by
-running this script on both commits. Sixteen lines follow, one per batch
+the SHA-256 of every pair's answer, ``--stats=kv`` lines (made by
+``pqe.cli.stats_kv``, as ``pqe solve`` makes them) and ``DS`` trace lines.
+Two commits whose engines answer, count and learn alike print the same
+digest, so a refactor that must not change behaviour is checked by running
+this script on both commits. Sixteen lines follow, one per batch
 section and config, ``<section> <config> <pairs> <sha256>``, each hashing
 the same text for that section's pairs alone: a diff of two outputs names
 the sections a change moved.
@@ -43,6 +44,7 @@ from perfbench import workloads  # noqa: E402
 from pqe import dsequent  # noqa: E402
 from pqe import io as pqeio  # noqa: E402
 from pqe import oracle  # noqa: E402
+from pqe.cli import stats_kv  # noqa: E402
 from pqe.solver import SolverConfig, solve_pqe  # noqa: E402
 from tests.conftest import rand_problem  # noqa: E402
 
@@ -78,10 +80,9 @@ def batch():
 
 
 def observable(problem, config, on_dsequent=None):
-    """The answer, and its text with the kv stats lines, of one solve."""
+    """The answer, and its text with the ``--stats=kv`` lines, of one solve."""
     res = solve_pqe(problem, config, on_dsequent)
-    kv = "".join(f"{k}={v}\n" for k, v in sorted(res.stats.items()) if k != "wall_time_s")
-    return res.f1_star, pqeio.write_solution(res.f1_star) + kv
+    return res.f1_star, pqeio.write_solution(res.f1_star) + stats_kv(res.stats)
 
 
 def main() -> int:
