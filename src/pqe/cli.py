@@ -84,7 +84,7 @@ def _cmd_gen(args) -> int:
             inst = harness.drop_clauses(inst, args.drop, args.seed ^ 0xD209)
         text = pqeio.write_pqe(inst.problem, comment=f"circuit seed={args.seed}")
         det = bool(inst.meta.get("det", True))
-        line = harness.manifest_line(args.seed, args.seed, args.inputs, args.gates, det, args.output)
+        line = harness.manifest_line(args.seed, args.inputs, args.gates, det, args.output)
     else:
         if args.vars < 1:
             raise ValueError(f"--vars must be 1 or more, not {args.vars}")
@@ -99,7 +99,7 @@ def _cmd_gen(args) -> int:
         x = {v: rng.randrange(2) for v in range(1, args.vars + 1)}
         inst = harness.sat_reduction_instance(clauses, x)
         text = pqeio.write_pqe(inst.problem, comment=f"satred seed={args.seed}")
-        line = harness.manifest_line(args.seed, args.seed, args.vars, args.clauses, True, args.output)
+        line = harness.manifest_line(args.seed, args.vars, args.clauses, True, args.output)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(line)

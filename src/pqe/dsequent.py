@@ -11,15 +11,13 @@ removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .formula import (
     Assignment,
     Clause,
-    NotResolvable,
     PqeError,
     assignments_compatible,
-    assignments_resolvable,
     cofactor_clause,
     falsifying_assignment,
     resolve_assignments,
@@ -27,40 +25,18 @@ from .formula import (
 )
 
 
-class NotSatisfying(PqeError):
-    pass
+class InvalidRule(PqeError):
+    """A rule was applied to premises that do not support it; the message
+    names the premise that failed."""
 
 
-class NoImplication(PqeError):
-    pass
-
-
-class TargetNotXClause(PqeError):
-    pass
-
-
-class InconsistentInputs(PqeError):
-    pass
-
-
-class IncompatibleConditionals(PqeError):
-    pass
-
-
-class TargetMismatch(PqeError):
-    pass
-
-
-class NotInConstraint(PqeError):
-    pass
+class InconsistentInputs(InvalidRule):
+    """Partner records that cannot certify a blocked clause: one names the
+    clause in its constraint (self-support), or they admit no application
+    order (a cycle). The engine answers this one by its SAT fallback."""
 
 
 CondItems = Tuple[Tuple[int, int], ...]
-
-
-def _freeze_cond(q: Union[Assignment, CondItems]) -> CondItems:
-    items = q.items() if isinstance(q, dict) else q
-    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
@@ -70,20 +46,16 @@ class DSequent:
     target: int
     conditional: CondItems
     constraint: frozenset
-    rule: str = "derived"
+    rule: str
 
     @classmethod
     def make(
-        cls,
-        target: int,
-        conditional: Union[Assignment, CondItems],
-        constraint: Iterable[int],
-        rule: str = "derived",
+        cls, target: int, conditional: Assignment, constraint: Iterable[int], rule: str
     ) -> "DSequent":
         cons = frozenset(constraint)
         if target in cons:
             raise InconsistentInputs(f"target {target} inside its own constraint")
-        return cls(target, _freeze_cond(conditional), cons, rule)
+        return cls(target, tuple(sorted(conditional.items())), cons, rule)
 
     def cond(self) -> Assignment:
         return dict(self.conditional)
@@ -110,7 +82,7 @@ def atomic_first_kind(c: Clause, v: int, b: int) -> DSequent:
     """The target is satisfied by v=b; no other clause is involved."""
     lit = c.lit_on(v)
     if lit is None or (b == 1) != (lit > 0):
-        raise NotSatisfying(f"{v}={b} does not satisfy clause {c.id}")
+        raise InvalidRule(f"{v}={b} does not satisfy clause {c.id}")
     return DSequent.make(c.id, {v: b}, (), "atomic1")
 
 
@@ -118,15 +90,15 @@ def atomic_second_kind(c: Clause, b: Clause, q: Assignment, x_vars: Iterable[int
     """Under q, clause b implies the target c, so c is redundant while b is present.
 
     The engine does not call it; ``perfbench/tracing.py`` patches it by name,
-    so it goes when the tracer stops patching names (ROADMAP item 4).
+    so it goes when the tracer stops patching names (ROADMAP item 17).
     """
     xs = set(x_vars)
     cq = cofactor_clause(c, q)
     if cq is SATISFIED or not any(abs(l) in xs for l in cq):
-        raise TargetNotXClause(f"clause {c.id} cofactored by q has no quantified literal")
+        raise InvalidRule(f"clause {c.id} cofactored by q has no quantified literal")
     bq = cofactor_clause(b, q)
     if bq is SATISFIED or not set(bq) <= set(cq):
-        raise NoImplication(f"clause {b.id} does not imply clause {c.id} under q")
+        raise InvalidRule(f"clause {b.id} does not imply clause {c.id} under q")
     return DSequent.make(c.id, q, {b.id}, "atomic2")
 
 
@@ -138,7 +110,7 @@ def falsified_clause_dsequent(target: Clause, b: Clause) -> DSequent:
     No quantified-literal check is needed in this degenerate case.
     """
     if b.id == target.id:
-        raise NotInConstraint("a clause cannot certify its own redundancy")
+        raise InvalidRule(f"clause {b.id} cannot certify its own redundancy")
     return DSequent.make(target.id, falsifying_assignment(b.lits), {b.id}, "atomic2")
 
 
@@ -147,11 +119,11 @@ def atomic_third_kind(
 ) -> DSequent:
     """The target is blocked at quantified variable v given records for all partners."""
     if v not in x_vars or c.lit_on(v) is None:
-        raise TargetNotXClause(f"{v} is not a quantified variable of clause {c.id}")
+        raise InvalidRule(f"{v} is not a quantified variable of clause {c.id}")
     res = check_consistency(resolvable_dseqs)
     if isinstance(res, Inconsistent):
         if res.incompatible is not None:
-            raise IncompatibleConditionals(f"clashing conditionals among inputs: {res}")
+            raise InvalidRule(f"clashing conditionals among inputs: {res}")
         raise InconsistentInputs(f"inputs admit no application order: {res}")
     merged: Assignment = {}
     for ds in resolvable_dseqs:
@@ -167,29 +139,25 @@ def join(s1: DSequent, s2: DSequent, v: int) -> DSequent:
     """Merge two records for one target whose conditionals clash exactly on v.
 
     The engine does not call it; ``perfbench/tracing.py`` patches it by name,
-    so it goes when the tracer stops patching names (ROADMAP item 4).
+    so it goes when the tracer stops patching names (ROADMAP item 17).
     """
     if s1.target != s2.target:
-        raise TargetMismatch(f"targets {s1.target} and {s2.target} differ")
-    q1, q2 = s1.cond(), s2.cond()
-    if assignments_resolvable(q1, q2) != v:
-        raise NotResolvable(f"conditionals do not clash exactly on {v}")
-    return DSequent.make(
-        s1.target, resolve_assignments(q1, q2, v), s1.constraint | s2.constraint, "join"
-    )
+        raise InvalidRule(f"targets {s1.target} and {s2.target} differ")
+    q = resolve_assignments(s1.cond(), s2.cond(), v)
+    return DSequent.make(s1.target, q, s1.constraint | s2.constraint, "join")
 
 
 def substitute(s1: DSequent, s2: DSequent) -> DSequent:
     """Replace a constraint clause of s1 by the support of a record proving it.
 
     The engine does not call it; ``perfbench/tracing.py`` patches it by name,
-    so it goes when the tracer stops patching names (ROADMAP item 4).
+    so it goes when the tracer stops patching names (ROADMAP item 17).
     """
     if s2.target not in s1.constraint:
-        raise NotInConstraint(f"clause {s2.target} not in the constraint of {s1}")
+        raise InvalidRule(f"clause {s2.target} not in the constraint of {s1}")
     q1, q2 = s1.cond(), s2.cond()
     if not assignments_compatible(q1, q2):
-        raise IncompatibleConditionals("conditionals clash")
+        raise InvalidRule(f"conditionals of {s1} and {s2} clash")
     q1.update(q2)
     return DSequent.make(
         s1.target, q1, (s1.constraint - {s2.target}) | s2.constraint, "substitute"
@@ -266,22 +234,18 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
 
 class DSequentStore:
     """Learned records by target, kept as derived for targets at most
-    ``learn_depth_k`` levels deep (none at k = -1). A record equal to a
-    stored one in target, conditional and constraint is not stored again."""
+    ``learn_depth_k`` levels deep (none at k = -1). Per target the records
+    are keyed by conditional and constraint, in the order they arrived, so
+    a record equal to a stored one is not stored again."""
 
     def __init__(self, learn_depth_k: int):
         self.learn_depth_k = learn_depth_k
-        self.by_target: Dict[int, List[DSequent]] = {}
-        self._seen: Set[Tuple[int, CondItems, frozenset]] = set()
+        self.by_target: Dict[int, Dict[Tuple[CondItems, frozenset], DSequent]] = {}
 
     def consider(self, ds: DSequent, depth: int) -> None:
         """Store a record for a target ``depth`` levels deep, as k allows."""
-        if depth > self.learn_depth_k:
-            return
-        key = (ds.target, ds.conditional, ds.constraint)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.by_target.setdefault(ds.target, []).append(ds)
+        if depth <= self.learn_depth_k:
+            self.by_target.setdefault(ds.target, {}).setdefault((ds.conditional, ds.constraint), ds)
 
-    def records_for(self, target: int) -> Sequence[DSequent]:
-        return self.by_target.get(target, ())
+    def records_for(self, target: int) -> Collection[DSequent]:
+        return self.by_target.get(target, {}).values()

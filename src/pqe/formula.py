@@ -104,14 +104,10 @@ def falsifying_assignment(lits: Sequence[int]) -> Assignment:
     return {abs(l): 0 if l > 0 else 1 for l in lits}
 
 
-def clashing_vars(lits1: Sequence[int], lits2: Sequence[int]) -> Tuple[int, ...]:
-    other = set(lits2)
-    return tuple(sorted(abs(l) for l in lits1 if -l in other))
-
-
 def resolvable_on(lits1: Sequence[int], lits2: Sequence[int], v: int) -> bool:
-    clash = clashing_vars(lits1, lits2)
-    return clash == (v,)
+    """The two clauses clash on v and on no other variable."""
+    other = set(lits2)
+    return [abs(l) for l in lits1 if -l in other] == [v]
 
 
 def assignments_compatible(q1: Assignment, q2: Assignment) -> bool:
@@ -137,20 +133,17 @@ def resolve_assignments(q1: Assignment, q2: Assignment, v: int) -> Assignment:
 
 @dataclass(frozen=True)
 class Clause:
-    """Canonicalized clause with a stable id and an origin marker."""
+    """Canonicalized clause with a stable id and its block."""
 
     id: int
     lits: Lits
-    origin: str  # f1-initial | f2-initial | derived-f1 | derived-f2
+    f1_side: bool  # in F1, or derived with an F1 clause among its premises
 
     def lit_on(self, v: int) -> Optional[int]:
         for l in self.lits:
             if abs(l) == v:
                 return l
         return None
-
-    def is_f1_side(self) -> bool:
-        return self.origin in ("f1-initial", "derived-f1")
 
 
 class ClauseDb:
@@ -197,14 +190,14 @@ class ClauseDb:
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
         self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
 
-    def add(self, key: Lits, origin: str) -> Clause:
+    def add(self, key: Lits, f1_side: bool) -> Clause:
         """Insert a clause given in ``canonical_lits`` form; a duplicate
         returns the stored one, live or not."""
         hit = self._ids.get(key)
         if hit is not None:
             return self._clauses[hit]
         cid = len(self._clauses)
-        clause = Clause(cid, key, origin)
+        clause = Clause(cid, key, f1_side)
         self._clauses.append(clause)
         self._active.append(True)
         self._ids[key] = cid
@@ -388,13 +381,10 @@ def is_blocked(db: ClauseDb, c: Clause, v: int) -> bool:
     lit = c.lit_on(v)
     if lit is None:
         raise ValueError(f"variable {v} does not occur in clause {c.id}")
-    mine = set(c.lits)
     for cid in db.occurrences(-lit):
         partner = db.clause(cid).lits
-        if cid == c.id or not db.is_active(cid) or clause_satisfied(partner, db.values):
-            continue
-        # the partner holds -lit; it resolves with c iff that is its only clash
-        if not any(-l in mine for l in partner if l != -lit):
+        live = db.is_active(cid) and not clause_satisfied(partner, db.values)
+        if live and resolvable_on(c.lits, partner, v):
             return False
     return True
 

@@ -245,5 +245,6 @@ def producing_inputs(circuit: Circuit, z: Assignment) -> frozenset:
     return frozenset(out)
 
 
-def manifest_line(idx: int, seed: int, inputs: int, gates: int, det: bool, path: str) -> str:
-    return f"{idx} {seed} {inputs} {gates} {'det' if det else 'nondet'} {path}"
+def manifest_line(seed: int, inputs: int, gates: int, det: bool, path: str) -> str:
+    """The line ``pqe gen`` prints: the seed twice (index and seed columns)."""
+    return f"{seed} {seed} {inputs} {gates} {'det' if det else 'nondet'} {path}"

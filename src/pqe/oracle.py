@@ -25,9 +25,9 @@ class TooLarge(PqeError):
     """Instance exceeds the enumeration caps."""
 
 
-def _check_cap(name: str, n: int, cap: int = ENUM_CAP) -> None:
-    if n > cap:
-        raise TooLarge(f"{name} has {n} variables, cap is {cap}")
+def _check_cap(name: str, n: int) -> None:
+    if n > ENUM_CAP:
+        raise TooLarge(f"{name} has {n} variables, cap is {ENUM_CAP}")
 
 
 def _mask_clauses(

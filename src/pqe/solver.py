@@ -200,9 +200,9 @@ class Engine:
         # ascending: derived clauses get higher ids than every stored one
         self.f1_ids: List[int] = []
         for lits in problem.f1:
-            self.f1_ids.append(self.db.add(lits, "f1-initial").id)
+            self.f1_ids.append(self.db.add(lits, True).id)
         for lits in problem.f2:
-            self.db.add(lits, "f2-initial")
+            self.db.add(lits, False)
         self.store = DSequentStore(self.config.learn_depth_k)
         self.stats: Dict[str, object] = {k: 0 for k in _STAT_KEYS}
         # search state, reset per proof; the store owns the assignment
@@ -638,7 +638,7 @@ class Engine:
         """
         start = self.db.clause(start_cid)
         work = set(start.lits)  # all false
-        f1_side = start.is_f1_side()
+        f1_side = start.f1_side
         x_vars = self.x_vars
         for entry in reversed(self.trail):
             lit = -entry.var if entry.val else entry.var
@@ -647,7 +647,7 @@ class Engine:
             if entry.reason is None or isinstance(entry.reason, DSequent):
                 return tuple(sorted(work, key=abs)), f1_side, entry.reason is not None
             reason = self.db.clause(entry.reason)
-            f1_side = f1_side or reason.is_f1_side()
+            f1_side = f1_side or reason.f1_side
             work.remove(lit)
             work.update(l for l in reason.lits if l != -lit)
         return tuple(sorted(work, key=abs)), f1_side, False
@@ -859,7 +859,7 @@ class Engine:
         if self.config.check_invariants:
             assert lits == canonical_lits(lits), f"derived clause {lits} is not canonical"
         before = len(self.db)
-        clause = self.db.add(lits, "derived-f1" if f1_side else "derived-f2")
+        clause = self.db.add(lits, f1_side)
         # an implied clause leaves every learned record valid: none is touched
         if len(self.db) > before:
             if f1_side:

@@ -148,7 +148,7 @@ class _CalculusArena:
                 continue
             seen.add(lits)
             self.clauses.append(lits)
-            self.db.add(lits, "f2-initial")
+            self.db.add(lits, False)
         self.x_set = set(self.xs)
 
     def clause(self, idx):

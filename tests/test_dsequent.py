@@ -6,14 +6,9 @@ from pqe.dsequent import (
     Consistent,
     DSequent,
     DSequentStore,
-    IncompatibleConditionals,
     Inconsistent,
     InconsistentInputs,
-    NoImplication,
-    NotInConstraint,
-    NotSatisfying,
-    TargetMismatch,
-    TargetNotXClause,
+    InvalidRule,
     atomic_first_kind,
     atomic_second_kind,
     atomic_third_kind,
@@ -32,7 +27,7 @@ def ds(target, cond, constraint, rule="derived"):
 
 
 class TestAtomicFirstKind:
-    C = Clause(9, (-5, 6), "f2-initial")  # x5=5 quantified, y1=6 free
+    C = Clause(9, (-5, 6), False)  # x5=5 quantified, y1=6 free
 
     def test_free_var_side(self):
         out = atomic_first_kind(self.C, 6, 1)
@@ -43,42 +38,42 @@ class TestAtomicFirstKind:
         assert out.cond() == {5: 0} and out.constraint == frozenset()
 
     def test_wrong_polarity(self):
-        with pytest.raises(NotSatisfying):
+        with pytest.raises(InvalidRule, match="5=1 does not satisfy clause 9"):
             atomic_first_kind(self.C, 5, 1)
 
 
 class TestAtomicSecondKind:
-    B = Clause(1, (2, 4), "f2-initial")  # y1 v x2 with y1=4, x2=2
-    C = Clause(2, (2, -3), "f1-initial")  # x2 v -x3
+    B = Clause(1, (2, 4), False)  # y1 v x2 with y1=4, x2=2
+    C = Clause(2, (2, -3), True)  # x2 v -x3
 
     def test_implication_under_subspace(self):
         out = atomic_second_kind(self.C, self.B, {4: 0}, x_vars=(2, 3))
         assert out.cond() == {4: 0} and out.constraint == {self.B.id}
 
     def test_duplicate_self_implication(self):
-        twin = Clause(3, (2, -3), "f2-initial")
+        twin = Clause(3, (2, -3), False)
         out = atomic_second_kind(self.C, twin, {}, x_vars=(2, 3))
         assert out.cond() == {} and out.constraint == {twin.id}
 
     def test_no_implication_without_subspace(self):
-        with pytest.raises(NoImplication):
+        with pytest.raises(InvalidRule, match="clause 1 does not imply clause 2 under q"):
             atomic_second_kind(self.C, self.B, {}, x_vars=(2, 3))
 
     def test_target_must_stay_quantified(self):
-        c = Clause(4, (2, 5), "f1-initial")  # x2 v y2
-        b = Clause(5, (5,), "f2-initial")
-        with pytest.raises(TargetNotXClause):
+        c = Clause(4, (2, 5), True)  # x2 v y2
+        b = Clause(5, (5,), False)
+        with pytest.raises(InvalidRule, match="clause 4 cofactored by q has no quantified literal"):
             atomic_second_kind(c, b, {2: 0}, x_vars=(2, 3))
 
     def test_falsified_form_needs_no_quantified_cofactor(self):
-        c = Clause(4, (2, 5), "f1-initial")
-        b = Clause(5, (2,), "f2-initial")
+        c = Clause(4, (2, 5), True)
+        b = Clause(5, (2,), False)
         out = falsified_clause_dsequent(c, b)
         assert out.cond() == {2: 0} and out.constraint == {b.id}
 
 
 class TestAtomicThirdKind:
-    C1 = Clause(11, (1, 2), "f1-initial")
+    C1 = Clause(11, (1, 2), True)
 
     def test_merges_partner_records(self):
         s2 = ds(12, {3: 1}, ())
@@ -92,8 +87,9 @@ class TestAtomicThirdKind:
         assert out.cond() == {} and out.constraint == frozenset()
 
     def test_clash_rejected(self):
-        with pytest.raises(IncompatibleConditionals):
+        with pytest.raises(InvalidRule, match="clashing conditionals among inputs") as err:
             atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())])
+        assert not isinstance(err.value, InconsistentInputs)  # the engine must not swallow it
 
     def test_support_cycle_rejected(self):
         with pytest.raises(InconsistentInputs, match="application order"):
@@ -102,6 +98,52 @@ class TestAtomicThirdKind:
     def test_target_in_partner_constraint_rejected(self):
         with pytest.raises(InconsistentInputs, match="own constraint"):
             atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 1}, {11})])
+
+
+# Every premise of every rule, failed: (the call, its message naming the
+# premise, whether it is the one error the engine recovers from). Only
+# partner records that cannot certify a blocked clause, by self-support or
+# by a cycle, reach the SAT fallback; any other failed premise is a defect
+# the engine must not swallow. join's clash on v is the premise of
+# ``formula.resolve_assignments``, which raises ``NotResolvable`` (TestJoin).
+C9 = Clause(9, (-5, 6), False)
+C11 = Clause(11, (1, 2), True)
+FAILED_PREMISES = [
+    pytest.param(lambda: atomic_first_kind(C9, 5, 1), "5=1 does not satisfy clause 9", False,
+                 id="atomic1-wrong-value"),
+    pytest.param(lambda: atomic_first_kind(C9, 7, 1), "7=1 does not satisfy clause 9", False,
+                 id="atomic1-absent-variable"),
+    pytest.param(lambda: atomic_second_kind(Clause(4, (2, 5), True), Clause(5, (5,), False), {2: 0}, (2, 3)),
+                 "clause 4 cofactored by q has no quantified literal", False, id="atomic2-target-free"),
+    pytest.param(lambda: atomic_second_kind(Clause(2, (2, -3), True), Clause(1, (2, 4), False), {}, (2, 3)),
+                 "clause 1 does not imply clause 2 under q", False, id="atomic2-no-implication"),
+    pytest.param(lambda: falsified_clause_dsequent(C9, C9), "clause 9 cannot certify its own redundancy",
+                 False, id="falsified-by-itself"),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (2,), []), "1 is not a quantified variable of clause 11",
+                 False, id="atomic3-free-variable"),
+    pytest.param(lambda: atomic_third_kind(C11, 3, (1, 2, 3), []), "3 is not a quantified variable of clause 11",
+                 False, id="atomic3-absent-variable"),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())]),
+                 "clashing conditionals among inputs", False, id="atomic3-clash"),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})]),
+                 "inputs admit no application order", True, id="atomic3-cycle"),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 1}, {11})]),
+                 "target 11 inside its own constraint", True, id="atomic3-self-support"),
+    pytest.param(lambda: ds(5, {}, {5}), "target 5 inside its own constraint", True, id="make-self-support"),
+    pytest.param(lambda: join(ds(21, {4: 0}, ()), ds(22, {4: 1}, ()), 4), "targets 21 and 22 differ", False,
+                 id="join-targets"),
+    pytest.param(lambda: substitute(ds(30, {}, {31}), ds(99, {}, ())), "clause 99 not in the constraint", False,
+                 id="substitute-membership"),
+    pytest.param(lambda: substitute(ds(30, {1: 0}, {31}), ds(31, {1: 1}, ())), "conditionals of .* clash", False,
+                 id="substitute-clash"),
+]
+
+
+@pytest.mark.parametrize("build, premise, recovered", FAILED_PREMISES)
+def test_failed_premise_is_named_and_only_inconsistent_inputs_recover(build, premise, recovered):
+    with pytest.raises(InvalidRule, match=premise) as err:
+        build()
+    assert isinstance(err.value, InconsistentInputs) == recovered
 
 
 class TestJoin:
@@ -117,11 +159,11 @@ class TestJoin:
         assert out.cond() == {} and out.constraint == frozenset()
 
     def test_no_clash_rejected(self):
-        with pytest.raises(NotResolvable):
+        with pytest.raises(NotResolvable, match="do not clash exactly on 4"):
             join(ds(21, {4: 0}, ()), ds(21, {4: 0}, ()), 4)
 
     def test_target_mismatch(self):
-        with pytest.raises(TargetMismatch):
+        with pytest.raises(InvalidRule, match="targets 21 and 22 differ"):
             join(ds(21, {4: 0}, ()), ds(22, {4: 1}, ()), 4)
 
 
@@ -139,11 +181,11 @@ class TestUpdateSubstituteStrengthen:
         assert out.constraint == {32, 33}
 
     def test_substitute_requires_membership(self):
-        with pytest.raises(NotInConstraint):
+        with pytest.raises(InvalidRule, match="clause 99 not in the constraint"):
             substitute(ds(30, {}, {31}), ds(99, {}, ()))
 
     def test_substitute_requires_compatibility(self):
-        with pytest.raises(IncompatibleConditionals):
+        with pytest.raises(InvalidRule, match="conditionals of .* clash"):
             substitute(ds(30, {1: 0}, {31}), ds(31, {1: 1}, ()))
 
 class TestReusePredicates:
@@ -238,17 +280,17 @@ class TestRetentionAndStore:
         store.consider(first, 0)
         # equal in target, conditional and constraint: kept once
         store.consider(ds(self.TGT, {5: 0}, {self.B, self.A}), 0)
-        assert store.records_for(self.TGT) == [first]
+        assert list(store.records_for(self.TGT)) == [first]
         # a record that differs only in its constraint is a second record,
         # kept after the first
         other = ds(self.TGT, {5: 0}, {self.B})
         store.consider(other, 0)
-        assert store.records_for(self.TGT) == [first, other]
+        assert list(store.records_for(self.TGT)) == [first, other]
 
     def test_deeper_than_k_dropped(self):
         store = DSequentStore(2)
         store.consider(ds(self.TGT, {5: 0}, ()), 3)
-        assert store.records_for(self.TGT) == ()
+        assert not store.records_for(self.TGT)
         store.consider(ds(self.TGT, {5: 0}, ()), 2)
         assert len(store.records_for(self.TGT)) == 1
 
@@ -263,7 +305,7 @@ class TestRetentionAndStore:
         store.consider(s, 0)
         # an equal record is already stored: not re-added
         store.consider(s, 0)
-        assert store.records_for(self.TGT) == [s]
+        assert list(store.records_for(self.TGT)) == [s]
 
     def test_store_rejects_by_depth(self):
         store = DSequentStore(0)

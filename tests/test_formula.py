@@ -72,9 +72,9 @@ class TestCofactor:
 class TestBlocked:
     def setup_method(self):
         self.db = ClauseDb()
-        self.c1 = self.db.add((-1, 2), "f1-initial")
-        self.c2 = self.db.add((1, 3), "f2-initial")
-        self.c3 = self.db.add((-2, 3), "f2-initial")
+        self.c1 = self.db.add((-1, 2), True)
+        self.c2 = self.db.add((1, 3), False)
+        self.c3 = self.db.add((-2, 3), False)
 
     def test_blocked_when_partner_satisfied(self):
         self.db.assign(3, 1)
@@ -85,7 +85,7 @@ class TestBlocked:
 
     def test_lone_clause_is_blocked(self):
         db = ClauseDb()
-        c = db.add((-1, 2), "f1-initial")
+        c = db.add((-1, 2), True)
         assert is_blocked(db, c, 1)
         assert is_blocked(db, c, 2)
 
@@ -95,8 +95,8 @@ class TestBlocked:
 
     def test_double_clash_partner_ignored(self):
         db = ClauseDb()
-        c = db.add((1, 2), "f1-initial")
-        db.add((-1, -2), "f2-initial")  # resolves to a tautology
+        c = db.add((1, 2), True)
+        db.add((-1, -2), False)  # resolves to a tautology
         assert is_blocked(db, c, 1)
 
 
@@ -118,25 +118,25 @@ class TestClauseDb:
 
     def test_duplicate_returns_existing(self):
         db = ClauseDb()
-        a = db.add(canonical_lits((2, 1)), "f1-initial")
-        b = db.add((1, 2), "f2-initial")
+        a = db.add(canonical_lits((2, 1)), True)
+        b = db.add((1, 2), False)
         assert a.id == b.id
 
     def test_soft_delete_and_restore(self):
         db = ClauseDb()
-        a = db.add((1, 2), "f1-initial")
+        a = db.add((1, 2), True)
         db.deactivate(a.id)
         assert not db.is_active(a.id)
         assert db.find_any((1, 2)).id == a.id
         # re-adding its literals returns the stored clause, still out
-        assert db.add((1, 2), "f2-initial") is a
+        assert db.add((1, 2), False) is a
         assert not db.is_active(a.id) and len(db) == 1
         db.reactivate(a.id)
         assert db.is_active(a.id)
 
     def test_canonical_order(self):
         db = ClauseDb()
-        c = db.add(canonical_lits((3, -1, 2)), "f1-initial")
+        c = db.add(canonical_lits((3, -1, 2)), True)
         assert c.lits == (-1, 2, 3)
         assert db.find_any(canonical_lits((2, 3, -1))) is c
 
@@ -144,8 +144,8 @@ class TestClauseDb:
 class TestPropagationState:
     def test_counts_follow_assignments(self):
         db = ClauseDb()
-        a = db.add((1, 2, 3), "f1-initial")
-        b = db.add((-1,), "f2-initial")
+        a = db.add((1, 2, 3), True)
+        b = db.add((-1,), False)
         assert db.units == {b.id} and db.falsified == set()
         db.assign(1, 1)
         assert db.is_satisfied(a.id) and db.falsified == {b.id} and db.units == set()
@@ -159,7 +159,7 @@ class TestPropagationState:
         assert db.is_falsified(a.id) and db.falsified == set()
         db.reactivate(a.id)
         assert db.falsified == {a.id}
-        c = db.add((2, -3), "derived-f1")  # added under the current assignment
+        c = db.add((2, -3), True)  # added under the current assignment
         assert db.is_satisfied(c.id) and c.id not in db.units
 
     def test_sets_match_a_full_scan(self):
@@ -174,7 +174,7 @@ class TestPropagationState:
                 ids = db.all_ids()
                 if op == 0 or not ids:
                     vs = rng.sample(range(1, nv + 1), rng.randint(0, min(3, nv)))
-                    db.add(canonical_lits(v if rng.randrange(2) else -v for v in vs), "f1-initial")
+                    db.add(canonical_lits(v if rng.randrange(2) else -v for v in vs), True)
                 elif op == 1 and free:
                     v = rng.choice(free)
                     db.assign(v, rng.randrange(2))

@@ -13,14 +13,19 @@ or trace line here must say why and re-record the file.
 Batch: the shipped golden instance, `gen circuit --inputs 7 --gates 45` and
 `gen satred --vars 12 --clauses 51`, each with seeds 1-5, and the circuits
 of seeds 83 and 96, which each learn an F2-side conflict clause (the
-`derived-f2` path, `clauses_added_f2`) under most option sets, and
+F2-side path, `clauses_added_f2`) under most option sets, and
 `gen circuit --inputs 5 --gates 10 --seed 694 --drop 0.2` (key `drop-694`),
 whose one SAT fallback (`_handle_duplicate`) assumes free-variable entries
 that lie above quantified ones: the only entry that pins which free
 assignments a fallback keeps, and `gen satred --vars 12 --clauses 51 --seed
 38` (key `satred-38`), whose one fallback under the default options is the
 last branch of `_lrn_falsified`: a falsified clause other than the target
-whose conflict clause is already stored. Each instance is pinned under the
+whose conflict clause is already stored, and `tests/data/cone-231.pqe` (key
+`cone-231`, the perfbench circuit-cone instance of seed 1, case 231,
+checked in because no `pqe gen` command builds a cone), whose two
+fallbacks under the default options, `learn-k=-1` and `learn-k=2` are
+consistency recoveries from a support cycle: partner records that admit no
+application order. Each instance is pinned under the
 default options (key: the instance name) and under each option set of
 CONFIGS (key: instance name, a space, the CONFIGS label).
 
@@ -60,7 +65,9 @@ GEN = {
 
 F2_SIDE = {"circuit-83", "circuit-96"}
 
-FALLBACK = {"drop-694", "satred-38"}
+FALLBACK = {"drop-694", "satred-38", "cone-231"}
+
+CHECKED_IN = {"cone-231"}  # instance files in tests/data
 
 WIDE = {"wide-0"}  # default options only
 
@@ -104,6 +111,8 @@ def _mirror_solution(text):
 def _instance(name, tmp_path, capsys):
     if name == "golden":
         return GOLDEN_PATH
+    if name in CHECKED_IN:
+        return os.path.join(HERE, "data", f"{name}.pqe")
     kind, seed = name.split("-")
     path = str(tmp_path / f"{name}.pqe")
     assert main(["gen", *GEN[kind], "--seed", seed, "-o", path]) == 0

@@ -186,5 +186,5 @@ def x_tuple(circuit, x):
 
 
 def test_manifest_line():
-    assert harness.manifest_line(3, 7, 4, 12, True, "a.pqe") == "3 7 4 12 det a.pqe"
-    assert harness.manifest_line(3, 7, 4, 12, False, "a.pqe") == "3 7 4 12 nondet a.pqe"
+    assert harness.manifest_line(7, 4, 12, True, "a.pqe") == "7 7 4 12 det a.pqe"
+    assert harness.manifest_line(7, 4, 12, False, "a.pqe") == "7 7 4 12 nondet a.pqe"

@@ -1,9 +1,11 @@
 """Scripted regressions for the proof engine, including the worked learning
 scenarios and the target-stack walkthrough."""
 
+import os
 
 import pytest
 
+from pqe import dsequent as dsq
 from pqe import harness
 from pqe.dsequent import DSequent
 from pqe.formula import EcnfProblem, canonical_lits
@@ -13,6 +15,7 @@ from pqe.oracle import cnf_satisfiable, enumerate_qe, verify_dsequent, verify_pq
 from pqe.solver import Engine, SolverConfig, solve_pqe
 
 GOLDEN = "p pqe 3 1 2\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n"
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def make_engine(x_vars, f1, f2, **cfg):
@@ -160,7 +163,7 @@ class TestLearnFalsifiedTarget:
         out = eng._lrn_falsified(target.id)
         helper = eng.db.find_any((-1, 5))
         assert helper is not None
-        assert helper.is_f1_side()
+        assert helper.f1_side
         assert isinstance(out, DSequent)
         assert out.cond() == {5: 0}
         assert out.constraint == {helper.id}
@@ -463,7 +466,9 @@ class TestFreeVariableWalk:
         assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 0
         assert len(eng.trail) == 3  # the search stays where it is
         b = eng.db.find_any((3, 4))
-        assert b is not None and b.origin == "derived-f1" and eng.db.is_active(b.id)
+        # the problem's clauses are ids 1..n: B was added, on the F1 side
+        n = len(eng.problem.f1) + len(eng.problem.f2)
+        assert b is not None and b.id > n and b.f1_side and eng.db.is_active(b.id)
         assert isinstance(out, DSequent)
         assert out.cond() == {3: 0}
         assert out.constraint == {b.id}
@@ -482,7 +487,7 @@ class TestFreeVariableWalk:
         # quantified literal: a stored free-only resolvent is always active
         eng, target = self.build(check_invariants=True)
         eng._audit_stack()
-        b = eng.db.add((3, 4), "derived-f1")
+        b = eng.db.add((3, 4), True)
         eng.db.deactivate(b.id)
         with pytest.raises(AssertionError, match="free-only"):
             eng._audit_stack()
@@ -495,9 +500,10 @@ class TestFreeVariableWalk:
         res = eng.solve()
         assert res.f1_star == ((2,),)
         assert eng.stats["duplicates"] == eng.stats["sat_calls"] == 0
-        derived = [eng.db.clause(cid) for cid in eng.db.all_ids()
-                   if eng.db.clause(cid).origin.startswith("derived")]
-        assert [(c.lits, c.origin) for c in derived] == [((2,), "derived-f1")]
+        # the problem's clauses are ids 1..n; the search added the rest
+        n = len(problem.f1) + len(problem.f2)
+        derived = [eng.db.clause(cid) for cid in eng.db.all_ids() if cid > n]
+        assert [(c.lits, c.f1_side) for c in derived] == [((2,), True)]
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
 
@@ -545,15 +551,44 @@ class TestDuplicateRecovery:
         with open(path, encoding="utf-8") as fh:
             return parse_pqe(fh.read())
 
-    def test_support_cycles_reach_recovery(self, tmp_path, capsys):
+    @staticmethod
+    def recoveries(problem, monkeypatch):
+        """Solve under the audits; the answer and the message of each
+        ``InconsistentInputs`` the engine recovered from."""
+        failed = []
+        third = dsq.atomic_third_kind
+
+        def watched(*args):
+            try:
+                return third(*args)
+            except dsq.InconsistentInputs as err:
+                failed.append(str(err))
+                raise
+
+        monkeypatch.setattr(dsq, "atomic_third_kind", watched)
+        res = solve_pqe(problem, SolverConfig(check_invariants=True))
+        assert res.stats["consistency_recoveries"] == len(failed)
+        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
+        return res, failed
+
+    def test_self_support_reaches_recovery(self, tmp_path, capsys, monkeypatch):
         # a blocked clause whose partner records cannot certify it: on this
         # instance both times because their merged constraint holds the
         # clause itself (self-support), each counted
         problem = self.satred(4, tmp_path, capsys)
-        res = solve_pqe(problem, SolverConfig(check_invariants=True))
+        res, failed = self.recoveries(problem, monkeypatch)
         assert res.stats["duplicates"] == res.stats["sat_calls"] == 2
-        assert res.stats["consistency_recoveries"] == 2
-        assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
+        assert len(failed) == 2 and all("inside its own constraint" in m for m in failed), failed
+
+    def test_circuit_support_cycle_reaches_recovery(self, monkeypatch):
+        # the perfbench circuit-cone instance of seed 1, case 231: both
+        # times the partner records form a cycle with no application order
+        with open(os.path.join(DATA, "cone-231.pqe"), encoding="utf-8") as fh:
+            problem = parse_pqe(fh.read())
+        res, failed = self.recoveries(problem, monkeypatch)
+        assert res.stats["duplicates"] == res.stats["sat_calls"] == 2
+        assert len(failed) == 2 and all("application order" in m for m in failed), failed
+        assert len(res.f1_star) == 8
 
     def test_stored_resolvent_of_another_clause_reaches_recovery(self, tmp_path, capsys):
         # the last branch of _lrn_falsified: a falsified clause other than
@@ -595,7 +630,7 @@ class TestDuplicateRecovery:
         out = eng._handle_duplicate()
         # under y=0 the formula is contradictory: (x1 v y) forces x1, (-x1) refutes
         assert isinstance(out, DSequent)
-        added = [cid for cid in eng.f1_ids if eng.db.clause(cid).origin == "derived-f1"]
+        added = [cid for cid in eng.f1_ids if cid > len(eng.problem.f1) + len(eng.problem.f2)]
         assert added and eng.db.clause(added[0]).lits == (3,)
 
 

@@ -53,24 +53,25 @@ class TestSoundness:
 
 class TestDerivedClausesImplied:
     def test_every_added_clause_follows_from_the_input(self):
-        # a derived-f2 clause is a resolvent of F2 clauses alone, so F2
-        # implies it; a derived-f1 clause (a resolvent using F1, or the
-        # negated core of a SAT call) follows from F1 and F2
+        # the search adds the clauses past the problem's ids 1..n. One on
+        # the F2 side is a resolvent of F2 clauses alone, so F2 implies it;
+        # one on the F1 side (a resolvent using F1, or the negated core of a
+        # SAT call) follows from F1 and F2
         rng = random.Random(6060)
-        checked = {"derived-f2": 0, "derived-f1": 0}
+        checked = {False: 0, True: 0}  # by f1_side
         for _ in range(300):
             problem = rand_problem(rng, require_x_target=True)
-            premises = {"derived-f2": list(problem.f2), "derived-f1": list(problem.f1 + problem.f2)}
+            n = len(problem.f1) + len(problem.f2)
+            premises = {False: list(problem.f2), True: list(problem.f1 + problem.f2)}
             for check in (False, True):
                 eng = Engine(problem, SolverConfig(max_seconds=10, check_invariants=check))
                 eng.solve()
-                for cid in eng.db.all_ids():
+                for cid in eng.db.all_ids()[n:]:
                     clause = eng.db.clause(cid)
-                    if clause.origin in premises:
-                        negated = [(-l,) for l in clause.lits]
-                        assert not cnf_satisfiable(premises[clause.origin] + negated), (problem, clause)
-                        checked[clause.origin] += 1
-        assert checked["derived-f2"] > 40 and checked["derived-f1"] > 100, checked
+                    negated = [(-l,) for l in clause.lits]
+                    assert not cnf_satisfiable(premises[clause.f1_side] + negated), (problem, clause)
+                    checked[clause.f1_side] += 1
+        assert checked[False] > 40 and checked[True] > 100, checked
 
 
 class TestCircuitsCloseBySearch:
@@ -97,11 +98,10 @@ class TestCircuitsCloseBySearch:
             assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star), seed
             assert res.stats["duplicates"] == 0, seed
             premises = list(problem.f1 + problem.f2)
-            for cid in eng.db.all_ids():
+            for cid in eng.db.all_ids()[len(premises):]:  # the clauses the search added
                 clause = eng.db.clause(cid)
-                if clause.origin.startswith("derived"):
-                    negated = [(-l,) for l in clause.lits]
-                    assert not cnf_satisfiable(premises + negated), (seed, clause)
+                negated = [(-l,) for l in clause.lits]
+                assert not cnf_satisfiable(premises + negated), (seed, clause)
         assert walks.count(True) > 30
 
 
@@ -122,7 +122,7 @@ class TestPrimaries:
             assert not any(eng.db.is_active(cid) for cid in primaries), problem
             assert eng.removed == primaries, problem
             assert res.stats["primaries_proved"] == len(primaries), problem
-            derived += sum(eng.db.clause(cid).origin == "derived-f1" for cid in primaries)
+            derived += sum(cid > len(problem.f1) + len(problem.f2) for cid in primaries)
         assert derived > 10
 
 
