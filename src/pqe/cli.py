@@ -117,9 +117,9 @@ def _cmd_compare(args) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be 1 or more, not {args.budget}")
     problem = _read_problem(args.file)
-    inst = harness.PqeInstance(problem, {"kind": "circuit"})
+    inst = harness.PqeInstance(problem)
     if "m1" in methods or "m2" in methods:
-        harness.circuit_parts(inst)  # the baselines run on circuit instances only
+        harness.circuit_parts(inst)  # the baselines need a one-clause first block
     print(f"{'method':8} {'clauses':>8} {'shortest':>9} {'seconds':>9}")
     for name in methods:
         t0 = time.monotonic()

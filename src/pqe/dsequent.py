@@ -11,7 +11,7 @@ removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from .formula import (
     Assignment,
@@ -120,11 +120,7 @@ def atomic_third_kind(
     """The target is blocked at quantified variable v given records for all partners."""
     if v not in x_vars or c.lit_on(v) is None:
         raise InvalidRule(f"{v} is not a quantified variable of clause {c.id}")
-    res = check_consistency(resolvable_dseqs)
-    if isinstance(res, Inconsistent):
-        if res.incompatible is not None:
-            raise InvalidRule(f"clashing conditionals among inputs: {res}")
-        raise InconsistentInputs(f"inputs admit no application order: {res}")
+    check_consistency(resolvable_dseqs)
     merged: Assignment = {}
     for ds in resolvable_dseqs:
         merged.update(ds.conditional)
@@ -181,24 +177,15 @@ def unit_deactivating_assignment(s: DSequent, r: Assignment) -> Optional[Tuple[i
 # --- set consistency -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Consistent:
-    order: Tuple[int, ...]  # indices into the input list, application order
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    cycle: Optional[Tuple[int, ...]] = None  # indices of the records no order can place
-    incompatible: Optional[Tuple[int, int]] = None  # indices with clashing conditionals
-
-
-def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsistent]:
+def check_consistency(dseqs: Sequence[DSequent]) -> Tuple[int, ...]:
     """Is there an order applying every record while it is still applicable?
 
     Records must target distinct clauses. Record i goes before record j
     whenever the target of j appears in the constraint of i. Peeling takes
     in turn each record that no record left must go before; an order exists
-    iff every record is taken, and the order taken is returned.
+    iff every record is taken, and the order taken is returned as indices
+    into ``dseqs``. Clashing conditionals raise ``InvalidRule``, and a set
+    with no order raises ``InconsistentInputs``.
     """
     n = len(dseqs)
     targets = [ds.target for ds in dseqs]
@@ -209,7 +196,7 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
         for v, b in ds.conditional:
             i, val = first.setdefault(v, (j, b))
             if val != b:
-                return Inconsistent(incompatible=(i, j))
+                raise InvalidRule(f"clashing conditionals among inputs: records {i} and {j} on {v}")
     pos = {t: i for i, t in enumerate(targets)}
     waits = [0] * n  # per record, the records not yet taken that must go before it
     for ds in dseqs:
@@ -225,8 +212,9 @@ def check_consistency(dseqs: Sequence[DSequent]) -> Union[Consistent, Inconsiste
                 if not waits[j]:
                     order.append(j)
     if len(order) < n:
-        return Inconsistent(cycle=tuple(j for j in range(n) if waits[j]))
-    return Consistent(tuple(order))
+        stuck = tuple(j for j in range(n) if waits[j])
+        raise InconsistentInputs(f"inputs admit no application order: records {stuck}")
+    return tuple(order)
 
 
 # --- learned-record store --------------------------------------------------

@@ -35,7 +35,7 @@ class Circuit:
 @dataclass
 class PqeInstance:
     problem: EcnfProblem
-    meta: Dict[str, object] = field(default_factory=dict)  # "kind", and "det" for circuits
+    meta: Dict[str, object] = field(default_factory=dict)  # "det" for circuits
 
 
 _OPS = ("AND", "OR", "NOT", "XOR")
@@ -111,18 +111,13 @@ def simulate(circuit: Circuit, inputs: Assignment) -> Dict[int, int]:
     return val
 
 
-def output_falsified_clause(circuit: Circuit, z: Assignment) -> Lits:
-    """The widest clause falsified exactly by the output vector z."""
-    return tuple(-v if z[v] else v for v in circuit.outputs)
-
-
 def circuit_to_pqe(circuit: Circuit, z: Assignment) -> PqeInstance:
     if set(z) != set(circuit.outputs):
         raise ValueError("output vector must assign every circuit output")
-    cz = output_falsified_clause(circuit, z)
+    cz = tuple(-v if z[v] else v for v in circuit.outputs)  # the widest clause z falsifies
     quantified = [g.out for g in circuit.gates]
     problem = EcnfProblem.make(quantified, [cz], tseitin(circuit))
-    return PqeInstance(problem, {"kind": "circuit", "det": True})
+    return PqeInstance(problem, {"det": True})
 
 
 def drop_clauses(inst: PqeInstance, fraction: float, seed: int) -> PqeInstance:
@@ -146,8 +141,7 @@ def sat_reduction_instance(clauses: Sequence[Lits], x: Assignment) -> PqeInstanc
         raise ValueError("the assignment must cover every variable")
     f1 = [c for c in clauses if clause_satisfied(c, x)]
     f2 = [c for c in clauses if not clause_satisfied(c, x)]
-    problem = EcnfProblem.make(sorted(all_vars), f1, f2)
-    return PqeInstance(problem, {"kind": "satred"})
+    return PqeInstance(EcnfProblem.make(sorted(all_vars), f1, f2))
 
 
 class Inapplicable:
@@ -161,9 +155,8 @@ INAPPLICABLE = Inapplicable()
 
 
 def circuit_parts(inst: PqeInstance):
-    """(output-vector clause, its negated units, gate clauses); ValueError off circuits."""
-    if inst.meta.get("kind") != "circuit":
-        raise ValueError("baseline methods run on circuit instances")
+    """(output-vector clause, its negated units, gate clauses); ValueError
+    unless the first block is the one output-vector clause."""
     if len(inst.problem.f1) != 1:
         raise ValueError("expected a single output-vector clause")
     cz = inst.problem.f1[0]

@@ -14,6 +14,9 @@ clauses, so parsing is linear in the text whatever ``max_var`` says.
 Solution format: ``s pqe <n_clauses>`` followed by clause lines; a line
 containing only ``0`` is the empty clause. UTF-8, LF; a trailing newline
 is written and tolerated when absent on read.
+
+Every input error, whether the text is not in the format or states an
+impossible instance, raises ``PositionedError`` with its line and column.
 """
 
 from __future__ import annotations
@@ -33,14 +36,6 @@ class PositionedError(PqeError):
         self.message = message
 
 
-class PqeSyntaxError(PositionedError):
-    """The text is not in the instance format."""
-
-
-class PqeSemanticError(PositionedError):
-    """Well-formed text that states an impossible instance."""
-
-
 def _content_lines(text: str):
     for ln, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
@@ -54,7 +49,7 @@ def _parse_int(tok: str, ln: int, raw: str, idx: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise PqeSyntaxError(ln, _token_col(raw, idx), f"expected an integer, got {tok!r}") from None
+        raise PositionedError(ln, _token_col(raw, idx), f"expected an integer, got {tok!r}") from None
 
 
 def _token_col(raw: str, idx: int) -> int:
@@ -77,16 +72,16 @@ def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: int) -> NoRe
     for i, tok in enumerate(toks[:-1]):
         lit = _parse_int(tok, ln, raw, i)
         if lit == 0:
-            raise PqeSyntaxError(ln, _token_col(raw, i), "literal 0 inside a clause line")
+            raise PositionedError(ln, _token_col(raw, i), "literal 0 inside a clause line")
         if abs(lit) > max_var:
-            raise PqeSemanticError(ln, _token_col(raw, i), f"variable {abs(lit)} out of range")
+            raise PositionedError(ln, _token_col(raw, i), f"variable {abs(lit)} out of range")
     raise AssertionError("no bad literal on the line")
 
 
 def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
     toks = stripped.split()
     if toks[-1] != "0":
-        raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
+        raise PositionedError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
     lits: List[int] = []
     for tok in toks[:-1]:
         try:
@@ -99,48 +94,48 @@ def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
     try:
         return canonical_lits(lits)
     except TautologyError as e:
-        raise PqeSemanticError(ln, 1, f"tautological clause: {e}") from None
+        raise PositionedError(ln, 1, f"tautological clause: {e}") from None
 
 
 def parse_pqe(text: str) -> EcnfProblem:
-    """Parse an instance; raises positioned syntax/semantic errors."""
+    """Parse an instance; every input error is a ``PositionedError``."""
     lines = list(_content_lines(text))
     if not lines:
-        raise PqeSyntaxError(1, 1, "missing header line")
+        raise PositionedError(1, 1, "missing header line")
     ln, raw, stripped = lines[0]
     toks = stripped.split()
     if len(toks) != 5 or toks[0] != "p" or toks[1] != "pqe":
-        raise PqeSyntaxError(ln, 1, "expected header 'p pqe <max_var> <n_f1> <n_f2>'")
+        raise PositionedError(ln, 1, "expected header 'p pqe <max_var> <n_f1> <n_f2>'")
     max_var = _parse_int(toks[2], ln, raw, 2)
     n_f1 = _parse_int(toks[3], ln, raw, 3)
     n_f2 = _parse_int(toks[4], ln, raw, 4)
     if max_var < 0 or n_f1 < 0 or n_f2 < 0:
-        raise PqeSemanticError(ln, 1, "header counts must be non-negative")
+        raise PositionedError(ln, 1, "header counts must be non-negative")
 
     if len(lines) < 2:
-        raise PqeSyntaxError(ln + 1, 1, "missing quantifier line")
+        raise PositionedError(ln + 1, 1, "missing quantifier line")
     ln, raw, stripped = lines[1]
     toks = stripped.split()
     if toks[0] != "e":
-        raise PqeSyntaxError(ln, 1, "expected quantifier line 'e <var>* 0'")
+        raise PositionedError(ln, 1, "expected quantifier line 'e <var>* 0'")
     if toks[-1] != "0":
-        raise PqeSyntaxError(ln, _token_col(raw, len(toks) - 1), "quantifier line must end with 0")
+        raise PositionedError(ln, _token_col(raw, len(toks) - 1), "quantifier line must end with 0")
     x_vars: List[int] = []
     x_set = set()
     for i, tok in enumerate(toks[1:-1], start=1):
         v = _parse_int(tok, ln, raw, i)
         if v <= 0:
-            raise PqeSyntaxError(ln, _token_col(raw, i), "quantified variables are positive ints")
+            raise PositionedError(ln, _token_col(raw, i), "quantified variables are positive ints")
         if v > max_var:
-            raise PqeSemanticError(ln, _token_col(raw, i), f"variable {v} out of range")
+            raise PositionedError(ln, _token_col(raw, i), f"variable {v} out of range")
         if v in x_set:
-            raise PqeSemanticError(ln, _token_col(raw, i), f"duplicate quantifier for {v}")
+            raise PositionedError(ln, _token_col(raw, i), f"duplicate quantifier for {v}")
         x_vars.append(v)
         x_set.add(v)
 
     body = lines[2:]
     if len(body) != n_f1 + n_f2:
-        raise PqeSyntaxError(
+        raise PositionedError(
             body[-1][0] if body else ln,
             1,
             f"expected {n_f1 + n_f2} clause lines, found {len(body)}",
@@ -175,15 +170,17 @@ def write_solution(f1_star: Sequence[Sequence[int]]) -> str:
 def parse_solution(text: str) -> Tuple[Lits, ...]:
     lines = list(_content_lines(text))
     if not lines:
-        raise PqeSyntaxError(1, 1, "missing solution header")
+        raise PositionedError(1, 1, "missing solution header")
     ln, raw, stripped = lines[0]
     toks = stripped.split()
     if len(toks) != 3 or toks[0] != "s" or toks[1] != "pqe":
-        raise PqeSyntaxError(ln, 1, "expected header 's pqe <n_clauses>'")
+        raise PositionedError(ln, 1, "expected header 's pqe <n_clauses>'")
     n = _parse_int(toks[2], ln, raw, 2)
+    if n < 0:
+        raise PositionedError(ln, 1, "solution count must be non-negative")
     body = lines[1:]
     if len(body) != n:
-        raise PqeSyntaxError(ln, 1, f"expected {n} clause lines, found {len(body)}")
+        raise PositionedError(ln, 1, f"expected {n} clause lines, found {len(body)}")
     out = []
     for l, raw, stripped in body:
         out.append(_parse_clause_line(raw, stripped, l, max_var=10**9))

@@ -214,10 +214,6 @@ def verify_dsequent(
 
 
 def cnf_satisfiable(clauses: Sequence[Sequence[int]]) -> bool:
-    """Brute-force satisfiability, used as an oracle for the SAT core."""
-    vs = sorted(_collect_vars(clauses))
-    _check_cap("CNF", len(vs))
-    index = {v: i for i, v in enumerate(vs)}
-    masks = _mask_clauses(clauses, index)
-    full = (1 << len(vs)) - 1
-    return any(_sat_under(masks, bits, full) for bits in range(1 << len(vs)))
+    """Brute-force satisfiability, used as an oracle for the SAT core: with
+    every variable quantified, the elimination leaves one row, true or not."""
+    return enumerate_qe(clauses, _collect_vars(clauses)).rows == 1

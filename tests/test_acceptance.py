@@ -14,9 +14,9 @@ import pytest
 
 from pqe import harness
 from pqe.dsequent import (
-    Consistent,
     DSequent,
-    Inconsistent,
+    InconsistentInputs,
+    InvalidRule,
     atomic_first_kind,
     check_consistency,
     falsified_clause_dsequent,
@@ -226,7 +226,9 @@ def test_calculus_closure_1000_each():
                     for s2 in by_target.get(cid, []):
                         if quotas["substitute"] >= goal:
                             break
-                        if not isinstance(check_consistency([s1, s2]) if s1.target != s2.target else None, Consistent):
+                        try:  # s2's target is in s1's constraint, so the targets differ
+                            check_consistency([s1, s2])
+                        except InvalidRule:  # a clash or a cycle
                             continue
                         out = substitute(s1, s2)
                         check(arena, out, "substitute")
@@ -249,18 +251,19 @@ def test_consistency_checker_against_brute_force():
             h = set(rng.sample(range(1, 12), rng.randint(0, 4))) - {t}
             q = {v: rng.randrange(2) for v in rng.sample(range(20, 24), rng.randint(0, 2))}
             dseqs.append(ds(t, q, h))
-        got = check_consistency(dseqs)
         want = brute_force_consistency_clean(dseqs)
-        if isinstance(got, Consistent):
-            assert want == "consistent"
-        elif got.incompatible is not None:
-            assert want == "incompatible"
-        else:
-            assert want == "inconsistent"
+        try:
+            check_consistency(dseqs)
+            got = "consistent"
+        except InconsistentInputs:
+            got = "inconsistent"
+        except InvalidRule:
+            got = "incompatible"
+        assert got == want
         agree += 1
     pair = [ds(2, {}, {1}), ds(1, {}, {2})]
-    res = check_consistency(pair)
-    assert isinstance(res, Inconsistent) and res.cycle is not None and len(res.cycle) == 2
+    with pytest.raises(InconsistentInputs, match=r"application order: records \(0, 1\)"):
+        check_consistency(pair)
     report(f"consistency-checker ({agree}/200 agree + duplicate-pair cycle)")
 
 

@@ -3,10 +3,8 @@ import itertools
 import pytest
 
 from pqe.dsequent import (
-    Consistent,
     DSequent,
     DSequentStore,
-    Inconsistent,
     InconsistentInputs,
     InvalidRule,
     atomic_first_kind,
@@ -100,12 +98,13 @@ class TestAtomicThirdKind:
             atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 1}, {11})])
 
 
-# Every premise of every rule, failed: (the call, its message naming the
-# premise, whether it is the one error the engine recovers from). Only
-# partner records that cannot certify a blocked clause, by self-support or
-# by a cycle, reach the SAT fallback; any other failed premise is a defect
-# the engine must not swallow. join's clash on v is the premise of
-# ``formula.resolve_assignments``, which raises ``NotResolvable`` (TestJoin).
+# Every premise of every rule, and of the set check atomic3 runs, failed:
+# (the call, its message naming the premise, whether it is the one error
+# the engine recovers from). Only partner records that cannot certify a
+# blocked clause, by self-support or by a cycle, reach the SAT fallback;
+# any other failed premise is a defect the engine must not swallow. join's
+# clash on v is the premise of ``formula.resolve_assignments``, which
+# raises ``NotResolvable`` (TestJoin).
 C9 = Clause(9, (-5, 6), False)
 C11 = Clause(11, (1, 2), True)
 FAILED_PREMISES = [
@@ -125,6 +124,10 @@ FAILED_PREMISES = [
                  False, id="atomic3-absent-variable"),
     pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())]),
                  "clashing conditionals among inputs", False, id="atomic3-clash"),
+    pytest.param(lambda: check_consistency([ds(12, {3: 0}, ()), ds(13, {3: 1}, ())]),
+                 "clashing conditionals among inputs: records 0 and 1 on 3", False, id="consistency-clash"),
+    pytest.param(lambda: check_consistency([ds(12, {}, {13}), ds(13, {}, {12})]),
+                 r"inputs admit no application order: records \(0, 1\)", True, id="consistency-cycle"),
     pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})]),
                  "inputs admit no application order", True, id="atomic3-cycle"),
     pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 1}, {11})]),
@@ -224,27 +227,25 @@ class TestConsistency:
     def test_mutually_exclusive_duplicates(self):
         s_c = ds(2, {}, {1})
         s_b = ds(1, {}, {2})
-        res = check_consistency([s_c, s_b])
-        assert isinstance(res, Inconsistent)
-        assert res.cycle is not None and len(res.cycle) == 2
+        with pytest.raises(InconsistentInputs, match=r"no application order: records \(0, 1\)$"):
+            check_consistency([s_c, s_b])
 
     def test_order_witness(self):
         s1 = ds(1, {}, ())
         s2 = ds(2, {}, {1})
-        res = check_consistency([s1, s2])
-        assert isinstance(res, Consistent)
-        assert res.order == (1, 0)  # apply s2 first, while clause 1 is present
+        # apply s2 first, while clause 1 is present
+        assert check_consistency([s1, s2]) == (1, 0)
 
     def test_incompatible_pair(self):
-        res = check_consistency([ds(1, {5: 0}, ()), ds(2, {5: 1}, ())])
-        assert isinstance(res, Inconsistent)
-        assert res.incompatible == (0, 1)
+        with pytest.raises(InvalidRule, match="conditionals among inputs: records 0 and 1 on 5$") as err:
+            check_consistency([ds(1, {5: 0}, ()), ds(2, {5: 1}, ())])
+        assert not isinstance(err.value, InconsistentInputs)
 
     def test_incompatible_pair_after_a_compatible_record(self):
         # record 0 clashes with neither; the clash is reported in input order
-        res = check_consistency([ds(1, {4: 0}, ()), ds(2, {5: 0, 4: 0}, ()), ds(3, {5: 1}, ())])
-        assert isinstance(res, Inconsistent)
-        assert res.incompatible == (1, 2)
+        with pytest.raises(InvalidRule, match="records 1 and 2 on 5$") as err:
+            check_consistency([ds(1, {4: 0}, ()), ds(2, {5: 0, 4: 0}, ()), ds(3, {5: 1}, ())])
+        assert not isinstance(err.value, InconsistentInputs)
 
     def test_order_is_valid_application_order(self, rng):
         for _ in range(100):
@@ -254,16 +255,17 @@ class TestConsistency:
             for t in targets:
                 h = set(rng.sample(range(1, 10), rng.randint(0, 3))) - {t}
                 dseqs.append(ds(t, {}, h))
-            res = check_consistency(dseqs)
             want = brute_force_consistency_clean(dseqs)
-            if isinstance(res, Consistent):
-                assert want == "consistent"
-                removed = set()
-                for m in res.order:
-                    assert not (dseqs[m].constraint & removed)
-                    removed.add(dseqs[m].target)
-            else:
+            try:
+                order = check_consistency(dseqs)
+            except InconsistentInputs:
                 assert want == "inconsistent"
+                continue
+            assert want == "consistent" and sorted(order) == list(range(k))
+            removed = set()
+            for m in order:
+                assert not (dseqs[m].constraint & removed)
+                removed.add(dseqs[m].target)
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):

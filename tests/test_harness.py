@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pqe import harness
-from pqe.formula import clause_satisfied
+from pqe.formula import EcnfProblem, canonical_lits, clause_satisfied
 from pqe.oracle import cnf_satisfiable
 from pqe.solver import solve_pqe
 from tests.conftest import pqe_sat_verdict, rand_cnf
@@ -158,8 +158,6 @@ class TestBaselineMethods:
             (1, 2), (harness.Gate(3, "AND", (1, 2)), harness.Gate(4, "OR", (3, 1))), (4,)
         )
         inst = harness.circuit_to_pqe(circuit, {4: 1})
-        from pqe.formula import EcnfProblem, canonical_lits
-
         out_clauses = {canonical_lits(c) for c in harness.gate_clauses(circuit.gates[1])}
         f2 = tuple(c for c in inst.problem.f2 if c not in out_clauses)
         assert len(f2) < len(inst.problem.f2)
@@ -171,6 +169,19 @@ class TestBaselineMethods:
         assert isinstance(harness.method2_corelift(relational), harness.Inapplicable)
         assert not isinstance(harness.method1_blocking(relational), harness.Inapplicable)
         assert solve_pqe(relational.problem).f1_star is not None
+
+    @pytest.mark.parametrize("method", [harness.method1_blocking, harness.method2_corelift])
+    def test_guard_is_the_one_clause_first_block(self, method):
+        # no meta: the baselines check only that the first block is one clause
+        circuit = harness.gen_circuit(3, 3, 6)
+        z = _z(3, 3, 6)
+        problem = harness.circuit_to_pqe(circuit, z).problem
+        g = method(harness.PqeInstance(problem))
+        assert harness.blocked_inputs(circuit, g) == harness.producing_inputs(circuit, z)
+        two = EcnfProblem.make(problem.x_vars, problem.f1 + problem.f2[:1], problem.f2[1:])
+        assert len(two.f1) == 2
+        with pytest.raises(ValueError, match="single output-vector clause"):
+            method(harness.PqeInstance(two))
 
     def test_budget_respected(self):
         circuit = harness.gen_circuit(3, 4, 9)
