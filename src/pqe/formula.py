@@ -64,28 +64,6 @@ def satisfying_value(lit: int) -> int:
     return 1 if lit > 0 else 0
 
 
-def clause_satisfied(lits: Sequence[int], asg: Assignment) -> bool:
-    return any(lit_truth(l, asg) == 1 for l in lits)
-
-
-def clause_falsified(lits: Sequence[int], asg: Assignment) -> bool:
-    return all(lit_truth(l, asg) == 0 for l in lits)
-
-
-def unit_literal(lits: Sequence[int], asg: Assignment) -> Optional[int]:
-    """The single unassigned literal if all others are falsified, else None."""
-    free = None
-    for l in lits:
-        t = lit_truth(l, asg)
-        if t == 1:
-            return None
-        if t is None:
-            if free is not None:
-                return None
-            free = l
-    return free
-
-
 def cofactor_clause(c: "Clause | Sequence[int]", q: Assignment):
     """Clause under q: SATISFIED, or the clause with falsified literals removed."""
     lits = c.lits if isinstance(c, Clause) else c
@@ -97,6 +75,20 @@ def cofactor_clause(c: "Clause | Sequence[int]", q: Assignment):
         if t is None:
             out.append(l)
     return tuple(out)
+
+
+def clause_satisfied(lits: Sequence[int], asg: Assignment) -> bool:
+    return cofactor_clause(lits, asg) is SATISFIED
+
+
+def clause_falsified(lits: Sequence[int], asg: Assignment) -> bool:
+    return cofactor_clause(lits, asg) == ()
+
+
+def unit_literal(lits: Sequence[int], asg: Assignment) -> Optional[int]:
+    """The single unassigned literal if all others are falsified, else None."""
+    cq = cofactor_clause(lits, asg)
+    return cq[0] if cq is not SATISFIED and len(cq) == 1 else None
 
 
 def falsifying_assignment(lits: Sequence[int]) -> Assignment:

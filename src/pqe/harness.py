@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .formula import Assignment, EcnfProblem, Lits, clause_satisfied
+from .formula import Assignment, EcnfProblem, Lits, clause_falsified, clause_satisfied
 from .satcore import sat_solve
 
 
@@ -221,7 +221,7 @@ def blocked_inputs(circuit: Circuit, g: Sequence[Lits]) -> frozenset:
     out = set()
     for bits in range(1 << n):
         x = {v: (bits >> i) & 1 for i, v in enumerate(circuit.inputs)}
-        if any(not clause_satisfied(c, x) and all(abs(l) in x for l in c) for c in g):
+        if any(clause_falsified(c, x) for c in g):
             out.add(tuple(x[v] for v in circuit.inputs))
     return frozenset(out)
 

@@ -66,7 +66,7 @@ def _token_col(raw: str, idx: int) -> int:
     return max(1, len(raw))
 
 
-def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: int) -> NoReturn:
+def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: float) -> NoReturn:
     """Raise the positioned error for the first bad literal token of a
     clause line (not an integer, 0, or out of range)."""
     for i, tok in enumerate(toks[:-1]):
@@ -78,7 +78,7 @@ def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: int) -> NoRe
     raise AssertionError("no bad literal on the line")
 
 
-def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: int) -> Lits:
+def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: float) -> Lits:
     toks = stripped.split()
     if toks[-1] != "0":
         raise PositionedError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
@@ -183,5 +183,5 @@ def parse_solution(text: str) -> Tuple[Lits, ...]:
         raise PositionedError(ln, 1, f"expected {n} clause lines, found {len(body)}")
     out = []
     for l, raw, stripped in body:
-        out.append(_parse_clause_line(raw, stripped, l, max_var=10**9))
+        out.append(_parse_clause_line(raw, stripped, l, max_var=float("inf")))
     return tuple(out)

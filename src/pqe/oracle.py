@@ -2,7 +2,9 @@
 
 Everything here works on raw clause lists (tuples of signed ints) and is
 deliberately independent of the solver's propagation machinery, so that
-agreement between the two is a meaningful check. Clause sets are treated
+agreement between the two is a meaningful check. A subspace is cut out with
+``formula.cofactor_clause``, a pure helper, not propagation machinery; the
+bitmask enumeration is the oracle's own. Clause sets are treated
 positionally: ids are list indices, and duplicate literal sets at distinct
 indices are distinct clauses.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .formula import Assignment, PqeError
+from .formula import SATISFIED, Assignment, PqeError, cofactor_clause
 
 ENUM_CAP = 24
 
@@ -79,10 +81,9 @@ class _Space:
     def y_bits(self, j: int) -> int:
         return j << self.nx
 
-    def exists_x(self, masks, y_part: int, fixed_mask: int = 0) -> bool:
+    def exists_x(self, masks, y_part: int) -> bool:
         for i in range(1 << self.nx):
-            bits = y_part | (i & ~fixed_mask & ((1 << self.nx) - 1))
-            if _sat_under(masks, bits, self.full):
+            if _sat_under(masks, y_part | i, self.full):
                 return True
         return False
 
@@ -150,31 +151,16 @@ def check_redundant_in_subspace(
 
     True iff for every assignment to the free variables (the clause
     variables outside X) unassigned in q the cofactored formula and the
-    cofactored formula without the clause agree on X-satisfiability.
+    cofactored formula without the clause agree on X-satisfiability. By the
+    definition of PQE, that is: the empty formula is a solution for taking
+    the clause's cofactor out of the others' cofactors.
     """
-    xs = set(x_vars)
-    sp = _Space(xs, _collect_vars(clauses) - xs)
-    masks = _mask_clauses(clauses, sp.index)
-    without = masks[:c_index] + masks[c_index + 1 :]
-    fixed_bits = fixed_mask = 0
-    for var, val in q.items():
-        if var not in sp.index:
-            continue
-        bit = 1 << sp.index[var]
-        fixed_mask |= bit
-        if val:
-            fixed_bits |= bit
-    free_y = [1 << sp.index[v] for v in sp.y_order if not (fixed_mask >> sp.index[v] & 1)]
-    for j in range(1 << len(free_y)):
-        # yb carries the fixed bits of q (X and Y alike); exists_x only
-        # enumerates X bits outside fixed_mask.
-        yb = fixed_bits
-        for i, bit in enumerate(free_y):
-            if j >> i & 1:
-                yb |= bit
-        if sp.exists_x(masks, yb, fixed_mask) != sp.exists_x(without, yb, fixed_mask):
-            return False
-    return True
+    cofactors = [cofactor_clause(c, q) for c in clauses]
+    target = cofactors.pop(c_index)
+    if target is SATISFIED:
+        return True
+    others = [c for c in cofactors if c is not SATISFIED]
+    return verify_pqe_solution([target], others, set(x_vars) - set(q), ())
 
 
 def verify_dsequent(

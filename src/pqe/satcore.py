@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from .formula import PqeError
+from .formula import PqeError, lit_truth
 
 
 class ResourceLimit(PqeError):
@@ -64,12 +64,6 @@ class _Solver:
             for l in lits[:2]:
                 self.watches.setdefault(l, []).append(idx)
         return idx
-
-    def _value(self, lit: int) -> Optional[int]:
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return 1 if (v == 1) == (lit > 0) else 0
 
     def _assign(self, lit: int, reason: Optional[int]) -> None:
         self.assign[abs(lit)] = 1 if lit > 0 else 0
@@ -166,7 +160,7 @@ class _Solver:
                 continue
             seen.add(v)
             r = self.reason.get(v)
-            true_lit = l if self._value(l) == 1 else -l
+            true_lit = l if lit_truth(l, self.assign) == 1 else -l
             if r is not None:
                 stack.extend(x for x in self.clauses[r] if abs(x) != v)
             elif true_lit in assume_set:
@@ -178,9 +172,9 @@ class _Solver:
             return SatResult(False, core=frozenset())
         for u in self.units:
             lit = self.clauses[u][0]
-            if self._value(lit) == 0:
+            if lit_truth(lit, self.assign) == 0:
                 return SatResult(False, core=frozenset())
-            if self._value(lit) is None:
+            if lit_truth(lit, self.assign) is None:
                 self._assign(lit, u)
         if self._propagate(0) is not None:
             return SatResult(False, core=frozenset())
@@ -190,7 +184,7 @@ class _Solver:
         while True:
             decision = None
             for a in assumptions:
-                val = self._value(a)
+                val = lit_truth(a, self.assign)
                 if val == 0:
                     core = self._final_core([a], assume_set) | {a}
                     return SatResult(False, core=frozenset(core))

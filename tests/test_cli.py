@@ -137,6 +137,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", golden_file, str(sol))
         assert code == 1
 
+    def test_accepts_its_own_solution_past_a_billion(self, capsys, tmp_path):
+        instance = tmp_path / "big.pqe"
+        instance.write_text("p pqe 2000000001 1 1\ne 1 0\n1 2000000001 0\n-1 0\n")
+        code, out, _ = run(capsys, "solve", str(instance))
+        assert code == 0 and out == "s pqe 1\n2000000001 0\n"
+        sol = tmp_path / "sol.txt"
+        sol.write_text(out)
+        code, out, _ = run(capsys, "verify", str(instance), str(sol))
+        assert code == 0 and "OK" in out
+
     def test_undeclared_variable_is_input_error(self, capsys, golden_file, tmp_path):
         sol = tmp_path / "sol.txt"
         sol.write_text("s pqe 1\n3 99 0\n")

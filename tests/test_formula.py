@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from pqe.formula import (
     clause_satisfied,
     cofactor_clause,
     is_blocked,
+    lit_truth,
     resolvable_on,
     unit_literal,
 )
@@ -67,6 +69,46 @@ class TestCofactor:
         step = cofactor_clause(lits, q)
         twice = SATISFIED if step is SATISFIED else cofactor_clause(step, r)
         assert once == twice or (once is SATISFIED and twice is SATISFIED)
+
+
+# every clause of 0-3 distinct-variable literals over variables 1-3, and
+# every partial assignment of those variables (absent, 0 or 1 each)
+ALL_CLAUSES = [
+    tuple(v * s for v, s in zip(vs, signs))
+    for k in range(4)
+    for vs in itertools.combinations((1, 2, 3), k)
+    for signs in itertools.product((1, -1), repeat=k)
+]
+ALL_ASSIGNMENTS = [
+    {v: val for v, val in zip((1, 2, 3), vals) if val is not None}
+    for vals in itertools.product((None, 0, 1), repeat=3)
+]
+
+
+class TestReadings:
+    """Each clause reading against a definition written literal by literal."""
+
+    @staticmethod
+    def truth(lit, asg):
+        if abs(lit) not in asg:
+            return None
+        return asg[abs(lit)] if lit > 0 else 1 - asg[abs(lit)]
+
+    def test_every_clause_under_every_assignment(self):
+        assert (len(ALL_CLAUSES), len(ALL_ASSIGNMENTS)) == (27, 27) and () in ALL_CLAUSES
+        for lits in ALL_CLAUSES:
+            for asg in ALL_ASSIGNMENTS:
+                values = [self.truth(l, asg) for l in lits]
+                assert [lit_truth(l, asg) for l in lits] == values
+                open_lits = tuple(l for l, t in zip(lits, values) if t is None)
+                satisfied = 1 in values
+                assert (cofactor_clause(lits, asg) is SATISFIED) == satisfied
+                if not satisfied:
+                    assert cofactor_clause(lits, asg) == open_lits
+                assert clause_satisfied(lits, asg) == satisfied
+                assert clause_falsified(lits, asg) == all(t == 0 for t in values)
+                unit = open_lits[0] if not satisfied and len(open_lits) == 1 else None
+                assert unit_literal(lits, asg) == unit
 
 
 class TestBlocked:

@@ -227,7 +227,8 @@ class TestSolution:
         assert write_solution([()]) == "s pqe 1\n0\n"
 
     def test_round_trip(self):
-        for sol in ([], [(3,)], [()], [(1, -2), (4,)]):
+        # a solution file declares no variable bound, so none is imposed
+        for sol in ([], [(3,)], [()], [(1, -2), (4,)], [(1, -2_000_000_001), (10**30,)]):
             assert parse_solution(write_solution(sol)) == tuple(
                 tuple(sorted(c, key=abs)) for c in sol
             )
@@ -247,6 +248,16 @@ class TestSolution:
     def test_round_trip_property(self, sol):
         clauses = [tuple(sorted(c, key=abs)) for c in sol]
         assert parse_solution(write_solution(clauses)) == tuple(clauses)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1 0 2 0", "literal 0 inside a clause line"), ("1 x 0", "expected an integer")],
+        ids=["literal-0", "non-integer"],
+    )
+    def test_bad_literal_positioned(self, line, message):
+        with pytest.raises(PositionedError, match=message) as e:
+            parse_solution(f"s pqe 1\n{line}\n")
+        assert (e.value.line, e.value.col) == (2, 3)
 
     def test_bad_header(self):
         with pytest.raises(PositionedError, match="expected header 's pqe"):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pqe.oracle import (
@@ -67,6 +69,61 @@ class TestSubspaceRedundancy:
     def test_implied_free_clause_redundant(self):
         # (3) is implied once (3) is, trivially, present twice positionally
         assert check_redundant_in_subspace([C4, C4], X, 0, {})
+
+    def test_falsified_target(self):
+        # (3) under y3=0 is the empty clause: redundant only where the rest
+        # of the cofactor is unsatisfiable too
+        assert not check_redundant_in_subspace([C4, C1], X, 0, {3: 0})
+        assert check_redundant_in_subspace([C4, C1, C2, C3], X, 0, {3: 0})
+
+    def test_q_on_a_quantified_variable(self):
+        # under x1=1, C1 is (2): it forces x2, and with it y3 through C3,
+        # which C4 already says
+        assert not check_redundant_in_subspace([C1, C2, C3], X, 0, {1: 1})
+        assert check_redundant_in_subspace([C1, C2, C3, C4], X, 0, {1: 1})
+
+    @staticmethod
+    def by_definition(clauses, xs, c_index, q):
+        """For each total assignment of the free variables outside q,
+        ∃X F|q agrees with ∃X (F∖C)|q; each formula read under a total
+        assignment, clause by clause."""
+        cvars = {abs(l) for c in clauses for l in c} - set(q)
+        inner = sorted(cvars & set(xs))
+        free = sorted(cvars - set(xs))
+        without = clauses[:c_index] + clauses[c_index + 1 :]
+
+        def exists_x(cnf, outer):
+            return any(
+                all(any(asg[abs(l)] == (l > 0) for l in c) for c in cnf)
+                for asg in ({**outer, **dict(zip(inner, bits))}
+                            for bits in itertools.product((0, 1), repeat=len(inner)))
+            )
+
+        return all(
+            exists_x(clauses, asg) == exists_x(without, asg)
+            for asg in ({**q, **dict(zip(free, bits))}
+                        for bits in itertools.product((0, 1), repeat=len(free)))
+        )
+
+    def test_matches_definition(self, rng):
+        # q ranges over X, the free variables and variables in no clause;
+        # clauses may be empty or repeated
+        verdicts = set()
+        for _ in range(300):
+            nv = rng.randint(1, 6)
+            clauses = []
+            for _ in range(rng.randint(1, 6)):
+                vs = rng.sample(range(1, nv + 1), rng.randint(0, min(3, nv)))
+                clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
+            if rng.randrange(5) == 0:
+                clauses.append(rng.choice(clauses))
+            xs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
+            q = {v: rng.randrange(2) for v in rng.sample(range(1, nv + 3), rng.randint(0, 3))}
+            c_index = rng.randrange(len(clauses))
+            expected = self.by_definition(clauses, xs, c_index, q)
+            assert check_redundant_in_subspace(clauses, xs, c_index, q) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestVerifyDsequent:
