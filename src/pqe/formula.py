@@ -404,21 +404,12 @@ class EcnfProblem:
             if v <= 0:
                 raise ValueError(f"declared variable {v} is not positive")
         xs = frozenset(x_vars)
-
-        def dedup(block: Iterable[Sequence[int]]) -> Tuple[Lits, ...]:
-            out, seen = [], set()
-            for lits in block:
-                key = canonical_lits(lits)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-            return tuple(out)
-
-        c2 = dedup(f2)
+        # each block keeps the first occurrence of each canonical clause
+        c2 = tuple(dict.fromkeys(map(canonical_lits, f2)))
         # A clause present in both blocks belongs to f2; solving the reduced
         # f1 solves the original problem (the clause set f1 ∧ f2 is unchanged).
         f2set = set(c2)
-        c1 = tuple(c for c in dedup(f1) if c not in f2set)
+        c1 = tuple(c for c in dict.fromkeys(map(canonical_lits, f1)) if c not in f2set)
         ys = frozenset(abs(l) for c in c1 + c2 for l in c) - xs
         return cls(xs, ys, c1, c2)
 

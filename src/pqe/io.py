@@ -8,22 +8,24 @@ Instance format (a small extension of DIMACS conventions):
     <n_f1 clause lines, each: lit* 0>      (the block to take out)
     <n_f2 clause lines, each: lit* 0>
 
-Every literal's variable is in 1..max_var. The ``e`` line lists X, the
-quantified variables; the free variables Y are the other variables of the
-clauses, so parsing is linear in the text whatever ``max_var`` says.
-Solution format: ``s pqe <n_clauses>`` followed by clause lines; a line
-containing only ``0`` is the empty clause. UTF-8, LF; a trailing newline
-is written and tolerated when absent on read.
+A number is an optionally signed ASCII decimal integer. Every literal's
+variable is in 1..max_var. The ``e`` line lists X, the quantified
+variables; the free variables Y are the other variables of the clauses, so
+parsing is linear in the text whatever ``max_var`` says. Solution format:
+``s pqe <n_clauses>`` followed by clause lines; a line containing only
+``0`` is the empty clause. UTF-8, LF; a trailing newline is written and
+tolerated when absent on read.
 
-Every input error, whether the text is not in the format or states an
-impossible instance, raises ``PositionedError`` with its line and column.
+Each line is read in one pass, and every input error, a tautological clause
+included, raises ``PositionedError`` at the line and column of its first bad
+token. ``EcnfProblem.make`` canonicalises the clauses.
 """
 
 from __future__ import annotations
 
-from typing import List, NoReturn, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .formula import EcnfProblem, Lits, PqeError, TautologyError, canonical_lits
+from .formula import EcnfProblem, Lits, PqeError, canonical_lits
 
 
 class PositionedError(PqeError):
@@ -45,11 +47,14 @@ def _content_lines(text: str):
 
 
 def _parse_int(tok: str, ln: int, raw: str, idx: int) -> int:
-    """The idx-th token of line ``raw`` as an int."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise PositionedError(ln, _token_col(raw, idx), f"expected an integer, got {tok!r}") from None
+    """The idx-th token of line ``raw`` as an optionally signed ASCII decimal
+    integer (``int`` alone would also read ``1_0`` and non-ASCII digits)."""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok)
+        except ValueError:  # not digits, or past int()'s digit limit
+            pass
+    raise PositionedError(ln, _token_col(raw, idx), f"expected an integer, got {tok!r}")
 
 
 def _token_col(raw: str, idx: int) -> int:
@@ -66,35 +71,28 @@ def _token_col(raw: str, idx: int) -> int:
     return max(1, len(raw))
 
 
-def _raise_bad_literal(raw: str, toks: List[str], ln: int, max_var: float) -> NoReturn:
-    """Raise the positioned error for the first bad literal token of a
-    clause line (not an integer, 0, or out of range)."""
-    for i, tok in enumerate(toks[:-1]):
-        lit = _parse_int(tok, ln, raw, i)
-        if lit == 0:
-            raise PositionedError(ln, _token_col(raw, i), "literal 0 inside a clause line")
-        if abs(lit) > max_var:
-            raise PositionedError(ln, _token_col(raw, i), f"variable {abs(lit)} out of range")
-    raise AssertionError("no bad literal on the line")
-
-
-def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: float) -> Lits:
+def _parse_clause_line(raw: str, stripped: str, ln: int, max_var: float) -> List[int]:
+    """The literals of a clause line as written, read in one pass; the first
+    bad token in line order raises at its column."""
     toks = stripped.split()
     if toks[-1] != "0":
         raise PositionedError(ln, _token_col(raw, len(toks) - 1), "clause line must end with 0")
     lits: List[int] = []
-    for tok in toks[:-1]:
-        try:
-            lit = int(tok)
-        except ValueError:
-            lit = 0
-        if not (lit and -max_var <= lit <= max_var):
-            _raise_bad_literal(raw, toks, ln, max_var)
-        lits.append(lit)
-    try:
-        return canonical_lits(lits)
-    except TautologyError as e:
-        raise PositionedError(ln, 1, f"tautological clause: {e}") from None
+    seen = set()
+    for i, tok in enumerate(toks[:-1]):
+        lit = _parse_int(tok, ln, raw, i)
+        if not lit:
+            fault = "literal 0 inside a clause line"
+        elif abs(lit) > max_var:
+            fault = f"variable {abs(lit)} out of range"
+        elif -lit in seen:
+            fault = f"tautological clause: clause contains both polarities of {abs(lit)}"
+        else:
+            seen.add(lit)
+            lits.append(lit)
+            continue
+        raise PositionedError(ln, _token_col(raw, i), fault)
+    return lits
 
 
 def parse_pqe(text: str) -> EcnfProblem:
@@ -152,18 +150,15 @@ def write_pqe(problem: EcnfProblem, comment: str = "") -> str:
         for line in comment.split("\n"):
             out.append(f"c {line}")
     out.append(f"p pqe {max_var} {len(problem.f1)} {len(problem.f2)}")
-    out.append("e " + " ".join(str(v) for v in sorted(problem.x_vars)) + " 0"
-               if problem.x_vars else "e 0")
-    for c in problem.f1 + problem.f2:
-        out.append(" ".join(str(l) for l in c) + " 0" if c else "0")
+    out.append(" ".join(map(str, ("e", *sorted(problem.x_vars), 0))))
+    out.extend(" ".join(map(str, (*c, 0))) for c in problem.f1 + problem.f2)
     return "\n".join(out) + "\n"
 
 
 def write_solution(f1_star: Sequence[Sequence[int]]) -> str:
     """Solution text; ``s pqe 0`` encodes the constant-true solution."""
     out = [f"s pqe {len(f1_star)}"]
-    for c in f1_star:
-        out.append(" ".join(str(l) for l in c) + " 0" if c else "0")
+    out.extend(" ".join(map(str, (*c, 0))) for c in f1_star)
     return "\n".join(out) + "\n"
 
 
@@ -181,7 +176,5 @@ def parse_solution(text: str) -> Tuple[Lits, ...]:
     body = lines[1:]
     if len(body) != n:
         raise PositionedError(ln, 1, f"expected {n} clause lines, found {len(body)}")
-    out = []
-    for l, raw, stripped in body:
-        out.append(_parse_clause_line(raw, stripped, l, max_var=float("inf")))
-    return tuple(out)
+    return tuple(canonical_lits(_parse_clause_line(raw, stripped, l, max_var=float("inf")))
+                 for l, raw, stripped in body)

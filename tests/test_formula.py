@@ -262,6 +262,10 @@ class TestEcnfProblem:
         assert p.f1 == ()
         assert (1, 2) in p.f2
 
+    def test_each_block_keeps_first_occurrences_in_order(self):
+        p = EcnfProblem.make([1], [(2, 1), (3,), (1, 2)], [])
+        assert p.f1 == ((1, 2), (3,))
+
     def test_x_clause_detection(self):
         p = EcnfProblem.make([1], [], [])
         assert p.is_x_clause((1, 2))

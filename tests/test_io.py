@@ -6,6 +6,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pqe.formula
+import pqe.io
+from pqe.formula import canonical_lits
 from pqe.io import (
     PositionedError,
     parse_pqe,
@@ -103,9 +106,37 @@ class TestParse:
         assert p.f1 == ((1, -2),)
 
     def test_tautology_rejected(self):
-        with pytest.raises(PositionedError, match="tautological clause") as e:
+        # positioned at the clashing literal
+        with pytest.raises(PositionedError, match="both polarities of 1") as e:
             parse_pqe("p pqe 1 1 0\ne 1 0\n1 -1 0\n")
-        assert e.value.line == 3
+        assert (e.value.line, e.value.col) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1 -1 x 0", "tautological clause"), ("1 x -1 0", "expected an integer")],
+        ids=["tautology-first", "non-integer-first"],
+    )
+    def test_first_fault_in_token_order_is_reported(self, line, message):
+        with pytest.raises(PositionedError, match=message) as e:
+            parse_pqe(f"p pqe 1 1 0\ne 1 0\n{line}\n")
+        assert (e.value.line, e.value.col) == (3, 3)
+
+    def test_clause_line_read_as_written_is_canonicalised(self):
+        # a leading + is accepted, as DIMACS readers such as MiniSat accept it
+        p = parse_pqe("p pqe 3 2 0\ne 1 0\n3 -1 3 0\n+3 2 0\n")
+        assert p.f1 == ((-1, 3), (2, 3))
+
+    def test_each_clause_line_is_canonicalised_once(self, monkeypatch):
+        calls = []
+
+        def counting(lits):
+            calls.append(lits)
+            return canonical_lits(lits)
+
+        monkeypatch.setattr(pqe.formula, "canonical_lits", counting)
+        monkeypatch.setattr(pqe.io, "canonical_lits", counting)
+        parse_pqe("p pqe 4 2 3\ne 1 2 0\n-1 2 0\n3 1 0\n3 -2 0\n4 -3 0\n0\n")
+        assert len(calls) == 5
 
     def test_var_out_of_range(self):
         with pytest.raises(PositionedError, match="variable 3 out of range") as e:
@@ -153,6 +184,19 @@ class TestParse:
             parse_pqe(text)
         assert (e.value.line, e.value.col) == where
         assert str(e.value) == f"line {where[0]}, col {where[1]}: {e.value.message}"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("p pqe 10 1 1\ne 1 0\n1_0 0\n-1 2 0\n", (3, 1)),
+         ("p pqe 2 1 0\ne 1 0\n1  \u0661 0\n", (3, 4)),
+         ("p pqe 1_0 0 0\ne 0\n", (1, 7)),
+         ("p pqe 3 0 0\ne 1 \uff13 0\n", (2, 5))],
+        ids=["clause-underscore", "clause-arabic-indic", "header-count", "e-line-fullwidth"],
+    )
+    def test_only_ascii_decimal_integers(self, text, where):
+        with pytest.raises(PositionedError, match="expected an integer") as e:
+            parse_pqe(text)
+        assert (e.value.line, e.value.col) == where
 
     def test_duplicate_quantifier_column(self):
         with pytest.raises(PositionedError, match="duplicate quantifier for 22") as e:
@@ -251,13 +295,17 @@ class TestSolution:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("1 0 2 0", "literal 0 inside a clause line"), ("1 x 0", "expected an integer")],
-        ids=["literal-0", "non-integer"],
+        [("1 0 2 0", "literal 0 inside a clause line"), ("1 x 0", "expected an integer"),
+         ("1 2_0 0", "expected an integer")],
+        ids=["literal-0", "non-integer", "underscore"],
     )
     def test_bad_literal_positioned(self, line, message):
         with pytest.raises(PositionedError, match=message) as e:
             parse_solution(f"s pqe 1\n{line}\n")
         assert (e.value.line, e.value.col) == (2, 3)
+
+    def test_clause_line_is_canonicalised(self):
+        assert parse_solution("s pqe 1\n2 -1 2 0\n") == ((-1, 2),)
 
     def test_bad_header(self):
         with pytest.raises(PositionedError, match="expected header 's pqe"):
