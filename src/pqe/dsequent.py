@@ -39,7 +39,7 @@ class InconsistentInputs(InvalidRule):
 CondItems = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DSequent:
     """Immutable record (conditional, structure constraint) -> target clause id."""
 
@@ -115,15 +115,27 @@ def falsified_clause_dsequent(target: Clause, b: Clause) -> DSequent:
 
 
 def atomic_third_kind(
-    c: Clause, v: int, x_vars: Collection[int], resolvable_dseqs: Sequence[DSequent]
+    c: Clause,
+    v: int,
+    x_vars: Collection[int],
+    resolvable_dseqs: Sequence[DSequent],
+    satisfied: Optional[Assignment] = None,
 ) -> DSequent:
-    """The target is blocked at quantified variable v given records for all partners."""
+    """The target is blocked at quantified variable v given records for all partners.
+
+    A partner satisfied by one assignment may come as that assignment, in
+    ``satisfied``, instead of as its ``atomic_first_kind`` record. Such a
+    record has an empty constraint, so no record waits on it and it cannot
+    close a cycle: it takes part in the clash check only.
+    """
     if v not in x_vars or c.lit_on(v) is None:
         raise InvalidRule(f"{v} is not a quantified variable of clause {c.id}")
-    check_consistency(resolvable_dseqs)
-    merged: Assignment = {}
+    merged: Assignment = dict(satisfied or ())
     for ds in resolvable_dseqs:
-        merged.update(ds.conditional)
+        for var, b in ds.conditional:
+            if merged.setdefault(var, b) != b:
+                raise InvalidRule(f"clashing conditionals among inputs: record for {ds.target} on {var}")
+    check_consistency(resolvable_dseqs)
     constraint = frozenset().union(*(ds.constraint for ds in resolvable_dseqs))
     return DSequent.make(c.id, merged, constraint, "atomic3")
 

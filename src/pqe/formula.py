@@ -123,7 +123,7 @@ def resolve_assignments(q1: Assignment, q2: Assignment, v: int) -> Assignment:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Canonicalized clause with a stable id and its block."""
 
@@ -141,21 +141,24 @@ class Clause:
 class ClauseDb:
     """Id-addressed clause store with liveness flags; one clause per literal set.
 
-    Clauses are never physically removed: D-sequent structure constraints
+    Clauses are never physically dropped: D-sequent structure constraints
     keep referring to ids of clauses proved redundant, and those clauses
-    may return to the formula when a target level is popped.
+    may return to the formula when a target level is popped. Only a clause
+    taken out by ``remove``, a proved primary, never returns.
 
     The store also keeps the search's propagation state. ``values`` is the
-    current partial assignment, changed only through ``assign`` and
-    ``unassign``. Per stored clause, live or not, the store counts the
-    literals that assignment makes true and the literals it leaves
-    non-false, and the sum of those non-false literals, which for a unit
-    clause is its free literal. From the counts it keeps two sets of
-    *active* ids:
+    current partial assignment, changed only through ``assign``,
+    ``unassign`` and ``reset``. Per clause that can return, live or not,
+    the store counts the literals that assignment makes true and the
+    literals it leaves non-false, and the sum of those non-false literals,
+    which for a unit clause is its free literal. From the counts it keeps
+    two sets of *active* ids:
     ``falsified`` (every literal false) and ``units`` (no literal true,
     exactly one unassigned). An assignment or unassignment touches only the
-    two occurrence lists of its variable; ``add``, ``deactivate`` and
-    ``reactivate`` move a clause into or out of the sets. The sets hold
+    two count lists of its variable, which hold the clauses that can
+    return; ``add``, ``deactivate``, ``reactivate`` and ``remove`` move a
+    clause into or out of the sets, and ``reset`` goes back to the empty
+    assignment in one step. The sets hold
     exactly the active clauses for which ``clause_falsified`` and
     ``unit_literal`` would answer, so the lowest id in a set is the one a
     scan of ``active_ids()`` in id order would find first.
@@ -171,12 +174,17 @@ class ClauseDb:
     def __init__(self) -> None:
         self._clauses: List[Optional[Clause]] = [None]  # by id (ids start at 1)
         self._active: List[bool] = [False]  # by id
+        self._removed: Set[int] = set()  # ids that never return
         self._ids: Dict[Lits, int] = {}  # canonical lits -> id, live or not
         self._occ: Dict[int, List[int]] = {}  # literal -> ids containing it, ascending
+        self._counted: Dict[int, List[int]] = {}  # literal -> the ids in _occ that can return
         self.values: Assignment = {}
         self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
         self._open: List[int] = [0]  # by id: literals not false under values
         self._open_sum: List[int] = [0]  # by id: sum of the literals not false
+        self._size: List[int] = [0]  # by id: _open under the empty assignment
+        self._lit_sum: List[int] = [0]  # by id: _open_sum under the empty assignment
+        self._short: List[int] = []  # ids of the clauses of at most one literal
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
@@ -194,9 +202,10 @@ class ClauseDb:
         self._active.append(True)
         self._ids[key] = cid
         true = open_ = open_sum = 0
-        values, occ = self.values, self._occ
+        values, occ, counted = self.values, self._occ, self._counted
         for l in key:
             occ.setdefault(l, []).append(cid)
+            counted.setdefault(l, []).append(cid)
             val = values.get(abs(l))
             if val is None:
                 open_ += 1
@@ -208,6 +217,10 @@ class ClauseDb:
         self._true.append(true)
         self._open.append(open_)
         self._open_sum.append(open_sum)
+        self._size.append(len(key))
+        self._lit_sum.append(sum(key))
+        if len(key) <= 1:
+            self._short.append(cid)
         self._track(cid)
         return clause
 
@@ -241,8 +254,21 @@ class ClauseDb:
     def reactivate(self, cid: int) -> None:
         if self._active[cid]:
             raise ValueError(f"clause {cid} already active")
+        if cid in self._removed:
+            raise ValueError(f"clause {cid} was removed")
         self._active[cid] = True
         self._track(cid)
+
+    def remove(self, cid: int) -> None:
+        """Deactivate a clause for good: it leaves the count lists, so
+        ``assign`` and ``unassign`` no longer keep its counts."""
+        self.deactivate(cid)
+        self._removed.add(cid)
+        for l in self._clauses[cid].lits:
+            self._counted[l].remove(cid)
+
+    def is_removed(self, cid: int) -> bool:
+        return cid in self._removed
 
     def active_ids(self) -> Tuple[int, ...]:
         return tuple(cid for cid, on in enumerate(self._active) if on)
@@ -269,9 +295,10 @@ class ClauseDb:
         if scanned < len(occ):
             # a partner holds -lit; it resolves with the clause iff that is
             # its only clash
-            mine = set(self._clauses[cid].lits)
+            clauses = self._clauses
+            neg = {-l for l in clauses[cid].lits}
             for other in occ[scanned:]:
-                if not any(-l in mine for l in self._clauses[other].lits if l != -lit):
+                if len(neg.intersection(clauses[other].lits)) == 1:
                     ids.append(other)
             self._partner_scanned[key] = len(occ)
         return ids
@@ -296,6 +323,25 @@ class ClauseDb:
             want = [o for o in read if resolvable_on(lits, self._clauses[o].lits, abs(lit))]
             assert ids == want, f"partner list of clause {cid} on {lit}: {ids} != {want}"
 
+    def audit_counts(self) -> None:
+        """The counts of every clause that can return equal a scan under
+        ``values``, the count lists hold exactly those clauses, and no
+        removed clause is in ``units`` or ``falsified`` (a
+        ``check_invariants`` audit)."""
+        values, removed = self.values, self._removed
+        for cid in range(1, len(self._clauses)):
+            if cid in removed:
+                assert cid not in self.units and cid not in self.falsified, f"removed clause {cid} is tracked"
+                continue
+            lits = self._clauses[cid].lits
+            open_ = [l for l in lits if lit_truth(l, values) != 0]
+            true = sum(lit_truth(l, values) == 1 for l in lits)
+            counts = (self._true[cid], self._open[cid], self._open_sum[cid])
+            assert counts == (true, len(open_), sum(open_)), f"counts of clause {cid}: {counts}"
+        for lit, ids in self._occ.items():
+            want = [cid for cid in ids if cid not in removed]
+            assert self._counted[lit] == want, f"count list of {lit}: {self._counted[lit]} != {want}"
+
     # -- propagation state ---------------------------------------------
 
     def assign(self, var: int, val: int) -> None:
@@ -303,12 +349,12 @@ class ClauseDb:
         self.values[var] = val
         lit = var if val else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum = self._open_sum
-        for cid in self._occ.get(lit, ()):
+        open_sum, counted = self._open_sum, self._counted
+        for cid in counted.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
                 units.discard(cid)
-        for cid in self._occ.get(-lit, ()):
+        for cid in counted.get(-lit, ()):
             open_sum[cid] += lit
             n = open_[cid] - 1
             open_[cid] = n
@@ -323,12 +369,12 @@ class ClauseDb:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum = self._open_sum
-        for cid in self._occ.get(lit, ()):
+        open_sum, counted = self._open_sum, self._counted
+        for cid in counted.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
-        for cid in self._occ.get(-lit, ()):
+        for cid in counted.get(-lit, ()):
             open_sum[cid] -= lit
             n = open_[cid] + 1
             open_[cid] = n
@@ -339,12 +385,25 @@ class ClauseDb:
                 else:
                     units.discard(cid)
 
+    def reset(self) -> None:
+        """Go back to the empty assignment in one step: the counts, sets
+        and free literals that unassigning every variable would leave."""
+        self.values.clear()
+        self._true = [0] * len(self._clauses)
+        self._open = self._size.copy()
+        self._open_sum = self._lit_sum.copy()
+        self.units.clear()
+        self.falsified.clear()
+        for cid in self._short:
+            if self._active[cid]:
+                (self.units if self._size[cid] else self.falsified).add(cid)
+
     def is_satisfied(self, cid: int) -> bool:
-        """Some literal of the clause is true under ``values``."""
+        """Some literal of a clause that can return is true under ``values``."""
         return self._true[cid] > 0
 
     def is_falsified(self, cid: int) -> bool:
-        """Every literal of the clause is false under ``values``."""
+        """Every literal of a clause that can return is false under ``values``."""
         return self._open[cid] == 0
 
     def free_literal(self, cid: int) -> int:

@@ -65,9 +65,14 @@ Propagation state
 -----------------
 The engine never scans the formula to find falsified or unit clauses. Every
 assignment and unassignment goes through ``_apply`` and ``_pop_suffix`` to
-the clause store, which keeps per clause a count of true literals, a count
-of non-false ones and the sum of the non-false ones, and from the counts
-the sets of active falsified and active unit clause ids (see ``ClauseDb``).
+the clause store, which keeps per clause that can return a count of true
+literals, a count of non-false ones and the sum of the non-false ones, and
+from the counts the sets of active falsified and active unit clause ids
+(see ``ClauseDb``). A proved primary is removed from the store for good
+(``ClauseDb.remove``), so no assignment pays for its counts again, and a
+pop of the whole trail, which ends every proof, resets the counts in one
+step (``ClauseDb.reset``) before it ends the live levels; other pops undo
+their entries one by one.
 A round of BCP reads the target's counts and takes the lowest falsified id.
 Failing a condition, it applies the unit clause with the lowest id, the
 target's own unit last. With no unit, a target blocked at a quantified
@@ -84,10 +89,11 @@ a literal when it has no open partner there. The store reads its partner
 index, per (clause, literal) the ascending ids of the clauses resolvable
 with it, extended when derived clauses arrive, and the partners' liveness
 and true counts.
-``SolverConfig.check_invariants`` re-derives the sets, the free literals,
-the partner lists and the blocked test by scans at every round, and
-asserts that they agree and that every trail entry lies at the level the
-rule above gives it.
+``SolverConfig.check_invariants`` re-derives the counts of every clause
+that can return, the count lists, the sets, the free literals, the partner
+lists and the blocked test by scans at every round, and asserts that they
+agree, that no removed clause is counted or in a set, and that every trail
+entry lies at the level the rule above gives it.
 
 Records
 -------
@@ -100,7 +106,11 @@ Every derived D-sequent is counted in ``stats`` (``_emit``). The records
 ``_rewrite`` passes through on the way to its result are built only when
 an ``on_dsequent`` observer sees them; without one it carries the
 conditional and constraint as plain mutable values and builds one record at
-the end. The observer gets the live formula as a function, ``live``, so the
+the end. It reads a reason clause's falsifying assignment from a per-clause
+cache: clauses never change. ``_third_kind`` likewise builds a live
+partner's atomic1 record only for an observer and merges the partner's
+satisfying entry straight into the blocked clause's conditional. The
+observer gets the live formula as a function, ``live``, so the
 sorted copy of every live clause is made only for an observer that reads it.
 Records are stored as derived (``DSequentStore``). A stored record is
 reused, or gives a branch hint, only while every clause of its constraint
@@ -112,7 +122,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import dsequent as dsq
 from .dsequent import DSequent, DSequentStore
@@ -149,7 +159,7 @@ class SolverConfig:
             raise ValueError(f"max_seconds must be 0 or more, not {self.max_seconds!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrailEntry:
     var: int
     val: int
@@ -210,11 +220,11 @@ class Engine:
         self.trail: List[TrailEntry] = []
         self.pos: Dict[int, int] = {}
         self.tlevels: List[TrailEntry] = []  # the key entries of the live target levels
-        self.removed: Set[int] = set()
         self.primary = 0
         self.target = 0
         self._deadline: Optional[float] = None
         self._rule_keys: Dict[str, str] = {}  # record rule -> its stats key
+        self._falsifying: Dict[int, Assignment] = {}  # reason clause id -> its falsifying assignment
 
     # ------------------------------------------------------------------
     # top level
@@ -225,7 +235,8 @@ class Engine:
         if self.config.max_seconds is not None:
             self._deadline = t0 + self.config.max_seconds
         # derived F1 clauses are appended as they arrive and get their turn
-        # here; between proofs only the proved primaries are inactive
+        # here; between proofs only the proved primaries, removed for good,
+        # are inactive
         for cid in self.f1_ids:
             if not self.problem.is_x_clause(self.db.clause(cid).lits):
                 continue
@@ -234,8 +245,7 @@ class Engine:
             self.prove_redundant(cid)
             self.stats["primaries_proved"] += 1
             self._pop_suffix(0)
-            self.db.deactivate(cid)
-            self.removed.add(cid)
+            self.db.remove(cid)
         f1_star = tuple(
             self.db.clause(cid).lits
             for cid in self.f1_ids
@@ -298,6 +308,14 @@ class Engine:
             self._audit_trail()
 
     def _pop_suffix(self, new_len: int) -> None:
+        if new_len == 0 and self.trail:
+            # the whole trail goes: reset the counts at once, then end the
+            # levels top-down, each restored clause reading the reset counts
+            self.db.reset()
+            self.trail.clear()
+            self.pos.clear()
+            while self.tlevels:
+                self._drop_tlevel()
         while len(self.trail) > new_len:
             e = self.trail.pop()
             self.db.unassign(e.var)
@@ -383,10 +401,7 @@ class Engine:
                 assert e.level == below + 1, f"entry {i} steers but does not start its level"
             below = e.level
         db = self.db
-        for cid in db.all_ids():
-            lits = db.clause(cid).lits
-            assert db.is_satisfied(cid) == clause_satisfied(lits, self.assign), cid
-            assert db.is_falsified(cid) == clause_falsified(lits, self.assign), cid
+        db.audit_counts()
         active = db.active_ids()
         assert db.falsified == {
             cid for cid in active if clause_falsified(db.clause(cid).lits, self.assign)
@@ -540,7 +555,9 @@ class Engine:
         """Certify a clause blocked at v from one record per partner on v.
 
         A proved primary has left the formula for good and needs none. A
-        live partner is satisfied off v; a proved one brings its record
+        live partner is satisfied off v: its atomic1 record is counted, and
+        built only for an observer, and its satisfying entry goes straight
+        into the merged conditional. A proved partner brings its record
         from the level it was proved at. That record never depends on v:
         ``_rewrite``'s satisfied-target escape joins v out of it before
         ``_bcktr_dseq`` marks the partner done. None if the partner records
@@ -549,27 +566,30 @@ class Engine:
         (self-support, which ``DSequent.make`` rejects), rarely they form a
         cycle with no application order (``check_consistency``).
         """
-        inputs = []
-        for cid in self.db.partners(clause.id, clause.lit_on(v)):
-            if cid in self.removed:
+        db = self.db
+        records = []
+        satisfied: Assignment = {}
+        for cid in db.partners(clause.id, clause.lit_on(v)):
+            if db.is_removed(cid):
                 continue
-            partner = self.db.clause(cid)
-            if self.db.is_active(cid):
+            if db.is_active(cid):
                 # its literal on v is false (v keys the level) or unassigned
                 # (v is blocked), so the satisfying entry lies off v
+                partner = db.clause(cid)
                 sv, sval = self._satisfying_entry(partner.lits)
-                rec = self._emit(dsq.atomic_first_kind(partner, sv, sval))
-            else:
-                rec = next(
-                    (key.done[cid] for key in reversed(self.tlevels) if cid in key.done), None
-                )
-                if rec is None:
-                    raise AssertionError(f"partner {cid} is gone without a record")
-                if v in rec.cond():
-                    raise AssertionError(f"partner {cid}'s record depends on {v}")
-            inputs.append(rec)
+                satisfied[sv] = sval
+                self._count("atomic1")
+                if self.on_dsequent is not None:
+                    self._show(dsq.atomic_first_kind(partner, sv, sval))
+                continue
+            rec = next((key.done[cid] for key in reversed(self.tlevels) if cid in key.done), None)
+            if rec is None:
+                raise AssertionError(f"partner {cid} is gone without a record")
+            if v in rec.cond():
+                raise AssertionError(f"partner {cid}'s record depends on {v}")
+            records.append(rec)
         try:
-            return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, inputs))
+            return self._emit(dsq.atomic_third_kind(clause, v, self.x_vars, records, satisfied))
         except dsq.InconsistentInputs:
             self.stats["consistency_recoveries"] += 1
             return None
@@ -691,7 +711,10 @@ class Engine:
                 if reason.target == target and self._below(reason.conditional, var, limit):
                     partner = (reason.conditional, reason.constraint, None)
             elif reason != target and entry.done is None:
-                falsifying = falsifying_assignment(self.db.clause(reason).lits)
+                falsifying = self._falsifying.get(reason)
+                if falsifying is None:
+                    falsifying = falsifying_assignment(self.db.clause(reason).lits)
+                    self._falsifying[reason] = falsifying
                 if self.config.check_invariants:
                     assert falsifying.get(var) == 1 - b and self._below(
                         falsifying.items(), var, limit
@@ -706,8 +729,8 @@ class Engine:
                     break
                 partner = (((var, 1 - b),), (), "atomic1")
             items, extra, rule = partner
+            cond.update(items)  # sets var to 1 - b, which goes next
             del cond[var]
-            cond.update(item for item in items if item[0] != var)
             constraint.update(extra)
             joined = True
             if rule is not None:

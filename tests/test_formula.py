@@ -244,6 +244,107 @@ class TestPropagationState:
                                      and resolvable_on(lits, db.clause(o).lits, abs(lit))), None)
                         assert db.open_partner(c, lit) == want
 
+    @staticmethod
+    def walk(db, rng, steps):
+        """Random adds, assignments, unassignments, soft deletions,
+        restorations and removals; yields after each step."""
+        nv = 6
+        for _ in range(steps):
+            op = rng.randrange(6)
+            free = [v for v in range(1, nv + 1) if v not in db.values]
+            ids = [c for c in db.all_ids() if not db.is_removed(c)]
+            if op == 0 or not ids:
+                vs = rng.sample(range(1, nv + 1), rng.randint(0, 3))
+                db.add(canonical_lits(v if rng.randrange(2) else -v for v in vs), True)
+            elif op == 1 and free:
+                db.assign(rng.choice(free), rng.randrange(2))
+            elif op == 2 and db.values:
+                db.unassign(rng.choice(sorted(db.values)))
+            elif op == 3:
+                cid = rng.choice(ids)
+                if db.is_active(cid):
+                    db.remove(cid)
+            else:
+                cid = rng.choice(ids)
+                if db.is_active(cid):
+                    db.deactivate(cid)
+                else:
+                    db.reactivate(cid)
+            yield
+
+    @staticmethod
+    def state(db):
+        """The assignment, the counts of every clause that can return, the
+        sets and the free literals of the units, as the store keeps them."""
+        counts = {c: (db._true[c], db._open[c], db._open_sum[c])
+                  for c in db.all_ids() if not db.is_removed(c)}
+        free = {c: db.free_literal(c) for c in db.units}
+        return dict(db.values), counts, set(db.units), set(db.falsified), free
+
+    @staticmethod
+    def scanned(db):
+        """What ``state`` must be, by a full scan."""
+        asg = db.values
+        counts = {}
+        for c in db.all_ids():
+            if db.is_removed(c):
+                continue
+            lits = db.clause(c).lits
+            open_ = [l for l in lits if lit_truth(l, asg) != 0]
+            counts[c] = (sum(lit_truth(l, asg) == 1 for l in lits), len(open_), sum(open_))
+        active = db.active_ids()
+        units = {c for c in active if unit_literal(db.clause(c).lits, asg) is not None}
+        falsified = {c for c in active if clause_falsified(db.clause(c).lits, asg)}
+        free = {c: unit_literal(db.clause(c).lits, asg) for c in units}
+        return dict(asg), counts, units, falsified, free
+
+    def test_reset_leaves_what_unassigning_leaves(self):
+        assigned = 0
+        for seed in range(40):
+            one_by_one, at_once = ClauseDb(), ClauseDb()
+            for db in (one_by_one, at_once):
+                for _ in self.walk(db, random.Random(seed), 80):
+                    pass
+            assert self.state(one_by_one) == self.state(at_once)
+            assigned += len(one_by_one.values) > 1
+            for var in list(one_by_one.values):
+                one_by_one.unassign(var)
+            at_once.reset()
+            assert self.state(at_once) == self.state(one_by_one) == self.scanned(at_once), seed
+            # the reset counts carry on as unassigned ones would
+            for _ in self.walk(at_once, random.Random(seed + 1000), 40):
+                assert self.state(at_once) == self.scanned(at_once), seed
+        assert assigned > 20
+
+    def test_removed_clause_leaves_the_count_lists(self):
+        removals = 0
+        for seed in range(40):
+            db = ClauseDb()
+            frozen = {}  # removed id -> its counts when it was removed
+            for _ in self.walk(db, random.Random(seed), 120):
+                for c in db.all_ids():
+                    if db.is_removed(c):
+                        counts = (db._true[c], db._open[c], db._open_sum[c])
+                        # assign and unassign no longer touch it
+                        assert frozen.setdefault(c, counts) == counts, (seed, c)
+                        assert c not in db.units and c not in db.falsified
+                assert self.state(db) == self.scanned(db), seed
+                asg = db.values
+                for c in db.all_ids():
+                    lits = db.clause(c).lits
+                    for lit in lits:
+                        partners = [o for o in db.occurrences(-lit)
+                                    if resolvable_on(lits, db.clause(o).lits, abs(lit))]
+                        assert list(db.partners(c, lit)) == partners
+                        want = next((o for o in partners if db.is_active(o)
+                                     and not clause_satisfied(db.clause(o).lits, asg)), None)
+                        assert db.open_partner(c, lit) == want
+            removals += len(frozen)
+            for c in frozen:
+                with pytest.raises(ValueError, match="removed"):
+                    db.reactivate(c)
+        assert removals > 40
+
 
 class TestEcnfProblem:
     def test_non_positive_quantified_var_rejected(self):

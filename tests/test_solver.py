@@ -610,6 +610,27 @@ class TestDuplicateRecovery:
         assert not target_falsified and falsified
         assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
 
+    @pytest.mark.parametrize("source, recoveries", [("cone-231", 2), (4, 2), (38, 0)])
+    def test_observer_leaves_recoveries_alone(self, source, recoveries, tmp_path, capsys):
+        # _third_kind builds a live partner's atomic1 record only for an
+        # observer: with one or without, the answer and every counter agree,
+        # on two support cycles, self-support and a fallback of another kind
+        if source == "cone-231":
+            with open(os.path.join(DATA, "cone-231.pqe"), encoding="utf-8") as fh:
+                problem = parse_pqe(fh.read())
+        else:
+            problem = self.satred(source, tmp_path, capsys)
+        seen = []
+        plain = solve_pqe(problem)
+        observed = solve_pqe(problem, None, lambda ds, live: seen.append(ds))
+        plain.stats.pop("wall_time_s")
+        observed.stats.pop("wall_time_s")
+        assert observed.f1_star == plain.f1_star
+        assert observed.stats == plain.stats
+        assert plain.stats["consistency_recoveries"] == recoveries
+        assert len(seen) == plain.stats["dseq_generated"]
+        assert sum(ds.rule == "atomic1" for ds in seen) == plain.stats["dseq_atomic1"]
+
     def test_satisfiable_shrink_drops_irrelevant_free_var(self):
         # (1, 4) makes y4 free, but no live clause needs y4 = 0 to hold:
         # the shrink drops it from the witness

@@ -120,7 +120,7 @@ class TestPrimaries:
                 cid for cid in eng.f1_ids if problem.is_x_clause(eng.db.clause(cid).lits)
             }
             assert not any(eng.db.is_active(cid) for cid in primaries), problem
-            assert eng.removed == primaries, problem
+            assert {cid for cid in eng.db.all_ids() if eng.db.is_removed(cid)} == primaries, problem
             assert res.stats["primaries_proved"] == len(primaries), problem
             derived += sum(cid > len(problem.f1) + len(problem.f2) for cid in primaries)
         assert derived > 10
@@ -370,6 +370,33 @@ class TestSearchDiscipline:
         eng.db._true[2] = 1  # the partner now reads as satisfied
         with pytest.raises(AssertionError, match="blocked test"):
             eng._blocked_var()
+
+    # two primaries: the first is removed, and the second proof starts from
+    # the reset counts
+    TWO_PRIMARIES = EcnfProblem.make([1], [(1, 2), (1, 3)], [(-1, 4), (-2, -3)])
+
+    def test_audit_catches_remove_leaving_a_count_list(self, monkeypatch):
+        def leaky(db, cid):
+            db.deactivate(cid)
+            db._removed.add(cid)
+            for lit in db.clause(cid).lits[1:]:  # the first literal's list keeps it
+                db._counted[lit].remove(cid)
+
+        monkeypatch.setattr(ClauseDb, "remove", leaky)
+        with pytest.raises(AssertionError, match="count list"):
+            solve_pqe(self.TWO_PRIMARIES, SolverConfig(check_invariants=True))
+
+    def test_audit_catches_reset_forgetting_open_sums(self, monkeypatch):
+        reset = ClauseDb.reset
+
+        def forgetful(db):
+            sums = db._open_sum
+            reset(db)
+            db._open_sum = sums
+
+        monkeypatch.setattr(ClauseDb, "reset", forgetful)
+        with pytest.raises(AssertionError, match="counts of clause"):
+            solve_pqe(self.TWO_PRIMARIES, SolverConfig(check_invariants=True))
 
     def test_audit_catches_k0_record_on_inactive_clause(self):
         # at k = 0 a record the engine consults never rests on an inactive clause
