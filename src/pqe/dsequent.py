@@ -119,18 +119,18 @@ def atomic_third_kind(
     v: int,
     x_vars: Collection[int],
     resolvable_dseqs: Sequence[DSequent],
-    satisfied: Optional[Assignment] = None,
+    satisfied: Assignment,
 ) -> DSequent:
     """The target is blocked at quantified variable v given records for all partners.
 
-    A partner satisfied by one assignment may come as that assignment, in
-    ``satisfied``, instead of as its ``atomic_first_kind`` record. Such a
-    record has an empty constraint, so no record waits on it and it cannot
-    close a cycle: it takes part in the clash check only.
+    A partner satisfied by one assignment comes as that assignment, in
+    ``satisfied``, not as its ``atomic_first_kind`` record. Such a record
+    has an empty constraint, so no record waits on it and it cannot close
+    a cycle: it takes part in the clash check only.
     """
     if v not in x_vars or c.lit_on(v) is None:
         raise InvalidRule(f"{v} is not a quantified variable of clause {c.id}")
-    merged: Assignment = dict(satisfied or ())
+    merged: Assignment = dict(satisfied)
     for ds in resolvable_dseqs:
         for var, b in ds.conditional:
             if merged.setdefault(var, b) != b:

@@ -166,7 +166,9 @@ class ClauseDb:
     ``partners`` indexes, per (clause id, literal), the ids of the clauses
     resolvable with that clause on the literal's variable. Ids and literals
     never change and occurrence lists only grow, so a list is extended, not
-    rebuilt, when clauses have arrived since it was last read.
+    rebuilt, when clauses have arrived since it was last read. A clause's
+    negated literals are kept from its first scan on, so a wide clause
+    pays for them once, not once per literal.
     ``open_partner`` reads a list with the counts: the lowest live partner
     the assignment leaves unsatisfied, or None when the clause is blocked.
     """
@@ -189,6 +191,7 @@ class ClauseDb:
         self.units: Set[int] = set()
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
         self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
+        self._negated: Dict[int, Set[int]] = {}  # id -> its negated literals, from its first partner scan on
 
     def add(self, key: Lits, f1_side: bool) -> Clause:
         """Insert a clause given in ``canonical_lits`` form; a duplicate
@@ -296,7 +299,9 @@ class ClauseDb:
             # a partner holds -lit; it resolves with the clause iff that is
             # its only clash
             clauses = self._clauses
-            neg = {-l for l in clauses[cid].lits}
+            neg = self._negated.get(cid)
+            if neg is None:
+                neg = self._negated[cid] = {-l for l in clauses[cid].lits}
             for other in occ[scanned:]:
                 if len(neg.intersection(clauses[other].lits)) == 1:
                     ids.append(other)
@@ -387,11 +392,21 @@ class ClauseDb:
 
     def reset(self) -> None:
         """Go back to the empty assignment in one step: the counts, sets
-        and free literals that unassigning every variable would leave."""
+        and free literals that unassigning every variable would leave.
+
+        Only the clauses on the count lists of assigned variables have
+        moved from their empty-assignment counts, so the cost is that of
+        those lists, as for unassigning, without the per-clause tests.
+        """
+        true, open_, open_sum, counted = self._true, self._open, self._open_sum, self._counted
+        size, lit_sum = self._size, self._lit_sum
+        for var in self.values:
+            for lit in (var, -var):
+                for cid in counted.get(lit, ()):
+                    true[cid] = 0
+                    open_[cid] = size[cid]
+                    open_sum[cid] = lit_sum[cid]
         self.values.clear()
-        self._true = [0] * len(self._clauses)
-        self._open = self._size.copy()
-        self._open_sum = self._lit_sum.copy()
         self.units.clear()
         self.falsified.clear()
         for cid in self._short:

@@ -76,26 +76,32 @@ class TestAtomicThirdKind:
     def test_merges_partner_records(self):
         s2 = ds(12, {3: 1}, ())
         s3 = ds(13, {2: 1}, {14})
-        out = atomic_third_kind(self.C1, 1, (1, 2), [s2, s3])
-        assert out.cond() == {3: 1, 2: 1}
+        # a live partner comes as its satisfying entry, not as a record
+        out = atomic_third_kind(self.C1, 1, (1, 2), [s2, s3], {4: 0})
+        assert out.cond() == {4: 0, 3: 1, 2: 1}
         assert out.constraint == {14}
 
     def test_vacuous_union(self):
-        out = atomic_third_kind(self.C1, 1, (1, 2), [])
+        out = atomic_third_kind(self.C1, 1, (1, 2), [], {})
         assert out.cond() == {} and out.constraint == frozenset()
 
     def test_clash_rejected(self):
         with pytest.raises(InvalidRule, match="clashing conditionals among inputs") as err:
-            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())])
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())], {})
         assert not isinstance(err.value, InconsistentInputs)  # the engine must not swallow it
+
+    def test_clash_with_satisfied_partner_rejected(self):
+        with pytest.raises(InvalidRule, match="clashing conditionals among inputs: record for 13 on 3") as err:
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(13, {3: 1}, ())], {3: 0})
+        assert not isinstance(err.value, InconsistentInputs)
 
     def test_support_cycle_rejected(self):
         with pytest.raises(InconsistentInputs, match="application order"):
-            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})])
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})], {})
 
     def test_target_in_partner_constraint_rejected(self):
         with pytest.raises(InconsistentInputs, match="own constraint"):
-            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 1}, {11})])
+            atomic_third_kind(self.C1, 1, (1, 2), [ds(12, {3: 1}, {11})], {})
 
 
 # Every premise of every rule, and of the set check atomic3 runs, failed:
@@ -118,19 +124,19 @@ FAILED_PREMISES = [
                  "clause 1 does not imply clause 2 under q", False, id="atomic2-no-implication"),
     pytest.param(lambda: falsified_clause_dsequent(C9, C9), "clause 9 cannot certify its own redundancy",
                  False, id="falsified-by-itself"),
-    pytest.param(lambda: atomic_third_kind(C11, 1, (2,), []), "1 is not a quantified variable of clause 11",
+    pytest.param(lambda: atomic_third_kind(C11, 1, (2,), [], {}), "1 is not a quantified variable of clause 11",
                  False, id="atomic3-free-variable"),
-    pytest.param(lambda: atomic_third_kind(C11, 3, (1, 2, 3), []), "3 is not a quantified variable of clause 11",
+    pytest.param(lambda: atomic_third_kind(C11, 3, (1, 2, 3), [], {}), "3 is not a quantified variable of clause 11",
                  False, id="atomic3-absent-variable"),
-    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())]),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 0}, ()), ds(13, {3: 1}, ())], {}),
                  "clashing conditionals among inputs", False, id="atomic3-clash"),
     pytest.param(lambda: check_consistency([ds(12, {3: 0}, ()), ds(13, {3: 1}, ())]),
                  "clashing conditionals among inputs: records 0 and 1 on 3", False, id="consistency-clash"),
     pytest.param(lambda: check_consistency([ds(12, {}, {13}), ds(13, {}, {12})]),
                  r"inputs admit no application order: records \(0, 1\)", True, id="consistency-cycle"),
-    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})]),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {}, {13}), ds(13, {}, {12})], {}),
                  "inputs admit no application order", True, id="atomic3-cycle"),
-    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 1}, {11})]),
+    pytest.param(lambda: atomic_third_kind(C11, 1, (1, 2), [ds(12, {3: 1}, {11})], {}),
                  "target 11 inside its own constraint", True, id="atomic3-self-support"),
     pytest.param(lambda: ds(5, {}, {5}), "target 5 inside its own constraint", True, id="make-self-support"),
     pytest.param(lambda: join(ds(21, {4: 0}, ()), ds(22, {4: 1}, ()), 4), "targets 21 and 22 differ", False,

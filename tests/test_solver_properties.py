@@ -390,9 +390,9 @@ class TestSearchDiscipline:
         reset = ClauseDb.reset
 
         def forgetful(db):
-            sums = db._open_sum
+            sums = db._open_sum.copy()
             reset(db)
-            db._open_sum = sums
+            db._open_sum[:] = sums  # the sums stay as the trail left them
 
         monkeypatch.setattr(ClauseDb, "reset", forgetful)
         with pytest.raises(AssertionError, match="counts of clause"):

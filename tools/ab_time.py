@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/ab_time.py OTHER_CHECKOUT [--workload W] [--seed N] [--instances K] [--reps R]
+    python3 tools/ab_time.py OTHER_CHECKOUT [--instances K] [--reps R]
 
 Both ``src/pqe`` trees are copied into a temporary directory under distinct
 package names (the package imports itself relatively, so each copy reads
@@ -13,9 +13,8 @@ instance and from repetition to repetition. Speed drift of the machine
 then falls on both sides alike, which two separate benchmark runs cannot
 promise. A first, untimed pass solves the first 30 instances with both.
 
-``--workload`` may be given more than once; the default is every workload
-``BENCHMARK.json`` gates. The instances are the first K of that workload at
-that seed, built by this checkout's ``perfbench.workloads``.
+It times every workload ``BENCHMARK.json`` gates, each on its first K
+instances at seed 1, built by this checkout's ``perfbench.workloads``.
 
 Report-only: per workload it prints the total time and the per-solve p50 of
 each side, and their ratio, this checkout over the other (below 1 means
@@ -41,6 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import workloads  # noqa: E402
 
 WARMUP = 30
+SEED = 1
 SIDES = ("here", "other")
 
 
@@ -60,24 +60,24 @@ def run(engine, text: str):
     return seconds, answer, {k: v for k, v in result.stats.items() if k != "wall_time_s"}
 
 
-def compare(engines, name: str, seed: int, count: int, reps: int) -> bool:
+def compare(engines, name: str, count: int, reps: int) -> bool:
     """Time one workload; False if the two sides answered differently."""
     first = dataclasses.replace(workloads.WORKLOADS[name], count=count)
-    cases = workloads.setup(first, seed)
+    cases = workloads.setup(first, SEED)
     times = {side: [] for side in SIDES}
     for rep in range(-1, reps):  # rep -1 is the untimed warm-up
         for case in cases[:WARMUP] if rep < 0 else cases:
             order = SIDES if (case.cid + rep) % 2 else SIDES[::-1]
             out = {side: run(engines[side], case.text) for side in order}
             if out["here"][1:] != out["other"][1:]:
-                print(f"{name} seed {seed} instance {case.cid}: answers or stats differ", file=sys.stderr)
+                print(f"{name} seed {SEED} instance {case.cid}: answers or stats differ", file=sys.stderr)
                 return False
             if rep >= 0:
                 for side in SIDES:
                     times[side].append(out[side][0])
     total = {side: sum(times[side]) for side in SIDES}
     p50 = {side: statistics.median(times[side]) for side in SIDES}
-    print(f"{name} seed {seed}: {len(cases)} instances x {reps} reps, same answers and stats")
+    print(f"{name} seed {SEED}: {len(cases)} instances x {reps} reps, same answers and stats")
     for label, value in (("total", total), ("p50", p50)):
         print(f"  {label:5} here {value['here']:.6f} s  other {value['other']:.6f} s"
               f"  ratio {value['here'] / value['other']:.3f}")
@@ -87,8 +87,6 @@ def compare(engines, name: str, seed: int, count: int, reps: int) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", type=Path, help="root of the checkout to compare against")
-    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--instances", type=int, default=300)
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args(argv)
@@ -96,12 +94,12 @@ def main(argv=None) -> int:
     if not (other / "src" / "pqe" / "__init__.py").is_file():
         print(f"ab_time: no program source at {other / 'src' / 'pqe'}", file=sys.stderr)
         return 2
-    names = args.workload or [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         engines = {"here": load(Path(tmp), "pqe_ab_here", ROOT), "other": load(Path(tmp), "pqe_ab_other", other)}
         for name in names:
-            if not compare(engines, name, args.seed, args.instances, args.reps):
+            if not compare(engines, name, args.instances, args.reps):
                 return 1
     return 0
 
