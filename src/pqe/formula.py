@@ -144,31 +144,32 @@ class ClauseDb:
     Clauses are never physically dropped: D-sequent structure constraints
     keep referring to ids of clauses proved redundant, and those clauses
     may return to the formula when a target level is popped. Only a clause
-    taken out by ``remove``, a proved primary, never returns.
+    taken out by ``remove``, a proved primary, never returns; it leaves the
+    occurrence lists and the partner index.
 
     The store also keeps the search's propagation state. ``values`` is the
     current partial assignment, changed only through ``assign``,
-    ``unassign`` and ``reset``. Per clause that can return, live or not,
-    the store counts the literals that assignment makes true and the
+    ``unassign`` and ``reset``. Per clause on the occurrence lists, live or
+    not, the store counts the literals that assignment makes true and the
     literals it leaves non-false, and the sum of those non-false literals,
     which for a unit clause is its free literal. From the counts it keeps
     two sets of *active* ids:
     ``falsified`` (every literal false) and ``units`` (no literal true,
     exactly one unassigned). An assignment or unassignment touches only the
-    two count lists of its variable, which hold the clauses that can
-    return; ``add``, ``deactivate``, ``reactivate`` and ``remove`` move a
-    clause into or out of the sets, and ``reset`` goes back to the empty
-    assignment in one step. The sets hold
-    exactly the active clauses for which ``clause_falsified`` and
+    two occurrence lists of its variable; ``add``, ``deactivate``,
+    ``reactivate`` and ``remove`` move a clause into or out of the sets,
+    and ``reset`` goes back to the empty assignment in one step. The sets
+    hold exactly the active clauses for which ``clause_falsified`` and
     ``unit_literal`` would answer, so the lowest id in a set is the one a
     scan of ``active_ids()`` in id order would find first.
 
     ``partners`` indexes, per (clause id, literal), the ids of the clauses
-    resolvable with that clause on the literal's variable. Ids and literals
-    never change and occurrence lists only grow, so a list is extended, not
-    rebuilt, when clauses have arrived since it was last read. A clause's
-    negated literals are kept from its first scan on, so a wide clause
-    pays for them once, not once per literal.
+    resolvable with that clause on the literal's variable. A list is built
+    on its first read and then kept exact, as the counts are: ``add``
+    appends a new clause to the built lists it belongs in, and ``remove``
+    takes a removed one out of them. A clause's negated literals are kept
+    from its first list on, so a wide clause pays for them once, not once
+    per literal.
     ``open_partner`` reads a list with the counts: the lowest live partner
     the assignment leaves unsatisfied, or None when the clause is blocked.
     """
@@ -178,8 +179,7 @@ class ClauseDb:
         self._active: List[bool] = [False]  # by id
         self._removed: Set[int] = set()  # ids that never return
         self._ids: Dict[Lits, int] = {}  # canonical lits -> id, live or not
-        self._occ: Dict[int, List[int]] = {}  # literal -> ids containing it, ascending
-        self._counted: Dict[int, List[int]] = {}  # literal -> the ids in _occ that can return
+        self._occ: Dict[int, List[int]] = {}  # literal -> ids containing it that can return, ascending
         self.values: Assignment = {}
         self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
         self._open: List[int] = [0]  # by id: literals not false under values
@@ -189,9 +189,8 @@ class ClauseDb:
         self._short: List[int] = []  # ids of the clauses of at most one literal
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
-        self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners
-        self._partner_scanned: Dict[Tuple[int, int], int] = {}  # occurrences of -literal read
-        self._negated: Dict[int, Set[int]] = {}  # id -> its negated literals, from its first partner scan on
+        self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners, built ones
+        self._negated: Dict[int, Set[int]] = {}  # id -> its negated literals, from its first partner list on
 
     def add(self, key: Lits, f1_side: bool) -> Clause:
         """Insert a clause given in ``canonical_lits`` form; a duplicate
@@ -205,10 +204,9 @@ class ClauseDb:
         self._active.append(True)
         self._ids[key] = cid
         true = open_ = open_sum = 0
-        values, occ, counted = self.values, self._occ, self._counted
+        values, occ = self.values, self._occ
         for l in key:
             occ.setdefault(l, []).append(cid)
-            counted.setdefault(l, []).append(cid)
             val = values.get(abs(l))
             if val is None:
                 open_ += 1
@@ -224,6 +222,15 @@ class ClauseDb:
         self._lit_sum.append(sum(key))
         if len(key) <= 1:
             self._short.append(cid)
+        # nothing is built while the formula loads, and without this test the
+        # lookups alone slow set-up; the new id is the largest, so lists stay ascending
+        if self._partner_ids:
+            built, negated = self._partner_ids, self._negated
+            for l in key:
+                for other in occ.get(-l, ()):
+                    ids = built.get((other, -l))
+                    if ids is not None and len(negated[other].intersection(key)) == 1:
+                        ids.append(cid)
         self._track(cid)
         return clause
 
@@ -263,15 +270,18 @@ class ClauseDb:
         self._track(cid)
 
     def remove(self, cid: int) -> None:
-        """Deactivate a clause for good: it leaves the count lists, so
-        ``assign`` and ``unassign`` no longer keep its counts."""
+        """Deactivate a clause for good: it leaves the occurrence lists, so
+        its counts are no longer kept, and the partner index."""
         self.deactivate(cid)
         self._removed.add(cid)
-        for l in self._clauses[cid].lits:
-            self._counted[l].remove(cid)
-
-    def is_removed(self, cid: int) -> bool:
-        return cid in self._removed
+        lits, occ, built = self._clauses[cid].lits, self._occ, self._partner_ids
+        for l in lits:
+            occ[l].remove(cid)
+            built.pop((cid, l), None)
+            for other in occ.get(-l, ()):
+                if cid in built.get((other, -l), ()):
+                    built[other, -l].remove(cid)
+        self._negated.pop(cid, None)
 
     def active_ids(self) -> Tuple[int, ...]:
         return tuple(cid for cid, on in enumerate(self._active) if on)
@@ -280,32 +290,25 @@ class ClauseDb:
         return tuple(range(1, len(self._clauses)))
 
     def occurrences(self, lit: int) -> Sequence[int]:
-        """Ids of all clauses (any liveness) containing exactly this literal,
-        ascending. The store's own list: read it, do not change it."""
+        """Ids of the clauses (live or not) that can return and contain this
+        literal, ascending. The store's own list: read it, do not change it."""
         return self._occ.get(lit, ())
 
     def partners(self, cid: int, lit: int) -> Sequence[int]:
-        """Ids of all clauses (any liveness) resolvable with clause ``cid``
-        on the variable of its literal ``lit``, ascending. The store's own
-        list: read it, do not change it."""
+        """Ids of the clauses (live or not) that can return and resolve with
+        clause ``cid``, which can return too, on the variable of its literal
+        ``lit``, ascending. The store's own list: read it, do not change it."""
         key = (cid, lit)
         ids = self._partner_ids.get(key)
         if ids is None:
-            ids = self._partner_ids[key] = []
-            self._partner_scanned[key] = 0
-        occ = self._occ.get(-lit, ())
-        scanned = self._partner_scanned[key]
-        if scanned < len(occ):
             # a partner holds -lit; it resolves with the clause iff that is
             # its only clash
             clauses = self._clauses
             neg = self._negated.get(cid)
             if neg is None:
                 neg = self._negated[cid] = {-l for l in clauses[cid].lits}
-            for other in occ[scanned:]:
-                if len(neg.intersection(clauses[other].lits)) == 1:
-                    ids.append(other)
-            self._partner_scanned[key] = len(occ)
+            occ = self._occ.get(-lit, ())
+            ids = self._partner_ids[key] = [o for o in occ if len(neg.intersection(clauses[o].lits)) == 1]
         return ids
 
     def open_partner(self, cid: int, lit: int) -> Optional[int]:
@@ -320,20 +323,20 @@ class ClauseDb:
         return None
 
     def audit_partners(self) -> None:
-        """Every cached partner list equals a ``resolvable_on`` scan of the
-        occurrences it has read (a ``check_invariants`` audit)."""
+        """Every built partner list equals a ``resolvable_on`` scan of the
+        occurrence list it reads (a ``check_invariants`` audit)."""
         for (cid, lit), ids in self._partner_ids.items():
-            lits = self._clauses[cid].lits
-            read = self._occ.get(-lit, [])[: self._partner_scanned[(cid, lit)]]
-            want = [o for o in read if resolvable_on(lits, self._clauses[o].lits, abs(lit))]
+            lits, occ = self._clauses[cid].lits, self._occ.get(-lit, ())
+            want = [o for o in occ if resolvable_on(lits, self._clauses[o].lits, abs(lit))]
             assert ids == want, f"partner list of clause {cid} on {lit}: {ids} != {want}"
 
     def audit_counts(self) -> None:
         """The counts of every clause that can return equal a scan under
-        ``values``, the count lists hold exactly those clauses, and no
+        ``values``, the occurrence lists hold exactly those clauses, and no
         removed clause is in ``units`` or ``falsified`` (a
         ``check_invariants`` audit)."""
         values, removed = self.values, self._removed
+        want: Dict[int, List[int]] = {}
         for cid in range(1, len(self._clauses)):
             if cid in removed:
                 assert cid not in self.units and cid not in self.falsified, f"removed clause {cid} is tracked"
@@ -343,9 +346,10 @@ class ClauseDb:
             true = sum(lit_truth(l, values) == 1 for l in lits)
             counts = (self._true[cid], self._open[cid], self._open_sum[cid])
             assert counts == (true, len(open_), sum(open_)), f"counts of clause {cid}: {counts}"
+            for l in lits:
+                want.setdefault(l, []).append(cid)
         for lit, ids in self._occ.items():
-            want = [cid for cid in ids if cid not in removed]
-            assert self._counted[lit] == want, f"count list of {lit}: {self._counted[lit]} != {want}"
+            assert ids == want.get(lit, []), f"occurrence list of {lit}: {ids} != {want.get(lit, [])}"
 
     # -- propagation state ---------------------------------------------
 
@@ -354,12 +358,12 @@ class ClauseDb:
         self.values[var] = val
         lit = var if val else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, counted = self._open_sum, self._counted
-        for cid in counted.get(lit, ()):
+        open_sum, occ = self._open_sum, self._occ
+        for cid in occ.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
                 units.discard(cid)
-        for cid in counted.get(-lit, ()):
+        for cid in occ.get(-lit, ()):
             open_sum[cid] += lit
             n = open_[cid] - 1
             open_[cid] = n
@@ -374,12 +378,12 @@ class ClauseDb:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
         true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, counted = self._open_sum, self._counted
-        for cid in counted.get(lit, ()):
+        open_sum, occ = self._open_sum, self._occ
+        for cid in occ.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
-        for cid in counted.get(-lit, ()):
+        for cid in occ.get(-lit, ()):
             open_sum[cid] -= lit
             n = open_[cid] + 1
             open_[cid] = n
@@ -394,15 +398,15 @@ class ClauseDb:
         """Go back to the empty assignment in one step: the counts, sets
         and free literals that unassigning every variable would leave.
 
-        Only the clauses on the count lists of assigned variables have
+        Only the clauses on the occurrence lists of assigned variables have
         moved from their empty-assignment counts, so the cost is that of
         those lists, as for unassigning, without the per-clause tests.
         """
-        true, open_, open_sum, counted = self._true, self._open, self._open_sum, self._counted
+        true, open_, open_sum, occ = self._true, self._open, self._open_sum, self._occ
         size, lit_sum = self._size, self._lit_sum
         for var in self.values:
             for lit in (var, -var):
-                for cid in counted.get(lit, ()):
+                for cid in occ.get(lit, ()):
                     true[cid] = 0
                     open_[cid] = size[cid]
                     open_sum[cid] = lit_sum[cid]

@@ -64,18 +64,17 @@ def _collect_vars(clauses: Iterable[Sequence[int]]) -> Set[int]:
 
 
 class _Space:
-    """Shared var indexing: x variables in the low bits, tracked y above them."""
+    """Shared var indexing over the clause variables: those in X in the low
+    bits, the free ones above them. An X variable in no clause changes no
+    answer, so it is not enumerated and does not count against the cap."""
 
-    def __init__(self, x_vars: Iterable[int], y_vars: Iterable[int]):
-        self.x_order = tuple(sorted(x_vars))
-        self.y_order = tuple(sorted(y_vars))
+    def __init__(self, x_vars: Set[int], clause_vars: Set[int]):
+        self.x_order = tuple(sorted(clause_vars & x_vars))
+        self.y_order = tuple(sorted(clause_vars - x_vars))
         _check_cap("X", len(self.x_order))
         _check_cap("Y", len(self.y_order))
-        self.index = {v: i for i, v in enumerate(self.x_order)}
-        nx = len(self.x_order)
-        self.index.update({v: nx + i for i, v in enumerate(self.y_order)})
-        self.nx = nx
-        self.ny = len(self.y_order)
+        self.nx, self.ny = len(self.x_order), len(self.y_order)
+        self.index = {v: i for i, v in enumerate(self.x_order + self.y_order)}
         self.full = (1 << (self.nx + self.ny)) - 1
 
     def y_bits(self, j: int) -> int:
@@ -99,8 +98,7 @@ class TruthTableQe:
 def enumerate_qe(clauses: Sequence[Sequence[int]], x_vars: Iterable[int]) -> TruthTableQe:
     """Quantifier elimination by enumeration over the free variables, the
     clause variables outside X."""
-    xs = set(x_vars)
-    sp = _Space(xs, _collect_vars(clauses) - xs)
+    sp = _Space(set(x_vars), _collect_vars(clauses))
     masks = _mask_clauses(clauses, sp.index)
     rows = 0
     for j in range(1 << sp.ny):
@@ -120,15 +118,14 @@ def verify_pqe_solution(
     The free variables are those of f1 and f2 outside X; a solution clause
     over any other variable is a ValueError.
     """
-    xs = set(x_vars)
-    ys = (_collect_vars(f1) | _collect_vars(f2)) - xs
+    xs, vs = set(x_vars), _collect_vars(f1) | _collect_vars(f2)
     for c in f1_star:
         for l in c:
             if abs(l) in xs:
                 raise ValueError("solution clauses must not mention quantified variables")
-            if abs(l) not in ys:
+            if abs(l) not in vs:
                 raise ValueError(f"solution variable {abs(l)} is neither quantified nor free")
-    sp = _Space(xs, ys)
+    sp = _Space(xs, vs)
     m1 = _mask_clauses(tuple(f1) + tuple(f2), sp.index)
     m2 = _mask_clauses(f2, sp.index)
     mstar = _mask_clauses(f1_star, sp.index)

@@ -69,10 +69,10 @@ the clause store, which keeps per clause that can return a count of true
 literals, a count of non-false ones and the sum of the non-false ones, and
 from the counts the sets of active falsified and active unit clause ids
 (see ``ClauseDb``). A proved primary is removed from the store for good
-(``ClauseDb.remove``), so no assignment pays for its counts again, and a
-pop of the whole trail, which ends every proof, resets the counts in one
-step (``ClauseDb.reset``) before it ends the live levels; other pops undo
-their entries one by one.
+(``ClauseDb.remove``), so no assignment or partner list meets it again,
+and a pop of the whole trail, which ends every proof, resets the counts in
+one step (``ClauseDb.reset``) before it ends the live levels; other pops
+undo their entries one by one.
 A round of BCP reads the target's counts and takes the lowest falsified id.
 Failing a condition, it applies the unit clause with the lowest id, the
 target's own unit last. With no unit, a target blocked at a quantified
@@ -554,11 +554,11 @@ class Engine:
     def _third_kind(self, clause: Clause, v: int) -> Optional[DSequent]:
         """Certify a clause blocked at v from one record per partner on v.
 
-        A proved primary has left the formula for good and needs none. A
-        live partner is satisfied off v: its atomic1 record is counted, and
-        built only for an observer, and its satisfying entry goes straight
-        into the merged conditional. A proved partner brings its record
-        from the level it was proved at. That record never depends on v:
+        A live partner is satisfied off v: its atomic1 record is counted,
+        and built only for an observer, and its satisfying entry goes
+        straight into the merged conditional. An inactive partner was proved
+        at a live level, as a proved primary has left the partner index for
+        good, and brings its record from that level, which never depends on v:
         ``_rewrite``'s satisfied-target escape joins v out of it before
         ``_bcktr_dseq`` marks the partner done. None if the partner records
         cannot certify the clause, and the caller certifies semantically
@@ -570,8 +570,6 @@ class Engine:
         records = []
         satisfied: Assignment = {}
         for cid in db.partners(clause.id, clause.lit_on(v)):
-            if db.is_removed(cid):
-                continue
             if db.is_active(cid):
                 # its literal on v is false (v keys the level) or unassigned
                 # (v is blocked), so the satisfying entry lies off v

@@ -147,6 +147,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(instance), str(sol))
         assert code == 0 and "OK" in out
 
+    def test_unused_quantified_variables_do_not_count_against_the_cap(self, capsys, tmp_path):
+        # 30 quantified variables, only one of them in a clause
+        instance = tmp_path / "wide.pqe"
+        xs = " ".join(map(str, range(1, 31)))
+        instance.write_text(f"p pqe 32 1 1\ne {xs} 0\n1 31 0\n-1 32 0\n")
+        code, out, _ = run(capsys, "solve", str(instance))
+        assert code == 0 and out == "s pqe 1\n31 32 0\n"
+        sol = tmp_path / "sol.txt"
+        sol.write_text(out)
+        code, out, _ = run(capsys, "verify", str(instance), str(sol))
+        assert code == 0 and "OK" in out
+        sol.write_text("s pqe 1\n2 0\n")  # a declared quantified variable in no clause
+        code, _, err = run(capsys, "verify", str(instance), str(sol))
+        assert code == 1 and "quantified" in err
+
     def test_undeclared_variable_is_input_error(self, capsys, golden_file, tmp_path):
         sol = tmp_path / "sol.txt"
         sol.write_text("s pqe 1\n3 99 0\n")

@@ -252,7 +252,7 @@ class TestPropagationState:
         for _ in range(steps):
             op = rng.randrange(6)
             free = [v for v in range(1, nv + 1) if v not in db.values]
-            ids = [c for c in db.all_ids() if not db.is_removed(c)]
+            ids = [c for c in db.all_ids() if c not in db._removed]
             if op == 0 or not ids:
                 vs = rng.sample(range(1, nv + 1), rng.randint(0, 3))
                 db.add(canonical_lits(v if rng.randrange(2) else -v for v in vs), True)
@@ -277,7 +277,7 @@ class TestPropagationState:
         """The assignment, the counts of every clause that can return, the
         sets and the free literals of the units, as the store keeps them."""
         counts = {c: (db._true[c], db._open[c], db._open_sum[c])
-                  for c in db.all_ids() if not db.is_removed(c)}
+                  for c in db.all_ids() if c not in db._removed}
         free = {c: db.free_literal(c) for c in db.units}
         return dict(db.values), counts, set(db.units), set(db.falsified), free
 
@@ -287,7 +287,7 @@ class TestPropagationState:
         asg = db.values
         counts = {}
         for c in db.all_ids():
-            if db.is_removed(c):
+            if c in db._removed:
                 continue
             lits = db.clause(c).lits
             open_ = [l for l in lits if lit_truth(l, asg) != 0]
@@ -323,14 +323,21 @@ class TestPropagationState:
             frozen = {}  # removed id -> its counts when it was removed
             for _ in self.walk(db, random.Random(seed), 120):
                 for c in db.all_ids():
-                    if db.is_removed(c):
+                    if c in db._removed:
                         counts = (db._true[c], db._open[c], db._open_sum[c])
                         # assign and unassign no longer touch it
                         assert frozen.setdefault(c, counts) == counts, (seed, c)
                         assert c not in db.units and c not in db.falsified
+                        for lit in db.clause(c).lits:
+                            assert c not in db.occurrences(lit), (seed, c)
                 assert self.state(db) == self.scanned(db), seed
                 asg = db.values
+                # no caller asks for the partners of a removed clause: its
+                # lists went with it, and a list built for it after that
+                # would not be kept
                 for c in db.all_ids():
+                    if c in db._removed:
+                        continue
                     lits = db.clause(c).lits
                     for lit in lits:
                         partners = [o for o in db.occurrences(-lit)

@@ -37,7 +37,12 @@ class TestEnumerateQe:
 
     def test_cap(self):
         with pytest.raises(TooLarge):
-            enumerate_qe([], range(1, 30))
+            enumerate_qe([tuple(range(1, 30))], range(1, 30))
+
+    def test_unused_quantified_variables_not_counted(self):
+        # 29 declared quantified variables, one of them in a clause
+        qe = enumerate_qe([(1, 31)], range(1, 30))
+        assert qe.y_vars == (31,) and qe.rows == 0b11
 
 
 class TestVerifySolution:

@@ -120,7 +120,7 @@ class TestPrimaries:
                 cid for cid in eng.f1_ids if problem.is_x_clause(eng.db.clause(cid).lits)
             }
             assert not any(eng.db.is_active(cid) for cid in primaries), problem
-            assert {cid for cid in eng.db.all_ids() if eng.db.is_removed(cid)} == primaries, problem
+            assert eng.db._removed == primaries, problem
             assert res.stats["primaries_proved"] == len(primaries), problem
             derived += sum(cid > len(problem.f1) + len(problem.f2) for cid in primaries)
         assert derived > 10
@@ -376,15 +376,49 @@ class TestSearchDiscipline:
     TWO_PRIMARIES = EcnfProblem.make([1], [(1, 2), (1, 3)], [(-1, 4), (-2, -3)])
 
     def test_audit_catches_remove_leaving_a_count_list(self, monkeypatch):
+        remove = ClauseDb.remove
+
         def leaky(db, cid):
-            db.deactivate(cid)
-            db._removed.add(cid)
-            for lit in db.clause(cid).lits[1:]:  # the first literal's list keeps it
-                db._counted[lit].remove(cid)
+            remove(db, cid)
+            first = db.clause(cid).lits[0]
+            db._occ[first].append(cid)  # the first literal's list keeps it
 
         monkeypatch.setattr(ClauseDb, "remove", leaky)
-        with pytest.raises(AssertionError, match="count list"):
+        with pytest.raises(AssertionError, match="occurrence list"):
             solve_pqe(self.TWO_PRIMARIES, SolverConfig(check_invariants=True))
+
+    # a partner list built by the first proof holds the first primary, and
+    # the second proof audits the index
+    PRIMARY_IN_A_PARTNER_LIST = EcnfProblem.make([1, 2], [(2,), (1, 3)], [(-1, 2), (-1, -2)])
+
+    def test_audit_catches_remove_leaving_a_partner_list(self, monkeypatch):
+        remove = ClauseDb.remove
+
+        def leaky(db, cid):
+            kept = [(key, list(ids)) for key, ids in db._partner_ids.items() if cid in ids]
+            remove(db, cid)
+            for key, ids in kept[:1]:  # one built list keeps it
+                db._partner_ids[key][:] = ids
+
+        monkeypatch.setattr(ClauseDb, "remove", leaky)
+        with pytest.raises(AssertionError, match="partner list"):
+            solve_pqe(self.PRIMARY_IN_A_PARTNER_LIST, SolverConfig(check_invariants=True))
+
+    # the search derives a clause that belongs in a partner list built before
+    DERIVES = EcnfProblem.make([1], [(1,)], [(2, -3), (-1, 2, 3)])
+
+    def test_audit_catches_add_skipping_built_partner_lists(self, monkeypatch):
+        add = ClauseDb.add
+
+        def forgetful(db, key, f1_side):
+            built, db._partner_ids = db._partner_ids, {}  # no built list is extended
+            clause = add(db, key, f1_side)
+            db._partner_ids = built
+            return clause
+
+        monkeypatch.setattr(ClauseDb, "add", forgetful)
+        with pytest.raises(AssertionError, match="partner list"):
+            solve_pqe(self.DERIVES, SolverConfig(check_invariants=True))
 
     def test_audit_catches_reset_forgetting_open_sums(self, monkeypatch):
         reset = ClauseDb.reset

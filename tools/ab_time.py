@@ -16,11 +16,12 @@ promise. A first, untimed pass solves the first 30 instances with both.
 It times every workload ``BENCHMARK.json`` gates, each on its first K
 instances at seed 1, built by this checkout's ``perfbench.workloads``.
 
-Report-only: per workload it prints the total time and the per-solve p50 of
-each side, and their ratio, this checkout over the other (below 1 means
-faster here). It exits 1 if, on any instance, the answer text or the stats
-(``wall_time_s`` aside) of the two differ, and 2 if OTHER_CHECKOUT has no
-``src/pqe``. Run against its own checkout it checks only that it runs.
+Report-only: per workload it prints the total time and the per-solve p50
+and p90 of each side (nearest rank, as the benchmark's gate reads them), and
+their ratio, this checkout over the other (below 1 means faster here). It
+exits 1 if, on any instance, the answer text or the stats (``wall_time_s``
+aside) of the two differ, and 2 if OTHER_CHECKOUT has no ``src/pqe``. Run
+against its own checkout it checks only that it runs.
 """
 
 import argparse
@@ -28,7 +29,6 @@ import dataclasses
 import importlib
 import json
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
+from perfbench.bench import percentile  # noqa: E402
 
 WARMUP = 30
 SEED = 1
@@ -76,9 +77,10 @@ def compare(engines, name: str, count: int, reps: int) -> bool:
                 for side in SIDES:
                     times[side].append(out[side][0])
     total = {side: sum(times[side]) for side in SIDES}
-    p50 = {side: statistics.median(times[side]) for side in SIDES}
+    p50 = {side: percentile(times[side], 50) for side in SIDES}
+    p90 = {side: percentile(times[side], 90) for side in SIDES}
     print(f"{name} seed {SEED}: {len(cases)} instances x {reps} reps, same answers and stats")
-    for label, value in (("total", total), ("p50", p50)):
+    for label, value in (("total", total), ("p50", p50), ("p90", p90)):
         print(f"  {label:5} here {value['here']:.6f} s  other {value['other']:.6f} s"
               f"  ratio {value['here'] / value['other']:.3f}")
     return True
