@@ -148,20 +148,17 @@ class ClauseDb:
     occurrence lists and the partner index.
 
     The store also keeps the search's propagation state. ``values`` is the
-    current partial assignment, changed only through ``assign``,
-    ``unassign`` and ``reset``. Per clause on the occurrence lists, live or
-    not, the store counts the literals that assignment makes true and the
-    literals it leaves non-false, and the sum of those non-false literals,
-    which for a unit clause is its free literal. From the counts it keeps
-    two sets of *active* ids:
-    ``falsified`` (every literal false) and ``units`` (no literal true,
-    exactly one unassigned). An assignment or unassignment touches only the
-    two occurrence lists of its variable; ``add``, ``deactivate``,
-    ``reactivate`` and ``remove`` move a clause into or out of the sets,
-    and ``reset`` goes back to the empty assignment in one step. The sets
-    hold exactly the active clauses for which ``clause_falsified`` and
-    ``unit_literal`` would answer, so the lowest id in a set is the one a
-    scan of ``active_ids()`` in id order would find first.
+    current partial assignment, changed only through ``assign`` and
+    ``unassign``. Per clause on the occurrence lists, live or not, the
+    store counts the literals that assignment makes true and the literals
+    it leaves non-false, and from the counts it keeps two sets of *active*
+    ids: ``falsified`` (every literal false) and ``units`` (no literal
+    true, exactly one unassigned). An assignment or unassignment touches
+    only the two occurrence lists of its variable; ``add``, ``deactivate``,
+    ``reactivate`` and ``remove`` move a clause into or out of the sets.
+    The sets hold exactly the active clauses for which ``clause_falsified``
+    and ``unit_literal`` would answer, so the lowest id in a set is the one
+    a scan of ``active_ids()`` in id order would find first.
 
     ``partners`` indexes, per (clause id, literal), the ids of the clauses
     resolvable with that clause on the literal's variable. A list is built
@@ -183,10 +180,6 @@ class ClauseDb:
         self.values: Assignment = {}
         self._true: List[int] = [0]  # by id (ids start at 1): literals true under values
         self._open: List[int] = [0]  # by id: literals not false under values
-        self._open_sum: List[int] = [0]  # by id: sum of the literals not false
-        self._size: List[int] = [0]  # by id: _open under the empty assignment
-        self._lit_sum: List[int] = [0]  # by id: _open_sum under the empty assignment
-        self._short: List[int] = []  # ids of the clauses of at most one literal
         self.falsified: Set[int] = set()
         self.units: Set[int] = set()
         self._partner_ids: Dict[Tuple[int, int], List[int]] = {}  # (id, literal) -> partners, built ones
@@ -203,25 +196,18 @@ class ClauseDb:
         self._clauses.append(clause)
         self._active.append(True)
         self._ids[key] = cid
-        true = open_ = open_sum = 0
+        true = open_ = 0
         values, occ = self.values, self._occ
         for l in key:
             occ.setdefault(l, []).append(cid)
             val = values.get(abs(l))
             if val is None:
                 open_ += 1
-                open_sum += l
             elif val == (l > 0):
                 open_ += 1
-                open_sum += l
                 true += 1
         self._true.append(true)
         self._open.append(open_)
-        self._open_sum.append(open_sum)
-        self._size.append(len(key))
-        self._lit_sum.append(sum(key))
-        if len(key) <= 1:
-            self._short.append(cid)
         # nothing is built while the formula loads, and without this test the
         # lookups alone slow set-up; the new id is the largest, so lists stay ascending
         if self._partner_ids:
@@ -342,10 +328,10 @@ class ClauseDb:
                 assert cid not in self.units and cid not in self.falsified, f"removed clause {cid} is tracked"
                 continue
             lits = self._clauses[cid].lits
-            open_ = [l for l in lits if lit_truth(l, values) != 0]
             true = sum(lit_truth(l, values) == 1 for l in lits)
-            counts = (self._true[cid], self._open[cid], self._open_sum[cid])
-            assert counts == (true, len(open_), sum(open_)), f"counts of clause {cid}: {counts}"
+            open_ = sum(lit_truth(l, values) != 0 for l in lits)
+            counts = (self._true[cid], self._open[cid])
+            assert counts == (true, open_), f"counts of clause {cid}: {counts}"
             for l in lits:
                 want.setdefault(l, []).append(cid)
         for lit, ids in self._occ.items():
@@ -357,14 +343,12 @@ class ClauseDb:
         """Set an unassigned variable and update the counts it touches."""
         self.values[var] = val
         lit = var if val else -var
-        true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, occ = self._open_sum, self._occ
+        true, open_, active, units, occ = self._true, self._open, self._active, self.units, self._occ
         for cid in occ.get(lit, ()):
             true[cid] += 1
             if true[cid] == 1 and open_[cid] == 1:
                 units.discard(cid)
         for cid in occ.get(-lit, ()):
-            open_sum[cid] += lit
             n = open_[cid] - 1
             open_[cid] = n
             if n <= 1 and not true[cid] and active[cid]:
@@ -377,14 +361,12 @@ class ClauseDb:
     def unassign(self, var: int) -> None:
         """Undo ``assign`` for one variable."""
         lit = var if self.values.pop(var) else -var
-        true, open_, active, units = self._true, self._open, self._active, self.units
-        open_sum, occ = self._open_sum, self._occ
+        true, open_, active, units, occ = self._true, self._open, self._active, self.units, self._occ
         for cid in occ.get(lit, ()):
             true[cid] -= 1
             if not true[cid] and open_[cid] == 1 and active[cid]:
                 units.add(cid)
         for cid in occ.get(-lit, ()):
-            open_sum[cid] -= lit
             n = open_[cid] + 1
             open_[cid] = n
             if n <= 2 and not true[cid] and active[cid]:
@@ -393,29 +375,6 @@ class ClauseDb:
                     units.add(cid)
                 else:
                     units.discard(cid)
-
-    def reset(self) -> None:
-        """Go back to the empty assignment in one step: the counts, sets
-        and free literals that unassigning every variable would leave.
-
-        Only the clauses on the occurrence lists of assigned variables have
-        moved from their empty-assignment counts, so the cost is that of
-        those lists, as for unassigning, without the per-clause tests.
-        """
-        true, open_, open_sum, occ = self._true, self._open, self._open_sum, self._occ
-        size, lit_sum = self._size, self._lit_sum
-        for var in self.values:
-            for lit in (var, -var):
-                for cid in occ.get(lit, ()):
-                    true[cid] = 0
-                    open_[cid] = size[cid]
-                    open_sum[cid] = lit_sum[cid]
-        self.values.clear()
-        self.units.clear()
-        self.falsified.clear()
-        for cid in self._short:
-            if self._active[cid]:
-                (self.units if self._size[cid] else self.falsified).add(cid)
 
     def is_satisfied(self, cid: int) -> bool:
         """Some literal of a clause that can return is true under ``values``."""
@@ -426,13 +385,13 @@ class ClauseDb:
         return self._open[cid] == 0
 
     def free_literal(self, cid: int) -> int:
-        """The unassigned literal of a clause in ``units``.
-
-        A unit clause has no true literal and one non-false literal, so the
-        sum of its non-false literals is that literal; for a clause that is
-        not unit the answer means nothing.
-        """
-        return self._open_sum[cid]
+        """The literal of a clause in ``units`` whose variable is unassigned,
+        read off the clause; for a clause that is not unit the answer means
+        nothing."""
+        values = self.values
+        for l in self._clauses[cid].lits:
+            if abs(l) not in values:
+                return l
 
     def __len__(self) -> int:
         return len(self._clauses) - 1

@@ -66,24 +66,23 @@ Propagation state
 The engine never scans the formula to find falsified or unit clauses. Every
 assignment and unassignment goes through ``_apply`` and ``_pop_suffix`` to
 the clause store, which keeps per clause that can return a count of true
-literals, a count of non-false ones and the sum of the non-false ones, and
-from the counts the sets of active falsified and active unit clause ids
-(see ``ClauseDb``). A proved primary is removed from the store for good
-(``ClauseDb.remove``), so no assignment or partner list meets it again,
-and a pop of the whole trail, which ends every proof, resets the counts in
-one step (``ClauseDb.reset``) before it ends the live levels; other pops
-undo their entries one by one.
+literals and a count of non-false ones, and from the counts the sets of
+active falsified and active unit clause ids (see ``ClauseDb``). A proved
+primary is removed from the store for good (``ClauseDb.remove``), so no
+assignment or partner list meets it again. Every pop, the whole trail's
+that ends a proof too, undoes its entries one by one and ends each target
+level as its key pops.
 A round of BCP reads the target's counts and takes the lowest falsified id.
 Failing a condition, it applies the unit clause with the lowest id, the
 target's own unit last. With no unit, a target blocked at a quantified
 variable is a condition, and otherwise BCP branches. The lowest id is the
 one a scan of the formula in id order would find first, and ``_bcp_star``
-applies units by the same rule; a unit's free literal is its sum. The
-target's unit comes last because it is no implication: on a free variable
-it steers the branch, on a quantified one it starts ``_bcp_star``. A
-backtrack applies the assignment it asserts itself, a record's flip or a
-conflict clause's asserting literal, so BCP looks for the next condition
-with it on the trail.
+applies units by the same rule; a unit's free literal is read off the
+clause. The target's unit comes last because it is no implication: on a
+free variable it steers the branch, on a quantified one it starts
+``_bcp_star``. A backtrack applies the assignment it asserts itself, a
+record's flip or a conflict clause's asserting literal, so BCP looks for
+the next condition with it on the trail.
 The blocked-clause test asks the same of the store: a target is blocked on
 a literal when it has no open partner there. The store reads its partner
 index, per (clause, literal) the ascending ids of the clauses resolvable
@@ -308,14 +307,6 @@ class Engine:
             self._audit_trail()
 
     def _pop_suffix(self, new_len: int) -> None:
-        if new_len == 0 and self.trail:
-            # the whole trail goes: reset the counts at once, then end the
-            # levels top-down, each restored clause reading the reset counts
-            self.db.reset()
-            self.trail.clear()
-            self.pos.clear()
-            while self.tlevels:
-                self._drop_tlevel()
         while len(self.trail) > new_len:
             e = self.trail.pop()
             self.db.unassign(e.var)

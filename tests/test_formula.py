@@ -276,7 +276,7 @@ class TestPropagationState:
     def state(db):
         """The assignment, the counts of every clause that can return, the
         sets and the free literals of the units, as the store keeps them."""
-        counts = {c: (db._true[c], db._open[c], db._open_sum[c])
+        counts = {c: (db._true[c], db._open[c])
                   for c in db.all_ids() if c not in db._removed}
         free = {c: db.free_literal(c) for c in db.units}
         return dict(db.values), counts, set(db.units), set(db.falsified), free
@@ -290,30 +290,27 @@ class TestPropagationState:
             if c in db._removed:
                 continue
             lits = db.clause(c).lits
-            open_ = [l for l in lits if lit_truth(l, asg) != 0]
-            counts[c] = (sum(lit_truth(l, asg) == 1 for l in lits), len(open_), sum(open_))
+            truths = [lit_truth(l, asg) for l in lits]
+            counts[c] = (truths.count(1), len(lits) - truths.count(0))
         active = db.active_ids()
         units = {c for c in active if unit_literal(db.clause(c).lits, asg) is not None}
         falsified = {c for c in active if clause_falsified(db.clause(c).lits, asg)}
         free = {c: unit_literal(db.clause(c).lits, asg) for c in units}
         return dict(asg), counts, units, falsified, free
 
-    def test_reset_leaves_what_unassigning_leaves(self):
+    def test_unassigning_everything_leaves_the_empty_assignment(self):
+        # the pop that ends every proof
         assigned = 0
         for seed in range(40):
-            one_by_one, at_once = ClauseDb(), ClauseDb()
-            for db in (one_by_one, at_once):
-                for _ in self.walk(db, random.Random(seed), 80):
-                    pass
-            assert self.state(one_by_one) == self.state(at_once)
-            assigned += len(one_by_one.values) > 1
-            for var in list(one_by_one.values):
-                one_by_one.unassign(var)
-            at_once.reset()
-            assert self.state(at_once) == self.state(one_by_one) == self.scanned(at_once), seed
-            # the reset counts carry on as unassigned ones would
-            for _ in self.walk(at_once, random.Random(seed + 1000), 40):
-                assert self.state(at_once) == self.scanned(at_once), seed
+            db = ClauseDb()
+            for _ in self.walk(db, random.Random(seed), 80):
+                pass
+            assigned += len(db.values) > 1
+            for var in list(db.values):
+                db.unassign(var)
+            assert self.state(db) == self.scanned(db), seed
+            for _ in self.walk(db, random.Random(seed + 1000), 40):
+                assert self.state(db) == self.scanned(db), seed
         assert assigned > 20
 
     def test_removed_clause_leaves_the_count_lists(self):
@@ -324,7 +321,7 @@ class TestPropagationState:
             for _ in self.walk(db, random.Random(seed), 120):
                 for c in db.all_ids():
                     if c in db._removed:
-                        counts = (db._true[c], db._open[c], db._open_sum[c])
+                        counts = (db._true[c], db._open[c])
                         # assign and unassign no longer touch it
                         assert frozen.setdefault(c, counts) == counts, (seed, c)
                         assert c not in db.units and c not in db.falsified

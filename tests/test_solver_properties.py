@@ -234,14 +234,15 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError):
             eng.solve()
 
-    def test_audit_catches_stale_free_literal(self):
+    def test_audit_catches_stale_free_literal(self, monkeypatch):
         eng = Engine(EcnfProblem.make([1], [(1, 2)], [(-1, 3)]),
                      SolverConfig(check_invariants=True))
         eng._apply(2, 0, None)  # (1 2) is unit on 1
         (cid,) = eng.db.units
         assert eng.db.free_literal(cid) == 1
         eng._audit_trail()
-        eng.db._open_sum[cid] += 1  # corrupt the clause's literal sum
+        # name the literal that the assignment made false
+        monkeypatch.setattr(ClauseDb, "free_literal", lambda db, c: db.clause(c).lit_on(2))
         with pytest.raises(AssertionError):
             eng._audit_trail()
 
@@ -372,7 +373,7 @@ class TestSearchDiscipline:
             eng._blocked_var()
 
     # two primaries: the first is removed, and the second proof starts from
-    # the reset counts
+    # the counts the first proof's pop left
     TWO_PRIMARIES = EcnfProblem.make([1], [(1, 2), (1, 3)], [(-1, 4), (-2, -3)])
 
     def test_audit_catches_remove_leaving_a_count_list(self, monkeypatch):
@@ -420,15 +421,15 @@ class TestSearchDiscipline:
         with pytest.raises(AssertionError, match="partner list"):
             solve_pqe(self.DERIVES, SolverConfig(check_invariants=True))
 
-    def test_audit_catches_reset_forgetting_open_sums(self, monkeypatch):
-        reset = ClauseDb.reset
+    def test_audit_catches_unassign_forgetting_open_counts(self, monkeypatch):
+        unassign = ClauseDb.unassign
 
-        def forgetful(db):
-            sums = db._open_sum.copy()
-            reset(db)
-            db._open_sum[:] = sums  # the sums stay as the trail left them
+        def forgetful(db, var):
+            counts = db._open.copy()
+            unassign(db, var)
+            db._open[:] = counts  # the non-false counts stay as the assignment left them
 
-        monkeypatch.setattr(ClauseDb, "reset", forgetful)
+        monkeypatch.setattr(ClauseDb, "unassign", forgetful)
         with pytest.raises(AssertionError, match="counts of clause"):
             solve_pqe(self.TWO_PRIMARIES, SolverConfig(check_invariants=True))
 

@@ -15,13 +15,18 @@ promise. A first, untimed pass solves the first 30 instances with both.
 
 It times every workload ``BENCHMARK.json`` gates, each on its first K
 instances at seed 1, built by this checkout's ``perfbench.workloads``.
+Then it times two large circuits, the instances ``pqe gen circuit --seed 0``
+writes at 24 inputs / 4000 gates and at 32 / 8000, built by this checkout's
+``pqe gen``, R times each with the same alternation (no warm-up). These
+rungs are the seed of ROADMAP item 5's ``tools/ladder.py --against``.
 
 Report-only: per workload it prints the total time and the per-solve p50
-and p90 of each side (nearest rank, as the benchmark's gate reads them), and
-their ratio, this checkout over the other (below 1 means faster here). It
-exits 1 if, on any instance, the answer text or the stats (``wall_time_s``
-aside) of the two differ, and 2 if OTHER_CHECKOUT has no ``src/pqe``. Run
-against its own checkout it checks only that it runs.
+and p90 of each side (nearest rank, as the benchmark's gate reads them), per
+large circuit the median of each side, and each time their ratio, this
+checkout over the other (below 1 means faster here). It exits 1 if, on any
+instance, the answer text or the stats (``wall_time_s`` aside) of the two
+differ, and 2 if OTHER_CHECKOUT has no ``src/pqe``. Run against its own
+checkout it checks only that it runs.
 """
 
 import argparse
@@ -29,9 +34,12 @@ import dataclasses
 import importlib
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 import time
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,10 +47,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from perfbench.bench import percentile  # noqa: E402
+from pqe import cli  # noqa: E402
 
 WARMUP = 30
 SEED = 1
 SIDES = ("here", "other")
+RUNGS = ((24, 4000), (32, 8000))  # inputs, gates of the large circuits
 
 
 def load(tmp: Path, name: str, checkout: Path):
@@ -61,6 +71,17 @@ def run(engine, text: str):
     return seconds, answer, {k: v for k, v in result.stats.items() if k != "wall_time_s"}
 
 
+def run_both(engines, text: str, turn: int, label: str):
+    """Seconds per side of one instance, the side going first alternating
+    with ``turn``; None if the two sides answered differently."""
+    order = SIDES if turn % 2 else SIDES[::-1]
+    out = {side: run(engines[side], text) for side in order}
+    if out["here"][1:] != out["other"][1:]:
+        print(f"{label}: answers or stats differ", file=sys.stderr)
+        return None
+    return {side: out[side][0] for side in SIDES}
+
+
 def compare(engines, name: str, count: int, reps: int) -> bool:
     """Time one workload; False if the two sides answered differently."""
     first = dataclasses.replace(workloads.WORKLOADS[name], count=count)
@@ -68,14 +89,12 @@ def compare(engines, name: str, count: int, reps: int) -> bool:
     times = {side: [] for side in SIDES}
     for rep in range(-1, reps):  # rep -1 is the untimed warm-up
         for case in cases[:WARMUP] if rep < 0 else cases:
-            order = SIDES if (case.cid + rep) % 2 else SIDES[::-1]
-            out = {side: run(engines[side], case.text) for side in order}
-            if out["here"][1:] != out["other"][1:]:
-                print(f"{name} seed {SEED} instance {case.cid}: answers or stats differ", file=sys.stderr)
+            seconds = run_both(engines, case.text, case.cid + rep, f"{name} seed {SEED} instance {case.cid}")
+            if seconds is None:
                 return False
             if rep >= 0:
                 for side in SIDES:
-                    times[side].append(out[side][0])
+                    times[side].append(seconds[side])
     total = {side: sum(times[side]) for side in SIDES}
     p50 = {side: percentile(times[side], 50) for side in SIDES}
     p90 = {side: percentile(times[side], 90) for side in SIDES}
@@ -83,6 +102,34 @@ def compare(engines, name: str, count: int, reps: int) -> bool:
     for label, value in (("total", total), ("p50", p50), ("p90", p90)):
         print(f"  {label:5} here {value['here']:.6f} s  other {value['other']:.6f} s"
               f"  ratio {value['here'] / value['other']:.3f}")
+    return True
+
+
+def circuit_text(tmp: Path, inputs: int, gates: int) -> str:
+    """The instance ``pqe gen circuit --seed 0`` writes, byte for byte."""
+    path = tmp / f"circuit-{inputs}-{gates}.pqe"
+    argv = ["gen", "circuit", "--inputs", str(inputs), "--gates", str(gates), "--seed", "0", "-o", str(path)]
+    with redirect_stdout(StringIO()):  # its manifest line
+        if cli.main(argv):
+            raise RuntimeError(f"pqe gen circuit failed at {inputs}/{gates}")
+    return path.read_text(encoding="utf-8")
+
+
+def compare_rungs(engines, tmp: Path, reps: int) -> bool:
+    """Time the large circuits; False if the two sides answered differently."""
+    for i, (inputs, gates) in enumerate(RUNGS):
+        text = circuit_text(tmp, inputs, gates)
+        times = {side: [] for side in SIDES}
+        for rep in range(reps):
+            seconds = run_both(engines, text, i + rep, f"circuit {inputs}/{gates} seed 0")
+            if seconds is None:
+                return False
+            for side in SIDES:
+                times[side].append(seconds[side])
+        median = {side: statistics.median(times[side]) for side in SIDES}
+        print(f"circuit {inputs}/{gates} seed 0: {reps} reps, same answers and stats")
+        print(f"  median here {median['here']:.6f} s  other {median['other']:.6f} s"
+              f"  ratio {median['here'] / median['other']:.3f}")
     return True
 
 
@@ -103,6 +150,8 @@ def main(argv=None) -> int:
         for name in names:
             if not compare(engines, name, args.instances, args.reps):
                 return 1
+        if not compare_rungs(engines, Path(tmp), args.reps):
+            return 1
     return 0
 
 
