@@ -74,14 +74,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "circuit":
-        circuit = harness.gen_circuit(args.seed, args.inputs, args.gates)
-        rng = random.Random(args.seed ^ 0x5EED)
-        x = {v: rng.randrange(2) for v in circuit.inputs}
-        values = harness.simulate(circuit, x)
-        z = {v: values[v] for v in circuit.outputs}
-        inst = harness.circuit_to_pqe(circuit, z)
-        if args.drop:
-            inst = harness.drop_clauses(inst, args.drop, args.seed ^ 0xD209)
+        inst = harness.circuit_instance(args.seed, args.inputs, args.gates, args.drop)
         text = pqeio.write_pqe(inst.problem, comment=f"circuit seed={args.seed}")
         det = bool(inst.meta.get("det", True))
         line = harness.manifest_line(args.seed, args.inputs, args.gates, det, args.output)
@@ -91,11 +84,7 @@ def _cmd_gen(args) -> int:
         if args.clauses < 0:
             raise ValueError(f"--clauses must be 0 or more, not {args.clauses}")
         rng = random.Random(args.seed)
-        clauses = []
-        for _ in range(args.clauses):
-            width = min(3, args.vars)
-            vs = rng.sample(range(1, args.vars + 1), width)
-            clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
+        clauses = harness.rand_cnf(rng, args.vars, args.clauses)
         x = {v: rng.randrange(2) for v in range(1, args.vars + 1)}
         inst = harness.sat_reduction_instance(clauses, x)
         text = pqeio.write_pqe(inst.problem, comment=f"satred seed={args.seed}")
@@ -162,15 +151,7 @@ def _cmd_selftest(args) -> int:
     rng = random.Random(7)
     ok = True
     for _ in range(25):
-        nx, ny = rng.randint(1, 4), rng.randint(1, 3)
-        xs = list(range(1, nx + 1))
-        ys = list(range(nx + 1, nx + ny + 1))
-        clauses = []
-        for _ in range(rng.randint(1, 8)):
-            vs = rng.sample(xs + ys, rng.randint(1, min(3, nx + ny)))
-            clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
-        cut = rng.randint(0, min(2, len(clauses)))
-        prob = EcnfProblem.make(xs, clauses[:cut], clauses[cut:])
+        prob = harness.rand_problem(rng)
         res = solve_pqe(prob, SolverConfig())
         if not oracle.verify_pqe_solution(prob.f1, prob.f2, prob.x_vars, res.f1_star):
             ok = False

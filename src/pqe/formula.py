@@ -18,10 +18,6 @@ class PqeError(Exception):
     """Base class for errors raised by this package."""
 
 
-class TautologyError(PqeError):
-    """A clause contains both polarities of some variable."""
-
-
 class NotResolvable(PqeError):
     """Two clauses (or assignments) do not clash on exactly one variable."""
 
@@ -45,7 +41,7 @@ def canonical_lits(lits: Iterable[int]) -> Lits:
             if lit == 0:
                 break
             if -lit in seen:
-                raise TautologyError(f"clause contains both polarities of {abs(lit)}")
+                raise ValueError(f"clause contains both polarities of {abs(lit)}")
             seen.add(lit)
     if 0 in distinct:
         raise ValueError("literal 0 is not allowed")

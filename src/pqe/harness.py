@@ -6,6 +6,12 @@ clause falsified by a chosen output vector, the quantified variables are the
 internal and output signals, and the free variables are the circuit inputs.
 A solution's clauses then block input cubes: an input falsifying the
 solution can only drive the circuit to the chosen output vector.
+
+Each instance family is drawn here and nowhere else: ``circuit_instance``
+(``pqe gen circuit``, with or without ``--drop``), ``rand_cnf`` (the CNF
+that ``pqe gen satred`` splits with ``sat_reduction_instance``) and
+``rand_problem`` (small random instances for ``pqe selftest``, the
+contract digest and the tests).
 """
 
 from __future__ import annotations
@@ -142,6 +148,39 @@ def sat_reduction_instance(clauses: Sequence[Lits], x: Assignment) -> PqeInstanc
     f1 = [c for c in clauses if clause_satisfied(c, x)]
     f2 = [c for c in clauses if not clause_satisfied(c, x)]
     return PqeInstance(EcnfProblem.make(sorted(all_vars), f1, f2))
+
+
+def circuit_instance(seed: int, n_inputs: int, n_gates: int, drop: float = 0.0) -> PqeInstance:
+    """The instance ``pqe gen circuit`` writes: the output vector that inputs
+    drawn from ``Random(seed ^ 0x5EED)`` drive the circuit to, and with
+    ``drop`` that fraction of the gate clauses removed."""
+    circuit = gen_circuit(seed, n_inputs, n_gates)
+    rng = random.Random(seed ^ 0x5EED)
+    values = simulate(circuit, {v: rng.randrange(2) for v in circuit.inputs})
+    inst = circuit_to_pqe(circuit, {v: values[v] for v in circuit.outputs})
+    return drop_clauses(inst, drop, seed ^ 0xD209)
+
+
+def rand_cnf(rng: random.Random, n_vars: int, n_clauses: int) -> List[Lits]:
+    """Clauses of ``min(3, n_vars)`` distinct variables, each with a random sign."""
+    out = []
+    for _ in range(n_clauses):
+        vs = rng.sample(range(1, n_vars + 1), min(3, n_vars))
+        out.append(tuple(v if rng.randrange(2) else -v for v in vs))
+    return out
+
+
+def rand_problem(rng: random.Random, max_x: int = 5, max_y: int = 4, max_clauses: int = 14) -> EcnfProblem:
+    """1 to ``max_x`` quantified and 0 to ``max_y`` free variables, 1 to
+    ``max_clauses`` clauses of 1 to 3 variables, the first 0 to 4 in F1."""
+    nx, ny = rng.randint(1, max_x), rng.randint(0, max_y)
+    all_vars = list(range(1, nx + ny + 1))
+    clauses = []
+    for _ in range(rng.randint(1, max_clauses)):
+        vs = rng.sample(all_vars, rng.randint(1, min(3, len(all_vars))))
+        clauses.append(tuple(v if rng.randrange(2) else -v for v in vs))
+    cut = rng.randint(0, min(4, len(clauses)))
+    return EcnfProblem.make(range(1, nx + 1), clauses[:cut], clauses[cut:])
 
 
 class Inapplicable:

@@ -23,7 +23,7 @@ from pqe.dsequent import (
     join,
     substitute,
 )
-from pqe.formula import Clause, ClauseDb, EcnfProblem, PqeError, canonical_lits
+from pqe.formula import Clause, ClauseDb, EcnfProblem, canonical_lits
 from pqe.io import parse_pqe, write_solution
 from pqe.oracle import enumerate_qe, verify_dsequent, verify_pqe_solution
 from pqe.satcore import sat_solve
@@ -140,10 +140,7 @@ class _CalculusArena:
         seen = set()
         for _ in range(rng.randint(4, 6)):
             vs = rng.sample(allv, rng.randint(1, min(3, len(allv))))
-            try:
-                lits = canonical_lits(tuple(v if rng.randrange(2) else -v for v in vs))
-            except PqeError:
-                continue
+            lits = canonical_lits(tuple(v if rng.randrange(2) else -v for v in vs))
             if lits in seen:
                 continue
             seen.add(lits)

@@ -97,11 +97,11 @@ class TestSolve:
         import random
 
         from pqe.io import write_pqe
-        from tests.conftest import rand_problem
+        from tests.conftest import rand_x_problem
 
         rng = random.Random(1)
         for _ in range(40):
-            problem = rand_problem(rng, require_x_target=True)
+            problem = rand_x_problem(rng)
             path = tmp_path / "hard.pqe"
             path.write_text(write_pqe(problem))
             code, _, _ = run(capsys, "solve", str(path), "--max-conflicts", "0")
@@ -254,6 +254,25 @@ class TestGen:
             "--drop", "0.3", "-o", str(out_file),
         )
         assert code == 0 and out.split()[4] == "nondet"
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("circuit-wide", ["circuit", "--inputs", "7", "--gates", "45"]),
+            ("satred", ["satred", "--vars", "12", "--clauses", "51"]),
+        ],
+    )
+    def test_gen_writes_the_benchmark_instances(self, capsys, tmp_path, name, argv):
+        # perfbench builds these workloads' instances as `pqe gen` builds them
+        import dataclasses
+
+        from perfbench import workloads
+
+        path = tmp_path / "g.pqe"
+        first = dataclasses.replace(workloads.WORKLOADS[name], count=20)
+        for case in workloads.setup(first, 1):
+            code, _, _ = run(capsys, "gen", *argv, "--seed", str(case.seed), "-o", str(path))
+            assert code == 0 and path.read_text(encoding="utf-8") == case.text, case.cid
 
 
 class TestCompare:

@@ -8,7 +8,6 @@ from pqe.formula import (
     ClauseDb,
     EcnfProblem,
     SATISFIED,
-    TautologyError,
     assignments_resolvable,
     canonical_lits,
     clause_falsified,
@@ -49,7 +48,8 @@ class TestCofactor:
             raw = rng.sample([v * s for v in range(1, 5) for s in (1, -1)], rng.randint(1, 4))
             try:
                 lits = canonical_lits(raw)
-            except TautologyError:
+            except ValueError as e:
+                assert "both polarities" in str(e)
                 continue
             full = {abs(l): rng.randrange(2) for l in lits}
             out = cofactor_clause(lits, full)
@@ -59,7 +59,8 @@ class TestCofactor:
     def test_cofactor_distributes(self, lits, q, r):
         try:
             lits = canonical_lits(lits)
-        except (TautologyError, ValueError):
+        except ValueError as e:
+            assert "both polarities" in str(e)
             return
         if any(q.get(v) is not None and r.get(v) not in (None, q[v]) for v in q):
             return  # incompatible
@@ -155,7 +156,7 @@ class TestAssignments:
 
 class TestClauseDb:
     def test_tautology_rejected(self):
-        with pytest.raises(TautologyError):
+        with pytest.raises(ValueError, match="both polarities of 1"):
             canonical_lits((1, -1))
 
     def test_duplicate_returns_existing(self):

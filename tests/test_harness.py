@@ -6,7 +6,7 @@ from pqe import harness
 from pqe.formula import EcnfProblem, canonical_lits, clause_satisfied
 from pqe.oracle import cnf_satisfiable
 from pqe.solver import solve_pqe
-from tests.conftest import pqe_sat_verdict, rand_cnf
+from tests.conftest import pqe_sat_verdict
 
 
 class TestGenCircuit:
@@ -129,7 +129,7 @@ class TestSatReduction:
         from pqe.satcore import sat_solve
 
         for _ in range(25):
-            clauses = rand_cnf(rng, 8, rng.randint(5, 25))
+            clauses = harness.rand_cnf(rng, 8, rng.randint(5, 25))
             x = {v: rng.randrange(2) for v in range(1, 9)}
             assert pqe_sat_verdict(clauses, x) == sat_solve(clauses).satisfiable
 

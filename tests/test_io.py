@@ -247,7 +247,7 @@ class TestRoundTrip:
         assert parse_pqe(write_pqe(p)) == p
 
     def test_random_round_trip(self, rng):
-        from tests.conftest import rand_problem
+        from pqe.harness import rand_problem
 
         for _ in range(50):
             p = rand_problem(rng)

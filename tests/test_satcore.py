@@ -1,8 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
+from pqe.harness import rand_cnf
 from pqe.oracle import cnf_satisfiable
 from pqe.satcore import sat_solve
-from tests.conftest import rand_cnf
 
 
 def model_satisfies(clauses, model):

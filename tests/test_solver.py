@@ -688,7 +688,7 @@ class TestRegressionCorpus:
 
 class TestDeterminism:
     def test_same_seed_same_everything(self, rng):
-        from tests.conftest import rand_problem
+        from pqe.harness import rand_problem
 
         for _ in range(10):
             problem = rand_problem(rng)
@@ -702,11 +702,11 @@ class TestDeterminism:
 
 class TestBudgets:
     def test_conflict_budget(self, rng):
-        from tests.conftest import rand_problem
+        from tests.conftest import rand_x_problem
 
         hit = False
         for _ in range(50):
-            problem = rand_problem(rng, max_clauses=14, require_x_target=True)
+            problem = rand_x_problem(rng)
             try:
                 solve_pqe(problem, SolverConfig(max_conflicts=0))
             except Exception as e:

@@ -8,8 +8,9 @@ from pqe import harness
 from pqe.dsequent import DSequent, trace_line
 from pqe.formula import ClauseDb, EcnfProblem
 from pqe.oracle import cnf_satisfiable, verify_dsequent, verify_pqe_solution
+from pqe.harness import rand_cnf, rand_problem
 from pqe.solver import Engine, SolverConfig, solve_pqe
-from tests.conftest import rand_cnf, rand_problem
+from tests.conftest import rand_x_problem
 
 
 def benchmark_family_instances():
@@ -44,7 +45,7 @@ class TestSoundness:
         rng = random.Random(77)
         for k in (-1, 0, 1, 2):
             for _ in range(40):
-                problem = rand_problem(rng, require_x_target=True)
+                problem = rand_x_problem(rng)
                 res = solve_pqe(problem, SolverConfig(learn_depth_k=k, max_seconds=10))
                 assert verify_pqe_solution(
                     problem.f1, problem.f2, problem.x_vars, res.f1_star
@@ -60,7 +61,7 @@ class TestDerivedClausesImplied:
         rng = random.Random(6060)
         checked = {False: 0, True: 0}  # by f1_side
         for _ in range(300):
-            problem = rand_problem(rng, require_x_target=True)
+            problem = rand_x_problem(rng)
             n = len(problem.f1) + len(problem.f2)
             premises = {False: list(problem.f2), True: list(problem.f1 + problem.f2)}
             for check in (False, True):
@@ -111,7 +112,7 @@ class TestPrimaries:
         # every F1 clause with a quantified literal, derived ones included,
         # is proved and removed once
         rng = random.Random(31)
-        problems = [rand_problem(rng, require_x_target=True) for _ in range(100)]
+        problems = [rand_x_problem(rng) for _ in range(100)]
         derived = 0
         for problem in problems + benchmark_family_instances():
             eng = Engine(problem, SolverConfig(learn_depth_k=learn_k, check_invariants=True))
@@ -131,7 +132,7 @@ class TestEmittedRecordsValid:
         rng = random.Random(31337)
         checked = 0
         for _ in range(60):
-            problem = rand_problem(rng, max_x=4, max_y=3, max_clauses=8, require_x_target=True)
+            problem = rand_x_problem(rng, max_x=4, max_y=3, max_clauses=8)
             records = []
             solve_pqe(
                 problem,
@@ -162,7 +163,7 @@ class TestSearchDiscipline:
         # and the target stack and propagation state at every round
         rng = random.Random(9090)
         for _ in range(40):
-            problem = rand_problem(rng, require_x_target=True)
+            problem = rand_x_problem(rng)
             eng = Engine(problem, SolverConfig(max_seconds=10, check_invariants=True))
             res = eng.solve()
             assert verify_pqe_solution(problem.f1, problem.f2, problem.x_vars, res.f1_star)
@@ -227,7 +228,7 @@ class TestSearchDiscipline:
             assert read == plain + generated > plain
 
     def test_audit_catches_stale_propagation_state(self):
-        problem = rand_problem(random.Random(1), require_x_target=True)
+        problem = rand_x_problem(random.Random(1))
         eng = Engine(problem, SolverConfig(check_invariants=True))
         cid = eng.db.active_ids()[0]
         eng.db.units.symmetric_difference_update({cid})  # corrupt the unit set
@@ -344,7 +345,7 @@ class TestSearchDiscipline:
 
     def test_audit_catches_secondary_target_without_level(self):
         # with no target level on the stack the primary is the target
-        problem = rand_problem(random.Random(1), require_x_target=True)
+        problem = rand_x_problem(random.Random(1))
         eng = Engine(problem, SolverConfig(check_invariants=True))
         eng.primary = eng.target = min(eng.f1_ids)
         eng._audit_stack()
@@ -452,14 +453,14 @@ class TestSearchDiscipline:
     def test_termination_without_budget(self):
         rng = random.Random(404)
         for _ in range(200):
-            problem = rand_problem(rng, max_x=5, max_y=4, max_clauses=14)
+            problem = rand_problem(rng)
             res = solve_pqe(problem, SolverConfig(max_conflicts=10**6))
             assert res is not None
 
 
 class TestSatReductionAgreement:
     def test_matches_brute_force(self):
-        from tests.conftest import pqe_sat_verdict, rand_cnf
+        from tests.conftest import pqe_sat_verdict
 
         rng = random.Random(6)
         for _ in range(30):

@@ -16,9 +16,10 @@ promise. A first, untimed pass solves the first 30 instances with both.
 It times every workload ``BENCHMARK.json`` gates, each on its first K
 instances at seed 1, built by this checkout's ``perfbench.workloads``.
 Then it times two large circuits, the instances ``pqe gen circuit --seed 0``
-writes at 24 inputs / 4000 gates and at 32 / 8000, built by this checkout's
-``pqe gen``, R times each with the same alternation (no warm-up). These
-rungs are the seed of ROADMAP item 5's ``tools/ladder.py --against``.
+writes at 24 inputs / 4000 gates and at 32 / 8000, built byte for byte by
+this checkout's ``harness.circuit_instance``, R times each with the same
+alternation (no warm-up). These rungs are the seed of ROADMAP item 5's
+``tools/ladder.py --against``.
 
 Report-only: per workload it prints the total time and the per-solve p50
 and p90 of each side (nearest rank, as the benchmark's gate reads them), per
@@ -38,8 +39,6 @@ import statistics
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
-from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +46,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from perfbench.bench import percentile  # noqa: E402
-from pqe import cli  # noqa: E402
+from pqe import harness  # noqa: E402
+from pqe import io as pqeio  # noqa: E402
 
 WARMUP = 30
 SEED = 1
@@ -105,20 +105,11 @@ def compare(engines, name: str, count: int, reps: int) -> bool:
     return True
 
 
-def circuit_text(tmp: Path, inputs: int, gates: int) -> str:
-    """The instance ``pqe gen circuit --seed 0`` writes, byte for byte."""
-    path = tmp / f"circuit-{inputs}-{gates}.pqe"
-    argv = ["gen", "circuit", "--inputs", str(inputs), "--gates", str(gates), "--seed", "0", "-o", str(path)]
-    with redirect_stdout(StringIO()):  # its manifest line
-        if cli.main(argv):
-            raise RuntimeError(f"pqe gen circuit failed at {inputs}/{gates}")
-    return path.read_text(encoding="utf-8")
-
-
-def compare_rungs(engines, tmp: Path, reps: int) -> bool:
+def compare_rungs(engines, reps: int) -> bool:
     """Time the large circuits; False if the two sides answered differently."""
     for i, (inputs, gates) in enumerate(RUNGS):
-        text = circuit_text(tmp, inputs, gates)
+        # with its comment line the text is the file `pqe gen circuit --seed 0` writes
+        text = pqeio.write_pqe(harness.circuit_instance(0, inputs, gates).problem, comment="circuit seed=0")
         times = {side: [] for side in SIDES}
         for rep in range(reps):
             seconds = run_both(engines, text, i + rep, f"circuit {inputs}/{gates} seed 0")
@@ -150,7 +141,7 @@ def main(argv=None) -> int:
         for name in names:
             if not compare(engines, name, args.instances, args.reps):
                 return 1
-        if not compare_rungs(engines, Path(tmp), args.reps):
+        if not compare_rungs(engines, args.reps):
             return 1
     return 0
 

@@ -25,9 +25,10 @@ and config: a workload answer is checked against the perfbench reference
 right answers, not only of unchanged ones.
 
 Batch: the first 120 instances of the perfbench workloads circuit-wide,
-circuit-cone and satred at seed 13, and 300 ``tests.conftest.rand_problem``
+circuit-cone and satred at seed 13, and 300 ``pqe.harness.rand_problem``
 instances drawn from ``Random(2024)``, each under the four configs of
-CONFIGS. It takes about 50 seconds on one core.
+CONFIGS. It takes about 50 seconds on one core and needs no test
+dependencies.
 """
 
 import dataclasses
@@ -45,8 +46,8 @@ from pqe import dsequent  # noqa: E402
 from pqe import io as pqeio  # noqa: E402
 from pqe import oracle  # noqa: E402
 from pqe.cli import stats_kv  # noqa: E402
+from pqe.harness import rand_problem  # noqa: E402
 from pqe.solver import SolverConfig, solve_pqe  # noqa: E402
-from tests.conftest import rand_problem  # noqa: E402
 
 SEED = 13
 PER_WORKLOAD = 120
